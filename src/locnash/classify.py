@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalInconsistency, NotRealStructure, RankOutOfRange
-from .lattices import DEFAULT_COEFF_BOX, DEFAULT_TOL, real_rank1_form
+from .lattices import DEFAULT_TOL, gauss_reduced_basis, real_rank1_form
 from .scalars import ExactReal, ratio_rationality
 from .structures import (
     FAMILY_RANK,
@@ -26,7 +26,6 @@ from .structures import (
     period_group,
     z_rank,
 )
-from .weierstrass import DEFAULT_TARGET_ABS_ERR, DEFAULT_TRUNC_FACTOR
 
 ISOMORPHIC = "isomorphic"
 NOT_ISOMORPHIC = "not_isomorphic"
@@ -88,23 +87,22 @@ def rational_detect(
         rem = 1 / frac_part
 
 
-def _canonical_wp_parameter(
-    group, tol: float, coeff_box: int
-) -> float:
+def _canonical_wp_parameter(group, tol: float) -> float:
     """Normalize a real rank-2 lattice of C to <1, ia>: returns a > 0.
 
-    Searches the coefficient box for the smallest positive real and smallest
-    positive purely-imaginary lattice elements; passing to that rectangular
-    finite-index sublattice changes the parameter by a rational factor only,
-    which the rational-ratio criterion absorbs.
+    Finds the smallest positive real and smallest positive purely-imaginary
+    lattice elements; passing to that rectangular finite-index sublattice
+    changes the parameter by a rational factor only, which the rational-ratio
+    criterion absorbs.  A real lattice is rectangular or rhombic, so on its
+    Gauss-reduced basis (r1, r2) both elements are among r_i, r1 +- r2 and
+    2 r_i - r_j: a +-2 coefficient box holds them, however the generators
+    were written.
     """
-    g1 = group.generators[0][0]
-    g2 = group.generators[1][0]
-    scale = max(abs(g1), abs(g2))
-    thr = tol * scale * (2 * coeff_box)
-    m = np.arange(-coeff_box, coeff_box + 1)
+    r1, r2, _ = gauss_reduced_basis(group.generators[0][0], group.generators[1][0])
+    thr = tol * abs(r2) * 4
+    m = np.arange(-2, 3)
     M, N = np.meshgrid(m, m, indexing="ij")
-    vals = M * g1 + N * g2
+    vals = M * r1 + N * r2
     re, im = vals.real, vals.imag
     real_mask = (np.abs(im) <= thr) & (re > thr)
     imag_mask = (np.abs(re) <= thr) & (im > thr)
@@ -120,9 +118,6 @@ def _canonical_wp_parameter(
 def classify_1d(
     d: StructureDescriptor,
     tol: float = DEFAULT_TOL,
-    coeff_box: int = DEFAULT_COEFF_BOX,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
 ) -> CanonicalForm1D:
     """Canonical form of a real dim-1 structure: id, exp, sin or wp(<1, ia>).
 
@@ -134,7 +129,7 @@ def classify_1d(
         raise ValueError("classify_1d requires a dim-1 descriptor")
     if not is_real_structure(d, tol):
         raise NotRealStructure(f"{d.family} structure with non-real data")
-    report = period_group(d, tol, trunc_radius_factor, target_abs_err)
+    report = period_group(d, tol)
     r = report.rank
     if r == 0:
         return CanonicalForm1D("id")
@@ -148,7 +143,7 @@ def classify_1d(
             "rank-1 period group of a real structure must lie on an axis"
         )
     if r == 2:
-        a = _canonical_wp_parameter(report.group, tol, coeff_box)
+        a = _canonical_wp_parameter(report.group, tol)
         a_exact = None
         if (
             d.family == "wp_real"
@@ -203,12 +198,10 @@ def isomorphic_1d(
     max_denominator: int = 10**6,
     ratio_tol: float = 1e-9,
     tol: float = DEFAULT_TOL,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
 ) -> Verdict:
     """Isomorphism verdict for two real dim-1 structures."""
-    c1 = classify_1d(d1, tol, trunc_radius_factor=trunc_radius_factor, target_abs_err=target_abs_err)
-    c2 = classify_1d(d2, tol, trunc_radius_factor=trunc_radius_factor, target_abs_err=target_abs_err)
+    c1 = classify_1d(d1, tol)
+    c2 = classify_1d(d2, tol)
     if c1.rank != c2.rank:
         return Verdict(
             NOT_ISOMORPHIC,
@@ -246,13 +239,11 @@ _FAMILY_INDEX = {"p1": 1, "p2": 2, "p3": 3, "p4": 4, "p5": 5, "p6_product": 6}
 def classify_2d(
     d: StructureDescriptor,
     tol: float = DEFAULT_TOL,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
 ) -> Family2D:
     """Family index with its rank witness, cross-validated against the table."""
     if d.dim != 2:
         raise ValueError("classify_2d requires a dim-2 descriptor")
-    r = z_rank(d, tol, trunc_radius_factor, target_abs_err)
+    r = z_rank(d, tol)
     if r != FAMILY_RANK[d.family]:  # z_rank already enforces this
         raise InternalInconsistency("rank witness disagrees with the family table")
     return Family2D(_FAMILY_INDEX[d.family], r)
@@ -262,8 +253,6 @@ def compare_2d(
     d1: StructureDescriptor,
     d2: StructureDescriptor,
     tol: float = DEFAULT_TOL,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
 ) -> Verdict:
     """Family-separation verdict for two real dim-2 structures.
 
@@ -276,8 +265,8 @@ def compare_2d(
             raise ValueError("compare_2d requires dim-2 descriptors")
         if not is_real_structure(d, tol):
             raise NotRealStructure(f"{d.family} structure with non-real data")
-    f1 = classify_2d(d1, tol, trunc_radius_factor, target_abs_err)
-    f2 = classify_2d(d2, tol, trunc_radius_factor, target_abs_err)
+    f1 = classify_2d(d1, tol)
+    f2 = classify_2d(d2, tol)
     lo, hi = sorted((f1, f2), key=lambda f: f.index)
     if f1.index == f2.index:
         return Verdict(

@@ -34,6 +34,7 @@ from .relations import format_polynomial, verify_aat
 from .scalars import parse_lattice_literal
 from .structures import map_batch, period_group
 from .weierstrass import (
+    LEGENDRE_TOL,
     coset_sum_check,
     conjugate_lattice_check,
     get_context,
@@ -108,7 +109,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     xs = _parse_grid(args.grid)
     if args.lattice:
         lat = _parse_lattice1(args.lattice)
-        ctx = get_context(lat, cfg.trunc_radius_factor, cfg.target_abs_err)
+        ctx = get_context(lat)
         pts = np.array([complex(x, y) for x in xs for y in xs])
         fn = {
             "wp": ctx.wp_many,
@@ -122,10 +123,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     d = load_descriptor(args.descriptor)
     if d.dim == 1:
         pts = np.array([complex(x, y) for x in xs for y in xs])
-        vals, poles = map_batch(
-            d, pts, trunc_radius_factor=cfg.trunc_radius_factor,
-            target_abs_err=cfg.target_abs_err,
-        )
+        vals, poles = map_batch(d, pts)
         _write(_csv_rows(pts, vals[0], None, poles[0]), args.out or cfg.output_path)
         return EXIT_OK
     # dim 2: the grid spans real coordinates (x, y); one CSV per map coordinate
@@ -134,10 +132,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         raise ParseError("dim-2 descriptors need --out (one CSV per coordinate)")
     U = np.array([complex(x, 0) for x in xs for _ in xs])
     V = np.array([complex(y, 0) for _ in xs for y in xs])
-    vals, poles = map_batch(
-        d, U, V, trunc_radius_factor=cfg.trunc_radius_factor,
-        target_abs_err=cfg.target_abs_err,
-    )
+    vals, poles = map_batch(d, U, V)
     stem = out[:-4] if out.endswith(".csv") else out
     pts = U + 1j * V.real
     for k in range(2):
@@ -157,7 +152,7 @@ def _group_lines(G: DiscreteSubgroup) -> list[str]:
 
 def cmd_periods(args, cfg: RunConfig) -> int:
     d = load_descriptor(args.descriptor)
-    rep = period_group(d, cfg.tol, cfg.trunc_radius_factor, cfg.target_abs_err)
+    rep = period_group(d, cfg.tol)
     lines = _report_head("periods", cfg)
     lines.append("[descriptor]")
     lines.extend(serialize_descriptor(d).rstrip().splitlines())
@@ -176,10 +171,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     lines.extend(serialize_descriptor(d).rstrip().splitlines())
     lines.append("[result]")
     if d.dim == 1:
-        form = classify_1d(
-            d, cfg.tol, trunc_radius_factor=cfg.trunc_radius_factor,
-            target_abs_err=cfg.target_abs_err,
-        )
+        form = classify_1d(d, cfg.tol)
         lines.append(f"canonical_form = {form.kind}")
         if form.a is not None:
             lines.append(f"a = {fmt(form.a)}")
@@ -187,7 +179,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
             lines.append(f"a_exact = {form.a_exact}")
         lines.append(f"rank = {form.rank}")
     else:
-        fam = classify_2d(d, cfg.tol, cfg.trunc_radius_factor, cfg.target_abs_err)
+        fam = classify_2d(d, cfg.tol)
         lines.append(f"family = {fam.index}")
         lines.append(f"rank = {fam.rank}")
     _write("\n".join(lines) + "\n", args.out or cfg.output_path)
@@ -200,15 +192,9 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     if d1.dim != d2.dim:
         raise ParseError("descriptors have different dimensions")
     if d1.dim == 1:
-        verdict = isomorphic_1d(
-            d1, d2, cfg.max_denominator, cfg.tol, cfg.tol,
-            trunc_radius_factor=cfg.trunc_radius_factor,
-            target_abs_err=cfg.target_abs_err,
-        )
+        verdict = isomorphic_1d(d1, d2, cfg.max_denominator, cfg.tol, cfg.tol)
     else:
-        verdict = compare_2d(
-            d1, d2, cfg.tol, cfg.trunc_radius_factor, cfg.target_abs_err
-        )
+        verdict = compare_2d(d1, d2, cfg.tol)
     lines = _report_head("compare", cfg)
     for tag, d in (("descriptor_1", d1), ("descriptor_2", d2)):
         lines.append(f"[{tag}]")
@@ -227,11 +213,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
 
 def cmd_verify_aat(args, cfg: RunConfig) -> int:
     d = load_descriptor(args.descriptor)
-    report = verify_aat(
-        d, cfg.max_degree, cfg.n_samples, cfg.seed,
-        trunc_radius_factor=cfg.trunc_radius_factor,
-        target_abs_err=cfg.target_abs_err,
-    )
+    report = verify_aat(d, cfg.max_degree, cfg.n_samples, cfg.seed)
     lines = _report_head("verify-aat", cfg)
     lines.append("[descriptor]")
     lines.extend(serialize_descriptor(d).rstrip().splitlines())
@@ -260,7 +242,7 @@ def cmd_verify_aat(args, cfg: RunConfig) -> int:
 
 def cmd_check_identities(args, cfg: RunConfig) -> int:
     lat = _parse_lattice1(args.lattice)
-    ctx = get_context(lat, cfg.trunc_radius_factor, cfg.target_abs_err)
+    ctx = get_context(lat)
     rng = np.random.default_rng(cfg.seed)
     zs = sample_reduced(lat, 30, rng)
     checks: list[tuple[str, float, float]] = []
@@ -282,18 +264,17 @@ def cmd_check_identities(args, cfg: RunConfig) -> int:
     doubled = subgroup([2 * lat.omega1, 2 * lat.omega2], tol=cfg.tol)
     full = subgroup([lat.omega1, lat.omega2], tol=cfg.tol)
     checks.append(
-        ("coset_sum_doubled_sublattice",
-         coset_sum_check(doubled, full, zs, cfg.trunc_radius_factor), 1e-6)
+        ("coset_sum_doubled_sublattice", coset_sum_check(doubled, full, zs), 1e-6)
     )
 
     base, _, _ = ctx.wp_many(zs)
     for label, c in (("2", 2.0 + 0j), ("1+i", 1.0 + 1j)):
-        ctx_c = get_context(lat.scaled(c), cfg.trunc_radius_factor, cfg.target_abs_err)
+        ctx_c = get_context(lat.scaled(c))
         scaled, _, _ = ctx_c.wp_many(c * zs)
         res = float(np.max(np.abs(scaled - base / c**2)))
         checks.append((f"scaling_law_c_{label}", res, 1e-8))
 
-    checks.append(("legendre_relation", ctx.legendre_defect, 10.0 * cfg.target_abs_err))
+    checks.append(("legendre_relation", ctx.legendre_defect, LEGENDRE_TOL))
 
     lines = _report_head("check-identities", cfg)
     lines.append("[lattice]")
@@ -320,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-degree", type=int, dest="max_degree")
     common.add_argument("--max-denominator", type=int, dest="max_denominator")
     common.add_argument("--n-samples", type=int, dest="n_samples")
-    common.add_argument("--trunc-radius-factor", type=float, dest="trunc_radius_factor")
-    common.add_argument("--target-abs-err", type=float, dest="target_abs_err")
     common.add_argument("--out", help="output path (default stdout)")
 
     p = argparse.ArgumentParser(prog="locnash", description=__doc__)
@@ -361,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_CFG_KEYS = ("tol", "seed", "max_degree", "max_denominator", "n_samples",
-             "trunc_radius_factor", "target_abs_err")
+_CFG_KEYS = ("tol", "seed", "max_degree", "max_denominator", "n_samples")
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:

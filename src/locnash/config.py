@@ -17,8 +17,6 @@ CONFIG_ENV = "LOCNASH_CONFIG"
 @dataclass(frozen=True)
 class RunConfig:
     tol: float = 1e-9
-    trunc_radius_factor: float = 120.0
-    target_abs_err: float = 1e-9
     max_degree: int = 8
     n_samples: int = 64
     seed: int = 0
@@ -26,14 +24,13 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        for name in ("tol", "trunc_radius_factor", "target_abs_err",
-                     "max_degree", "n_samples", "max_denominator"):
+        for name in ("tol", "max_degree", "n_samples", "max_denominator"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
 _INT_FIELDS = {"max_degree", "n_samples", "seed", "max_denominator"}
-_FLOAT_FIELDS = {"tol", "trunc_radius_factor", "target_abs_err"}
+_FLOAT_FIELDS = {"tol"}
 _FIELD_NAMES = {f.name for f in fields(RunConfig)}
 
 

@@ -24,9 +24,6 @@ from .errors import SingularMatrix
 
 DEFAULT_TOL = 1e-9
 
-#: default coefficient box for coset enumeration / canonical-form searches
-DEFAULT_COEFF_BOX = 50
-
 Vector = tuple[complex, ...]
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InsufficientSamples
 from .structures import StructureDescriptor, map_batch
-from .weierstrass import DEFAULT_TARGET_ABS_ERR, DEFAULT_TRUNC_FACTOR, get_context
+from .weierstrass import get_context
 
 DEFAULT_GAP_THRESHOLD = 1e6
 DEFAULT_RES_TOL = 1e-6
@@ -268,8 +268,6 @@ def _coordinate_sampler(
     coord: int,
     part: str,
     value_cap: float | None,
-    trunc_radius_factor: float,
-    target_abs_err: float,
 ) -> Sampler:
     n = d.dim
 
@@ -280,11 +278,7 @@ def _coordinate_sampler(
             args = coords[n:]
         else:
             args = tuple(coords[j] + coords[n + j] for j in range(n))
-        vals, poles = map_batch(
-            d, *args,
-            trunc_radius_factor=trunc_radius_factor,
-            target_abs_err=target_abs_err,
-        )
+        vals, poles = map_batch(d, *args)
         v = np.array(vals[coord], dtype=complex)
         bad = poles[coord] | ~(np.isfinite(v.real) & np.isfinite(v.imag))
         if value_cap is not None:
@@ -300,13 +294,11 @@ def map_sampler(
     coord: int = 0,
     shift: complex = 0j,
     value_cap: float | None = DEFAULT_VALUE_CAP,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
 ) -> Sampler:
     """One coordinate of a dim-1 descriptor's map as a sampler, u -> f(u + shift)."""
     if d.dim != 1:
         raise ValueError("map_sampler handles dim-1 descriptors")
-    base = _coordinate_sampler(d, coord, "u", value_cap, trunc_radius_factor, target_abs_err)
+    base = _coordinate_sampler(d, coord, "u", value_cap)
     if shift == 0:
         return base
     return lambda u: base(np.asarray(u, dtype=complex) + shift)
@@ -315,11 +307,9 @@ def map_sampler(
 def wp_sampler(
     lattice,
     value_cap: float | None = DEFAULT_VALUE_CAP,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
 ) -> Sampler:
     """wp over the given lattice as a sampler with pole / magnitude rejection."""
-    ctx = get_context(lattice, trunc_radius_factor, target_abs_err)
+    ctx = get_context(lattice)
 
     def sampler(u):
         v, _, poles = ctx.wp_many(np.asarray(u, dtype=complex))
@@ -358,8 +348,6 @@ def verify_aat(
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
     res_tol: float = DEFAULT_RES_TOL,
     value_cap: float | None = DEFAULT_VALUE_CAP,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
 ) -> AATReport:
     """Numerical algebraic-addition-theorem certificate for the descriptor.
 
@@ -371,9 +359,9 @@ def verify_aat(
     certs: list[RelationCertificate | None] = []
     for coord in range(n):
         samplers = (
-            [_coordinate_sampler(d, j, "u", value_cap, trunc_radius_factor, target_abs_err) for j in range(n)]
-            + [_coordinate_sampler(d, j, "v", value_cap, trunc_radius_factor, target_abs_err) for j in range(n)]
-            + [_coordinate_sampler(d, coord, "uv", value_cap, trunc_radius_factor, target_abs_err)]
+            [_coordinate_sampler(d, j, "u", value_cap) for j in range(n)]
+            + [_coordinate_sampler(d, j, "v", value_cap) for j in range(n)]
+            + [_coordinate_sampler(d, coord, "uv", value_cap)]
         )
         certs.append(
             find_relation(
@@ -417,13 +405,11 @@ def translate_algebraicity_check(
     seed: int = 0,
     *,
     value_cap: float | None = DEFAULT_VALUE_CAP,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
     **kwargs,
 ) -> RelationCertificate | None:
     """Certificate that u -> f(u + shift) is algebraic over the unshifted map."""
     if d.dim != 1:
         raise ValueError("translate check handles dim-1 descriptors")
-    s0 = map_sampler(d, 0, 0j, value_cap, trunc_radius_factor, target_abs_err)
-    s1 = map_sampler(d, 0, shift, value_cap, trunc_radius_factor, target_abs_err)
+    s0 = map_sampler(d, 0, 0j, value_cap)
+    s1 = map_sampler(d, 0, shift, value_cap)
     return find_relation([s0, s1], max_degree, n_samples, seed, domain_dim=1, **kwargs)

@@ -26,11 +26,7 @@ from .lattices import (
     transform,
 )
 from .scalars import ExactReal
-from .weierstrass import (
-    DEFAULT_TARGET_ABS_ERR,
-    DEFAULT_TRUNC_FACTOR,
-    get_context,
-)
+from .weierstrass import get_context
 
 FAMILIES_1D = ("id", "exp", "sin", "wp_real")
 FAMILIES_2D = ("p1", "p2", "p3", "p4", "p5", "p6_product")
@@ -159,16 +155,14 @@ class PeriodGroupReport:
     closed_form: tuple[str, ...]
 
 
-def _eta(lattice: Lattice1, trunc_factor, target):
-    ctx = get_context(lattice, trunc_factor, target)
-    return 2.0 * np.asarray(ctx.eta_half)  # 2*zeta(omega_i/2) for i = 1, 2
+def _eta(lattice: Lattice1):
+    """(2 zeta(omega1/2), 2 zeta(omega2/2)) for the lattice's own generators."""
+    return 2.0 * np.asarray(get_context(lattice).eta_half)
 
 
 def period_group(
     d: StructureDescriptor,
     tol: float = DEFAULT_TOL,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
 ) -> PeriodGroupReport:
     """Closed-form period group of the descriptor's map, pulled back by alpha."""
     fam = d.family
@@ -195,7 +189,7 @@ def period_group(
         if a == 0:
             eta = np.zeros(2, dtype=complex)
         else:
-            eta = _eta(lat, trunc_radius_factor, target_abs_err)
+            eta = _eta(lat)
         gens = [
             (lat.omega1, a * eta[0]),
             (lat.omega2, a * eta[1]),
@@ -233,11 +227,9 @@ def period_group(
 def z_rank(
     d: StructureDescriptor,
     tol: float = DEFAULT_TOL,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
 ) -> int:
     """Rank of the period group; cross-checked against the family table."""
-    r = period_group(d, tol, trunc_radius_factor, target_abs_err).rank
+    r = period_group(d, tol).rank
     if r != FAMILY_RANK[d.family]:
         raise InternalInconsistency(
             f"computed rank {r} for family {d.family}, expected {FAMILY_RANK[d.family]}"
@@ -256,8 +248,6 @@ class MapValue:
 def map_batch(
     d: StructureDescriptor,
     *coords,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
 ):
     """Vectorized evaluation of the descriptor's map at alpha * (coords).
 
@@ -277,9 +267,6 @@ def map_batch(
     shape = w1.shape
     no_pole = np.zeros(shape, dtype=bool)
 
-    def ctx_for(lat: Lattice1):
-        return get_context(lat, trunc_radius_factor, target_abs_err)
-
     fam = d.family
     if fam == "id":
         return (w1,), (no_pole,)
@@ -288,7 +275,7 @@ def map_batch(
     if fam == "sin":
         return (np.sin(w1),), (no_pole,)
     if fam == "wp_real":
-        v, _, p = ctx_for(d.lattice).wp_many(w1)
+        v, _, p = get_context(d.lattice).wp_many(w1)
         return (v,), (p,)
     if fam == "p1":
         return (w1, w2), (no_pole, no_pole.copy())
@@ -297,14 +284,14 @@ def map_batch(
     if fam == "p3":
         return (np.exp(w1), np.exp(w2)), (no_pole, no_pole.copy())
     if fam == "p4":
-        ctx = ctx_for(d.lattice)
+        ctx = get_context(d.lattice)
         v1, _, p1 = ctx.wp_many(w1)
         if d.a == 0:
             return (v1, w2), (p1, no_pole)
         z, _, pz = ctx.zeta_many(w1)
         return (v1, w2 - d.a * z), (p1, pz)
     if fam == "p5":
-        ctx = ctx_for(d.lattice)
+        ctx = get_context(d.lattice)
         v1, _, p1 = ctx.wp_many(w1)
         num, _, _ = ctx.sigma_many(w1 - d.a)
         den, _, _ = ctx.sigma_many(w1)
@@ -316,8 +303,8 @@ def map_batch(
         pole2 = pole2 | p1
         return (v1, v2), (p1, pole2)
     if fam == "p6_product":
-        va, _, pa = ctx_for(d.lattice).wp_many(w1)
-        vb, _, pb = ctx_for(d.lattice2).wp_many(w2)
+        va, _, pa = get_context(d.lattice).wp_many(w1)
+        vb, _, pb = get_context(d.lattice2).wp_many(w2)
         return (va, vb), (pa, pb)
     raise ValueError(fam)  # pragma: no cover
 
@@ -325,17 +312,13 @@ def map_batch(
 def evaluate_map(
     d: StructureDescriptor,
     point,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
 ) -> MapValue:
     """Evaluate the descriptor's map at one point of C^dim."""
     if d.dim == 1:
         coords = (complex(point) if np.isscalar(point) or isinstance(point, complex) else complex(point[0]),)
     else:
         coords = (complex(point[0]), complex(point[1]))
-    vals, poles = map_batch(
-        d, *coords, trunc_radius_factor=trunc_radius_factor, target_abs_err=target_abs_err
-    )
+    vals, poles = map_batch(d, *coords)
     return MapValue(
         tuple(complex(v[0]) for v in vals), tuple(bool(p[0]) for p in poles)
     )

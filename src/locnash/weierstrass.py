@@ -1,17 +1,29 @@
 """Numerical evaluation of the Weierstrass sigma, zeta, wp, wp' functions.
 
-Strategy: Gauss-reduce the basis, reduce the argument into the centered
-fundamental cell, then evaluate truncated lattice sums over +-omega pairs
-combined algebraically (no cancellation between large terms).  The sharp
-disk cutoff is smoothed with a cos^2 weight on [R/2, R]; the smoothing keeps
-the sum symmetric in omega -> -omega and under any lattice symmetry, and
-empirically improves the truncation error by several orders of magnitude
-over a hard cutoff at the same radius.
+Method (DLMF 20.2, 23.6): Gauss-reduce the basis to (r1, r2), flipping r2 so
+that tau = r2/r1 has Im tau > 0.  Then tau lies in the fundamental domain and
+the nome q = exp(i pi tau) has |q| <= exp(-pi sqrt(3)/2) ~ 0.066 for every
+lattice, whatever basis it was given in.  Arguments are reduced into the
+centered cell, u = u_red + m r1 + n r2, and with v = pi u_red / r1:
 
-``est_error`` fields are a-posteriori estimates: twice the difference
-against a shorter-range (0.7 R) truncation of the same sum, plus a rounding
-floor.  They track the observed error well but are estimates, not proven
-bounds.
+    zeta(u)  = eta1 u / r1 + (pi/r1) (log theta1)'(v)
+    wp(u)    = -eta1 / r1 - (pi/r1)^2 (log theta1)''(v)
+    wp'(u)   = -(pi/r1)^3 (log theta1)'''(v)
+    sigma(u) = (r1/pi) exp(eta1 u^2 / (2 r1)) theta1(v) / theta1'(0)
+
+where eta1 = 2 zeta(r1/2) = pi^2 E2(tau) / (3 r1) with the Eisenstein series
+E2.  The log-derivatives of theta1 are a cot / csc^2 term plus Fourier series
+in p = q^2 exp(+-2iv), and sigma uses the theta1 product; every series term is
+bounded by n^k |q|^n on the centered cell.  eta2 = 2 zeta(r2/2) comes from the
+same series, so the Legendre relation eta1 r2 - eta2 r1 = 2 pi i remains an
+independent check.
+Quasi-periodicity (the eta shift) carries the values back to u.
+
+Each context takes the fewest terms whose geometric tail bound is below
+_TAIL_TARGET (at most 17, at the hexagonal lattice), so no truncation knob is
+left.  ``est_error`` is that tail bound scaled to each function, plus a
+rounding floor proportional to the magnitudes summed and to the argument
+reduction's lever |u| / |u_red|: a bound up to rounding.
 """
 
 from __future__ import annotations
@@ -31,17 +43,18 @@ from .lattices import (
     lattice1_from_subgroup,
 )
 
-DEFAULT_TRUNC_FACTOR = 120.0
-DEFAULT_TARGET_ABS_ERR = 1e-9
-
-_CHUNK_ELEMS = 3_000_000
+#: bound on the dropped series tail, relative to (pi / |r1|)^k
+_TAIL_TARGET = 1e-17
+#: the construction gate on the Legendre relation
+LEGENDRE_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A single function value with an error estimate and a pole flag.
+    """A single function value with an error bound and a pole flag.
 
-    When pole_flag is set the value and estimate are NaN.
+    When pole_flag is set the value and bound are NaN.
     """
 
     value: complex
@@ -49,77 +62,74 @@ class EvalResult:
     pole_flag: bool
 
 
-def _half_lattice(r1: complex, r2: complex, radius: float) -> np.ndarray:
-    """One representative of each +-omega pair with 0 < |omega| <= radius."""
-    area = abs((r1.conjugate() * r2).imag)
-    m_max = int(np.ceil(radius * abs(r2) / area)) + 2
-    n_max = int(np.ceil(radius * abs(r1) / area)) + 2
-    m = np.arange(-m_max, m_max + 1)
-    n = np.arange(-n_max, n_max + 1)
-    M, N = np.meshgrid(m, n, indexing="ij")
-    pts = M * r1 + N * r2
-    half = (N > 0) | ((N == 0) & (M > 0))
-    keep = half & (np.abs(pts) <= radius)
-    return pts[keep]
+def _tail(k: int, terms: int, rho: float) -> float:
+    """Geometric bound on sum_{n > terms} n^k rho^n."""
+    ratio = ((terms + 2) / (terms + 1)) ** k * rho
+    return (terms + 1) ** k * rho ** (terms + 1) / (1.0 - ratio)
 
 
-def _cos2_taper(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
-    w = np.ones_like(r)
-    band = r > inner
-    t = np.clip((r[band] - inner) / (outer - inner), 0.0, 1.0)
-    w[band] = np.cos(0.5 * np.pi * t) ** 2
-    return w
+def _half_angle(v: np.ndarray):
+    """(s, w, 1 - w) with s = sign(Im v) and w = exp(2isv), so |w| <= 1."""
+    s = np.where(v.imag >= 0, 1.0, -1.0)
+    x = 2j * s * v
+    return s, np.exp(x), -np.expm1(x)
 
 
 class WeierstrassContext:
-    """Evaluation context for one lattice: cached points, weights, eta constants.
+    """Evaluation context for one lattice: reduced basis, nome, eta constants.
 
     Immutable after construction; contexts may be shared freely across
     threads and evaluation batches partitioned between workers.
     """
 
-    def __init__(
-        self,
-        lattice: Lattice1,
-        trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-        target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
-    ):
-        if trunc_radius_factor < 10.0:
-            raise ValueError("truncation radius must be at least 10 * max|omega_i|")
-        if target_abs_err <= 0:
-            raise ValueError("target_abs_err must be positive")
+    def __init__(self, lattice: Lattice1):
         self.lattice = lattice
-        self.target_abs_err = float(target_abs_err)
-        self.trunc_radius = float(trunc_radius_factor) * lattice.scale
-        self.pole_tol = 1e-8 * lattice.scale
-
         r1, r2, U = gauss_reduced_basis(lattice.omega1, lattice.omega2)
-        self._r1, self._r2, self._U = r1, r2, U
+        if (r2 / r1).imag < 0:
+            r2, U = -r2, U * np.array([[1], [-1]])
+        self._r1, self._r2 = r1, r2
+        self.pole_tol = 1e-8 * abs(r2)
         det = r1.real * r2.imag - r2.real * r1.imag
         self._binv = np.array(
             [[r2.imag, -r2.real], [-r1.imag, r1.real]]
         ) / det
 
-        pts = _half_lattice(r1, r2, self.trunc_radius)
-        absr = np.abs(pts)
-        order = np.argsort(absr, kind="stable")
-        pts = pts[order]
-        absr = absr[order]
-        self._w2 = pts * pts
-        self._winv2 = 1.0 / self._w2
-        R = self.trunc_radius
-        self._wt = _cos2_taper(absr, 0.5 * R, R)
-        self._wt_est = _cos2_taper(absr, 0.35 * R, 0.7 * R)
+        self._pi_tau = np.pi * r2 / r1
+        rho = float(np.exp(-self._pi_tau.imag))  # |q|
+        terms = 1
+        while 16.0 * _tail(2, terms, rho) / (1.0 - rho * rho) > _TAIL_TARGET:
+            terms += 1
+        self.n_terms = terms
+        n = np.arange(1, terms + 1)
+        q2n = np.exp(2j * n * self._pi_tau)
+        c_n = 1.0 / (1.0 - q2n)
+        self._n = n
+        self._q2n_shift = np.concatenate([[1.0], q2n[:-1]])
+        self._weights = (c_n, n * c_n, n * n * c_n)
+        self._k = np.pi / r1
+        e2_tau = 1.0 - 24.0 * np.sum(n * q2n * c_n)
+        self._eta1 = np.pi**2 * e2_tau / (3.0 * r1)
+        self._log_norm = np.log(r1 / np.pi) - 2.0 * np.sum(np.log1p(-q2n))
+
+        # tail bounds: the theta series with k = 0, 1, 2 powers of n, eta1
+        # from the E2 series in q^2, and the theta1 product (in log sigma)
+        k_abs = abs(self._k)
+        tails = [_tail(j, terms, rho) / (1.0 - rho * rho) for j in range(3)]
+        self._eta1_tail = 8.0 * np.pi**2 / abs(r1) * _tail(1, terms, rho * rho) / (1.0 - rho * rho)
+        self._tail_zeta = 4.0 * k_abs * tails[0]
+        self._tail_wp = 8.0 * k_abs**2 * tails[1] + self._eta1_tail / abs(r1)
+        self._tail_wp_prime = 16.0 * k_abs**3 * tails[2]
+        self._tail_logsigma = 4.0 * rho ** (2 * terms + 1) / ((1.0 - rho) * (1.0 - rho * rho))
 
         # eta constants for the reduced generators, solved back to the
         # lattice's own generators through the unimodular change of basis
-        z = np.array([r1 / 2.0, r2 / 2.0])
-        vals, est = self._zeta_core(z)
-        eta_red = 2.0 * vals  # 2*zeta(r_i/2)
-        self._eta_est = float(np.max(est)) * 2.0
-        Uinv = np.round(np.linalg.inv(U)).astype(np.int64)
-        eta_orig = Uinv @ eta_red  # since eta_red = U @ eta_orig
-        self._eta_red = eta_red
+        half = np.array([r2 / 2.0])
+        zeta_half, mag = self._zeta_red(half)
+        self._eta_red = np.array([self._eta1, 2.0 * zeta_half[0]])
+        self._eta_est = 2.0 * float((self._zeta_tail(half) + mag * self._rounding(half, half, 1))[0])
+        (a, b), (c, d) = U
+        Uinv = round(a * d - b * c) * np.array([[d, -b], [-c, a]])
+        eta_orig = Uinv @ self._eta_red  # since eta_red = U @ eta_orig
         self.eta_half = (eta_orig[0] / 2.0, eta_orig[1] / 2.0)
 
         legendre = (
@@ -128,11 +138,13 @@ class WeierstrassContext:
         self.legendre_defect = float(
             min(abs(legendre - 2j * np.pi), abs(legendre + 2j * np.pi))
         )
-        if self.legendre_defect > 10.0 * self.target_abs_err:
+        if self.legendre_defect > LEGENDRE_TOL:
             raise ValueError(
-                f"Legendre defect {self.legendre_defect:.3e} exceeds "
-                f"10 * target_abs_err; increase the truncation radius"
+                f"Legendre defect {self.legendre_defect:.3e} exceeds {LEGENDRE_TOL:g}"
             )
+
+    def _zeta_tail(self, ur: np.ndarray) -> np.ndarray:
+        return self._tail_zeta + np.abs(ur / self._r1) * self._eta1_tail
 
     # -- argument reduction ------------------------------------------------
 
@@ -146,47 +158,69 @@ class WeierstrassContext:
         u_red = u - m * self._r1 - n * self._r2
         return u_red, m.astype(np.int64), n.astype(np.int64)
 
-    # -- core sums on reduced arguments -------------------------------------
+    # -- theta series on reduced arguments ------------------------------------
 
-    def _pair_sums(self, u: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted pair sums and their short-range variant for est_error."""
-        out = np.empty(u.shape, dtype=complex)
-        out_est = np.empty(u.shape, dtype=complex)
-        K = len(self._w2)
-        chunk = max(1, _CHUNK_ELEMS // max(K, 1))
-        for i in range(0, u.size, chunk):
-            ui = u.reshape(-1)[i : i + chunk, None]
-            u2 = ui * ui
-            w2 = self._w2[None, :]
-            s = u2 - w2
-            if kind == "wp":
-                term = (2.0 * u2 * (3.0 * w2 - u2)) / (w2 * s * s)
-            elif kind == "zeta":
-                term = (2.0 * u2 * ui) * (self._winv2[None, :] / s)
-            elif kind == "wp_prime":
-                term = (u2 + 3.0 * w2) / (s * s * s)
-            elif kind == "logsigma":
-                x = u2 * self._winv2[None, :]
-                ax = np.abs(x)
-                small = ax < 1e-2
-                term = np.empty_like(x)
-                xs = x[small]
-                term[small] = -xs * xs * (
-                    0.5 + xs * (1.0 / 3.0 + xs * (0.25 + xs * (0.2 + xs / 6.0)))
-                )
-                xl = x[~small]
-                term[~small] = np.log(1.0 - xl) + xl
-            else:  # pragma: no cover
-                raise ValueError(kind)
-            out.reshape(-1)[i : i + chunk] = term @ self._wt
-            out_est.reshape(-1)[i : i + chunk] = term @ self._wt_est
-        return out, out_est
+    def _series(self, v: np.ndarray, sign: float, k: int):
+        """sum_n n^k c_n (p_+^n + sign p_-^n) with p_+- = q^2 exp(+-2iv), and a
+        bound on the sum of the terms' moduli (each term is at most 2^k |q|
+        times the one before it)."""
+        p = np.exp(2j * (self._pi_tau + np.concatenate([v, -v])))
+        shape = (p.size, self._n.size)
+        sums = np.multiply.accumulate(np.broadcast_to(p[:, None], shape), axis=1) @ self._weights[k]
+        m = v.size
+        first = np.abs(p[:m]) + np.abs(p[m:])
+        return sums[:m] + sign * sums[m:], 1.5 * abs(self._weights[k][0]) * first
 
-    def _zeta_core(self, u_red: np.ndarray):
-        s, s_est = self._pair_sums(u_red, "zeta")
-        vals = 1.0 / u_red + s
-        est = 2.0 * np.abs(s - s_est) + 1e-14 * (1.0 + np.abs(vals))
-        return vals, est
+    def _rounding(self, u: np.ndarray, ur: np.ndarray, order: int) -> np.ndarray:
+        """Relative rounding error per unit of summed magnitude: the exponents
+        of the theta terms reach |2 (pi tau + v)|, and reducing u to u_red
+        costs eps |u|, magnified by the order of the pole and the exponentials."""
+        lever = np.abs(u) * (order / np.abs(ur) + 8.0 * abs(self._k))
+        return 4.0 * _EPS * (1.0 + 4.0 * abs(self._pi_tau) + lever)
+
+    def _zeta_red(self, ur: np.ndarray):
+        v = self._k * ur
+        s, w, omw = _half_angle(v)
+        cot = -1j * s * (1.0 + w) / omw
+        S, S_mag = self._series(v, -1.0, 0)
+        lead = self._eta1 * ur / self._r1
+        val = lead + self._k * (cot - 2j * S)
+        mag = np.abs(lead) + abs(self._k) * (np.abs(cot) + 2.0 * S_mag)
+        return val, mag
+
+    def _wp_red(self, ur: np.ndarray):
+        v = self._k * ur
+        _, w, omw = _half_angle(v)
+        csc2 = -4.0 * w / (omw * omw)
+        S, S_mag = self._series(v, 1.0, 1)
+        k2 = self._k * self._k
+        val = k2 * (csc2 - 4.0 * S) - self._eta1 / self._r1
+        mag = abs(k2) * (np.abs(csc2) + 4.0 * S_mag) + abs(self._eta1 / self._r1)
+        return val, mag
+
+    def _wp_prime_red(self, ur: np.ndarray):
+        v = self._k * ur
+        s, w, omw = _half_angle(v)
+        csc2_cot = 4j * s * w * (1.0 + w) / omw**3
+        S, S_mag = self._series(v, -1.0, 2)
+        k3 = self._k**3
+        val = -k3 * (2.0 * csc2_cot + 8j * S)
+        mag = abs(k3) * (2.0 * np.abs(csc2_cot) + 8.0 * S_mag)
+        return val, mag
+
+    def _log_sigma_red(self, ur: np.ndarray):
+        """log sigma(u_red) up to a multiple of 2 pi i, and the magnitude summed."""
+        v = self._k * ur
+        s, _, omw = _half_angle(v)
+        # q^2n exp(+-2iv) as exp(2i(pi tau +- v)) q^(2n - 2): no factor overflows
+        first = np.exp(2j * (self._pi_tau + np.stack([v, -v], axis=1)))
+        terms = 1.0 - first[:, :, None] * self._q2n_shift
+        prod = np.prod(terms[:, 0] * terms[:, 1], axis=1)
+        gauss = self._eta1 * ur * ur / (2.0 * self._r1)
+        log_sin = np.log(0.5j * s * omw) - 1j * s * v
+        val = self._log_norm + gauss + log_sin + np.log(prod)
+        mag = 1.0 + np.abs(self._log_norm) + np.abs(gauss) + np.abs(log_sin)
+        return val, mag
 
     # -- public batch evaluators --------------------------------------------
 
@@ -195,46 +229,50 @@ class WeierstrassContext:
         scalar_in = u.ndim == 0
         u = np.atleast_1d(u)
         u_red, m, n = self.reduce_point(u)
-        poles = np.abs(u_red) < self.pole_tol
-        values = np.full(u.shape, np.nan, dtype=complex)
-        est = np.full(u.shape, np.nan)
-        ok = ~poles if kind != "sigma" else np.ones(u.shape, bool)
+        if kind == "sigma":
+            # sigma is entire and vanishes exactly on the lattice
+            poles = np.zeros(u.shape, bool)
+            ok = u_red != 0
+            values = np.zeros(u.shape, dtype=complex)
+            est = np.zeros(u.shape)
+        else:
+            poles = np.abs(u_red) < self.pole_tol
+            ok = ~poles
+            values = np.full(u.shape, np.nan, dtype=complex)
+            est = np.full(u.shape, np.nan)
         if np.any(ok):
-            ur = u_red[ok]
+            uk, ur, mk, nk = u[ok], u_red[ok], m[ok], n[ok]
             if kind == "wp":
-                s, s2 = self._pair_sums(ur, "wp")
-                v = 1.0 / (ur * ur) + s
-                e = 2.0 * np.abs(s - s2) + 1e-14 * (1.0 + np.abs(v))
+                v, mag = self._wp_red(ur)
+                e = self._tail_wp + mag * self._rounding(uk, ur, 2)
             elif kind == "wp_prime":
-                s, s2 = self._pair_sums(ur, "wp_prime")
-                v = -2.0 / ur**3 - 4.0 * ur * s
-                e = 8.0 * np.abs(ur) * np.abs(s - s2) + 1e-14 * (1.0 + np.abs(v))
+                v, mag = self._wp_prime_red(ur)
+                e = self._tail_wp_prime + mag * self._rounding(uk, ur, 3)
             elif kind == "zeta":
-                v, e = self._zeta_core(ur)
-                shift = m[ok] * self._eta_red[0] + n[ok] * self._eta_red[1]
+                v, mag = self._zeta_red(ur)
+                shift = mk * self._eta_red[0] + nk * self._eta_red[1]
                 v = v + shift
-                e = e + (np.abs(m[ok]) + np.abs(n[ok])) * self._eta_est
+                e = (self._zeta_tail(ur) + (mag + np.abs(shift)) * self._rounding(uk, ur, 1)
+                     + (np.abs(mk) + np.abs(nk)) * self._eta_est)
             elif kind == "sigma":
-                s, s2 = self._pair_sums(ur, "logsigma")
-                mk, nk = m[ok], n[ok]
+                log_s, mag = self._log_sigma_red(ur)
                 eta_shift = mk * self._eta_red[0] + nk * self._eta_red[1]
                 omega = mk * self._r1 + nk * self._r2
-                expo = s + eta_shift * (ur + 0.5 * omega)
-                sign = 1.0 - 2.0 * ((mk + nk + mk * nk) % 2)
-                v = sign * ur * np.exp(expo)
+                expo = eta_shift * (ur + 0.5 * omega)
+                # the sign (-1)^(m + n + mn), folded into the exponent
+                odd = (mk + nk + mk * nk) % 2
+                v = np.exp(log_s + expo + 1j * np.pi * odd)
                 log_err = (
-                    2.0 * np.abs(s - s2)
-                    + (np.abs(mk) + np.abs(nk))
-                    * self._eta_est
-                    * np.abs(ur + 0.5 * omega)
+                    self._tail_logsigma
+                    + np.abs(ur) ** 2 * self._eta1_tail / (2.0 * abs(self._r1))
+                    + (np.abs(mk) + np.abs(nk)) * self._eta_est * np.abs(ur + 0.5 * omega)
+                    + (mag + np.abs(expo)) * self._rounding(uk, ur, 1)
                 )
-                e = np.abs(v) * log_err + 1e-14 * (1.0 + np.abs(v))
+                e = np.abs(v) * log_err
             else:  # pragma: no cover
                 raise ValueError(kind)
             values[ok] = v
             est[ok] = e
-        if kind == "sigma":
-            poles = np.zeros(u.shape, bool)
         if scalar_in:
             return values[0], float(est[0]), bool(poles[0])
         return values, est, poles
@@ -266,13 +304,9 @@ class WeierstrassContext:
 
 
 @functools.lru_cache(maxsize=64)
-def get_context(
-    lattice: Lattice1,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
-    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
-) -> WeierstrassContext:
-    """Shared, cached context per (lattice, truncation, target)."""
-    return WeierstrassContext(lattice, trunc_radius_factor, target_abs_err)
+def get_context(lattice: Lattice1) -> WeierstrassContext:
+    """Shared, cached context per lattice."""
+    return WeierstrassContext(lattice)
 
 
 def sample_reduced(
@@ -299,11 +333,7 @@ def conjugate_lattice_check(
 ) -> float:
     """Max residual of wp over the conjugate lattice vs the conjugated values."""
     samples = np.asarray(samples, dtype=complex)
-    ctx_conj = get_context(
-        ctx.lattice.conjugate(),
-        ctx.trunc_radius / ctx.lattice.scale,
-        ctx.target_abs_err,
-    )
+    ctx_conj = get_context(ctx.lattice.conjugate())
     lhs, _, poles_l = ctx_conj.wp_many(samples)
     rhs, _, poles_r = ctx.wp_many(np.conj(samples))
     keep = ~(poles_l | poles_r)
@@ -316,7 +346,6 @@ def coset_sum_check(
     G1: DiscreteSubgroup,
     G2: DiscreteSubgroup,
     samples,
-    trunc_radius_factor: float = DEFAULT_TRUNC_FACTOR,
 ) -> float:
     """Max of |wp_{G2}(u) - sum_i wp_{G1}(u + a_i)| over the samples.
 
@@ -329,8 +358,8 @@ def coset_sum_check(
         raise NotASublattice("coset sum requires G1 <= G2")
     samples = np.asarray(samples, dtype=complex)
     reps = coset_representatives(G1, G2)
-    ctx1 = get_context(lattice1_from_subgroup(G1), trunc_radius_factor)
-    ctx2 = get_context(lattice1_from_subgroup(G2), trunc_radius_factor)
+    ctx1 = get_context(lattice1_from_subgroup(G1))
+    ctx2 = get_context(lattice1_from_subgroup(G2))
     total = np.zeros(samples.shape, dtype=complex)
     bad = np.zeros(samples.shape, dtype=bool)
     for (a,) in reps:

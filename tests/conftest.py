@@ -3,10 +3,6 @@ import pytest
 
 from locnash.lattices import Lattice1
 
-# lighter truncation for unit tests: measured wp error ~3e-10 at factor 80,
-# well under every unit-test tolerance; acceptance runs the default config
-FAST_FACTOR = 80.0
-
 
 @pytest.fixture
 def rng():

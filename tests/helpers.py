@@ -1,16 +1,65 @@
-"""Independent oracles for the test suite.
+"""Oracles for the test suite.
 
-Nothing here shares code paths with the package: the q-series reference
-evaluates zeta/wp through Jacobi-style expansions, membership is decided by
-brute-force enumeration, and the Eisenstein invariants come from plain
-hard-cutoff lattice sums.
+The mpmath reference evaluates sigma/zeta/wp/wp' from mpmath's jtheta at 30
+digits on the basis as given, membership is decided by brute-force
+enumeration, and the Eisenstein invariants come from plain hard-cutoff
+lattice sums; none of these shares code with the package.  The double
+precision q-series reference uses the same expansions as the package's
+evaluator, so it checks consistency, not correctness.
 """
 
 from __future__ import annotations
 
+import functools
+
+import mpmath as mp
 import numpy as np
 
 from locnash.lattices import Lattice1
+
+
+def mpmath_reference(lat: Lattice1, dps: int = 30):
+    """kind -> callable z -> complex, for kind in wp, wp_prime, zeta, sigma.
+
+    With w1 = lat.omega1, q = exp(i pi omega2 / w1), v = pi z / w1 and
+    L = log theta1(v):
+
+        sigma = (w1/pi) exp(e1 z^2 / (2 w1)) theta1(v) / theta1'(0)
+        zeta  = e1 z / w1 + (pi/w1) L'
+        wp    = -zeta',  wp' = -zeta''
+
+    where e1 = 2 zeta(w1/2) = -(pi^2/w1) c and c = theta1^(3)(0) / (3 theta1'(0)).
+    Nothing is reduced: theta1 is entire and |q| < 1 in every basis.
+    """
+    with mp.workdps(dps):
+        w1 = mp.mpc(lat.omega1)
+        q = mp.exp(1j * mp.pi * mp.mpc(lat.omega2) / w1)
+        t1p0 = mp.jtheta(1, 0, q, 1)
+        c = mp.jtheta(1, 0, q, 3) / (3 * t1p0)
+        e1 = -(mp.pi**2 / w1) * c
+        k = mp.pi / w1
+
+    def log_derivatives(z):
+        t = [mp.jtheta(1, k * z, q, j) for j in range(4)]
+        l1, l2, l3 = t[1] / t[0], t[2] / t[0], t[3] / t[0]
+        return l1, l2 - l1**2, l3 - 3 * l1 * l2 + 2 * l1**3
+
+    def value(kind, z):
+        with mp.workdps(dps):
+            z = mp.mpc(z)
+            if kind == "sigma":
+                return complex((w1 / mp.pi) * mp.exp(e1 * z**2 / (2 * w1))
+                               * mp.jtheta(1, k * z, q) / t1p0)
+            d1, d2, d3 = log_derivatives(z)
+            if kind == "zeta":
+                return complex(e1 * z / w1 + k * d1)
+            if kind == "wp":
+                return complex(k**2 * (c - d2))
+            if kind == "wp_prime":
+                return complex(-(k**3) * d3)
+            raise ValueError(kind)
+
+    return {kind: functools.partial(value, kind) for kind in ("wp", "wp_prime", "zeta", "sigma")}
 
 
 def qseries_reference(lat: Lattice1, nterms: int = 200):

@@ -61,7 +61,7 @@ FIXTURES_1D = {
 
 
 def _ctx(lat):
-    return get_context(lat, CFG.trunc_radius_factor, CFG.target_abs_err)
+    return get_context(lat)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -108,7 +108,7 @@ def test_criterion_03_coset_sum():
         "(<1,2i>,<1,i>)": (subgroup([1, 2j]), subgroup([1, 1j])),
     }
     results = {
-        name: coset_sum_check(g1, g2, zs, CFG.trunc_radius_factor)
+        name: coset_sum_check(g1, g2, zs)
         for name, (g1, g2) in pairs.items()
     }
     ok = all(r < 1e-6 for r in results.values())
@@ -126,14 +126,13 @@ def test_criterion_04_period_table_fixes_maps():
     rng = np.random.default_rng(CFG.seed)
     worst = 0.0
     for fam, d in {**FIXTURES_2D, **FIXTURES_1D}.items():
-        rep = period_group(d, CFG.tol, CFG.trunc_radius_factor, CFG.target_abs_err)
+        rep = period_group(d, CFG.tol)
         n = d.dim
         pts = [rng.uniform(-0.45, 0.45, 50) + 1j * rng.uniform(-0.45, 0.45, 50)
                for _ in range(n)]
-        base_v, base_p = map_batch(d, *pts, trunc_radius_factor=CFG.trunc_radius_factor)
+        base_v, base_p = map_batch(d, *pts)
         for gen in rep.group.generators:
-            v, p = map_batch(d, *[pts[k] + gen[k] for k in range(n)],
-                             trunc_radius_factor=CFG.trunc_radius_factor)
+            v, p = map_batch(d, *[pts[k] + gen[k] for k in range(n)])
             for k in range(n):
                 keep = ~(base_p[k] | p[k])
                 worst = max(worst, float(np.max(np.abs(v[k][keep] - base_v[k][keep]))))
@@ -164,7 +163,7 @@ def test_criterion_05_rank_table():
         }
         for fam, d in draws.items():
             total += 1
-            if z_rank(d, CFG.tol, CFG.trunc_radius_factor, CFG.target_abs_err) != FAMILY_RANK[fam]:
+            if z_rank(d, CFG.tol) != FAMILY_RANK[fam]:
                 failures += 1
     ok = failures == 0
     _report(5, "Z-rank table", ok, f"{failures} failures in {total} draws")
@@ -172,17 +171,16 @@ def test_criterion_05_rank_table():
 
 
 def test_criterion_06_one_dimensional_classification():
-    kw = dict(trunc_radius_factor=CFG.trunc_radius_factor, target_abs_err=CFG.target_abs_err)
     checks = []
 
-    v = isomorphic_1d(wp_real(1.0), wp_real(2.0), **kw)
+    v = isomorphic_1d(wp_real(1.0), wp_real(2.0))
     checks.append(("wp<1,i> ~ wp<1,2i>", v.outcome == ISOMORPHIC
                    and any("1/2" in r for r in v.reasons)))
-    v = isomorphic_1d(exp_map(), sin_map(), **kw)
+    v = isomorphic_1d(exp_map(), sin_map())
     checks.append(("exp vs sin", v.outcome == NOT_ISOMORPHIC))
     v = isomorphic_1d(
         wp_real(1.0, a_exact=ExactReal(1)),
-        wp_real(np.pi, a_exact=ExactReal(1, "pi")), **kw,
+        wp_real(np.pi, a_exact=ExactReal(1, "pi")),
     )
     checks.append(("wp<1,i> vs wp<1,pi i> (exact tags)", v.outcome == NOT_ISOMORPHIC))
     fixtures = [identity_map(), exp_map(), sin_map(), wp_real(1.0)]
@@ -191,7 +189,7 @@ def test_criterion_06_one_dimensional_classification():
     for i, d1 in enumerate(fixtures):
         for j, d2 in enumerate(fixtures):
             if ranks[i] != ranks[j]:
-                cross_ok &= isomorphic_1d(d1, d2, **kw).outcome == NOT_ISOMORPHIC
+                cross_ok &= isomorphic_1d(d1, d2).outcome == NOT_ISOMORPHIC
     checks.append(("all rank-mismatched pairs", cross_ok))
 
     ok = all(c for _, c in checks)
@@ -211,7 +209,7 @@ def test_criterion_07_rank_invariance_under_alpha():
                 d.dim, d.family, a=d.a, lattice=d.lattice, lattice2=d.lattice2,
                 alpha=tuple(tuple(x for x in row) for row in A),
             )
-            if z_rank(d2, CFG.tol, CFG.trunc_radius_factor, CFG.target_abs_err) != base:
+            if z_rank(d2, CFG.tol) != base:
                 failures += 1
     ok = failures == 0
     _report(7, "rank invariance under alpha", ok,
@@ -220,21 +218,20 @@ def test_criterion_07_rank_invariance_under_alpha():
 
 
 def test_criterion_08_aat_certificates():
-    kw = dict(trunc_radius_factor=CFG.trunc_radius_factor, target_abs_err=CFG.target_abs_err)
     checks = []
 
-    rep = verify_aat(identity_map(), 1, CFG.n_samples, CFG.seed, **kw)
+    rep = verify_aat(identity_map(), 1, CFG.n_samples, CFG.seed)
     c = rep.certificates[0]
     checks.append((f"id deg {c.max_degree} resid {c.residual:.1e}",
                    rep.success and c.max_degree == 1 and c.residual < 1e-12))
-    rep = verify_aat(exp_map(), 2, CFG.n_samples, CFG.seed, **kw)
+    rep = verify_aat(exp_map(), 2, CFG.n_samples, CFG.seed)
     c = rep.certificates[0]
     checks.append((f"exp deg {c.max_degree} resid {c.residual:.1e}",
                    rep.success and c.residual < 1e-10))
-    rep = verify_aat(sin_map(), 4, CFG.n_samples, CFG.seed, **kw)
+    rep = verify_aat(sin_map(), 4, CFG.n_samples, CFG.seed)
     c = rep.certificates[0]
     checks.append((f"sin deg {c.max_degree}", rep.success and c.max_degree <= 4))
-    rep = verify_aat(wp_real(1.0), 6, CFG.n_samples, CFG.seed, **kw)
+    rep = verify_aat(wp_real(1.0), 6, CFG.n_samples, CFG.seed)
     c = rep.certificates[0]
     checks.append((f"wp deg {c.max_degree} resid {c.residual:.1e}",
                    rep.success and c.max_degree <= 6 and c.residual < 1e-6))
@@ -250,7 +247,7 @@ def test_criterion_08_aat_certificates():
         return v
 
     cert = find_relation(
-        [wp_sampler(lat, trunc_radius_factor=CFG.trunc_radius_factor), wpp],
+        [wp_sampler(lat), wpp],
         3, CFG.n_samples, CFG.seed, domain_dim=1,
     )
     g2o, g3o = helpers.eisenstein_oracle(lat)
@@ -272,10 +269,9 @@ def test_criterion_08_aat_certificates():
 
 
 def test_criterion_09_dependence_detection():
-    kw = dict(trunc_radius_factor=CFG.trunc_radius_factor)
-    pos, _ = dependent(wp_sampler(SQ, **kw), wp_sampler(Lattice1(2, 2j), **kw),
+    pos, _ = dependent(wp_sampler(SQ), wp_sampler(Lattice1(2, 2j)),
                        CFG.max_degree, CFG.n_samples, CFG.seed)
-    neg1, _ = dependent(wp_sampler(SQ, **kw), wp_sampler(Lattice1(1, np.pi * 1j), **kw),
+    neg1, _ = dependent(wp_sampler(SQ), wp_sampler(Lattice1(1, np.pi * 1j)),
                         8, CFG.n_samples, CFG.seed)
     neg2, _ = dependent(lambda u: u, lambda u: np.exp(u), 8, CFG.n_samples, CFG.seed)
     ok = pos and not neg1 and not neg2

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAST_FACTOR
 from locnash.classify import (
     ISOMORPHIC,
     NOT_ISOMORPHIC,
@@ -31,14 +30,6 @@ from locnash.structures import (
 
 SQ = Lattice1(1, 1j)
 RECT = Lattice1(1, 2j)
-
-
-def cl1(d, **kw):
-    return classify_1d(d, trunc_radius_factor=FAST_FACTOR, **kw)
-
-
-def iso(d1, d2, **kw):
-    return isomorphic_1d(d1, d2, trunc_radius_factor=FAST_FACTOR, **kw)
 
 
 # -- rational detection -------------------------------------------------------------
@@ -76,39 +67,47 @@ def test_rational_detect_exhaustive_small_rationals():
 # -- 1-D classification -----------------------------------------------------------------
 
 def test_classify_id():
-    assert cl1(identity_map()).kind == "id"
+    assert classify_1d(identity_map()).kind == "id"
 
 
 def test_classify_exp_with_alpha():
-    assert cl1(exp_map(alpha=3.0)).kind == "exp"
+    assert classify_1d(exp_map(alpha=3.0)).kind == "exp"
 
 
 def test_classify_sin():
-    assert cl1(sin_map()).kind == "sin"
+    assert classify_1d(sin_map()).kind == "sin"
 
 
 def test_classify_wp_normalizes_lattice():
     # <2, 4i> scales by its real generator to <1, 2i>
     d = StructureDescriptor(1, "wp_real", a=2.0, lattice=Lattice1(2, 4j))
-    form = cl1(d)
+    form = classify_1d(d)
     assert form.kind == "wp" and form.a == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("k", [60, 100, 1000])
+def test_classify_wp_skew_basis(k):
+    # <1, k + i> is <1, i> written with a long second generator
+    d = StructureDescriptor(1, "wp_real", a=1.0, lattice=Lattice1(1, k + 1j))
+    form = classify_1d(d)
+    assert form.kind == "wp" and form.a == pytest.approx(1.0, abs=1e-9)
+
+
 def test_classify_wp_under_real_alpha():
-    form = cl1(wp_real(1.5, alpha=0.7))
+    form = classify_1d(wp_real(1.5, alpha=0.7))
     assert form.kind == "wp" and form.a == pytest.approx(1.5)
 
 
 def test_classify_rejects_non_real():
     with pytest.raises(NotRealStructure):
-        cl1(exp_map(alpha=1j))
+        classify_1d(exp_map(alpha=1j))
 
 
 def test_classify_centered_real_lattice():
     # <1, (1+1.5i)/2> is conjugation-closed without an axis basis; the
     # canonical search must still find <1, 1.5i> up to finite index
     d = StructureDescriptor(1, "wp_real", a=1.5, lattice=Lattice1(1, (1 + 1.5j) / 2))
-    form = cl1(d)
+    form = classify_1d(d)
     assert form.kind == "wp"
     assert rational_detect(form.a / 1.5, 10**4, 1e-9) is not None
 
@@ -116,13 +115,13 @@ def test_classify_centered_real_lattice():
 # -- 1-D isomorphism ------------------------------------------------------------------------
 
 def test_wp_rational_ratio_isomorphic():
-    v = iso(wp_real(1.0), wp_real(2.0))
+    v = isomorphic_1d(wp_real(1.0), wp_real(2.0))
     assert v.outcome == ISOMORPHIC
     assert any("1/2" in r for r in v.reasons)
 
 
 def test_exp_vs_sin_not_isomorphic():
-    v = iso(exp_map(), sin_map())
+    v = isomorphic_1d(exp_map(), sin_map())
     assert v.outcome == NOT_ISOMORPHIC
     assert any("axis" in r for r in v.reasons)
 
@@ -131,7 +130,7 @@ def test_rank_mismatch_pairs():
     fixtures = [identity_map(), exp_map(), wp_real(1.0)]
     for i, d1 in enumerate(fixtures):
         for d2 in fixtures[i + 1 :]:
-            v = iso(d1, d2)
+            v = isomorphic_1d(d1, d2)
             assert v.outcome == NOT_ISOMORPHIC
             assert "period rank" in v.reasons[0]
 
@@ -139,13 +138,13 @@ def test_rank_mismatch_pairs():
 def test_wp_pi_with_exact_tags_not_isomorphic():
     d1 = wp_real(1.0, a_exact=ExactReal(Fraction(1)))
     d2 = wp_real(np.pi, a_exact=ExactReal(Fraction(1), "pi"))
-    v = iso(d1, d2)
+    v = isomorphic_1d(d1, d2)
     assert v.outcome == NOT_ISOMORPHIC
     assert any("irrational" in r for r in v.reasons)
 
 
 def test_wp_pi_without_tags_undetermined():
-    v = iso(wp_real(1.0), wp_real(np.pi))
+    v = isomorphic_1d(wp_real(1.0), wp_real(np.pi))
     assert v.outcome == UNDETERMINED
     assert any("denominator" in r for r in v.reasons)
 
@@ -153,7 +152,7 @@ def test_wp_pi_without_tags_undetermined():
 def test_same_exact_constant_cancels():
     d1 = wp_real(np.pi, a_exact=ExactReal(Fraction(1), "pi"))
     d2 = wp_real(2 * np.pi, a_exact=ExactReal(Fraction(2), "pi"))
-    v = iso(d1, d2)
+    v = isomorphic_1d(d1, d2)
     assert v.outcome == ISOMORPHIC
 
 
@@ -165,38 +164,35 @@ def test_isomorphic_under_random_real_alpha(rng):
             d2 = StructureDescriptor(
                 d.dim, d.family, a=d.a, lattice=d.lattice, alpha=((complex(c),),)
             )
-            assert iso(d, d2).outcome == ISOMORPHIC, (d.family, c)
+            assert isomorphic_1d(d, d2).outcome == ISOMORPHIC, (d.family, c)
 
 
 # -- 2-D classification ------------------------------------------------------------------------
 
 def test_classify_2d_examples():
-    f = classify_2d(painleve("p4", a=1, lattice=SQ), trunc_radius_factor=FAST_FACTOR)
+    f = classify_2d(painleve("p4", a=1, lattice=SQ))
     assert (f.index, f.rank) == (4, 2)
-    f1 = classify_2d(painleve("p1"), trunc_radius_factor=FAST_FACTOR)
+    f1 = classify_2d(painleve("p1"))
     assert (f1.index, f1.rank) == (1, 0)
-    f5 = classify_2d(painleve("p5", a=0.7, lattice=RECT), trunc_radius_factor=FAST_FACTOR)
+    f5 = classify_2d(painleve("p5", a=0.7, lattice=RECT))
     assert (f5.index, f5.rank) == (5, 3)
 
 
 def test_compare_2d_rank_separation():
-    v = compare_2d(painleve("p2"), painleve("p5", a=0.3, lattice=SQ),
-                   trunc_radius_factor=FAST_FACTOR)
+    v = compare_2d(painleve("p2"), painleve("p5", a=0.3, lattice=SQ))
     assert v.outcome == NOT_ISOMORPHIC
     assert "1" in v.reasons[0] and "3" in v.reasons[0]
 
 
 def test_compare_2d_equal_rank_family_separation():
-    v = compare_2d(painleve("p3"), painleve("p4", a=1, lattice=SQ),
-                   trunc_radius_factor=FAST_FACTOR)
+    v = compare_2d(painleve("p3"), painleve("p4", a=1, lattice=SQ))
     assert v.outcome == NOT_ISOMORPHIC
     assert any("family separation" in r for r in v.reasons)
 
 
 def test_compare_2d_same_family_undetermined():
     v = compare_2d(
-        painleve("p4", a=1, lattice=SQ), painleve("p4", a=1, lattice=RECT),
-        trunc_radius_factor=FAST_FACTOR,
+        painleve("p4", a=1, lattice=SQ), painleve("p4", a=1, lattice=RECT)
     )
     assert v.outcome == UNDETERMINED
 
@@ -209,16 +205,13 @@ def test_compare_2d_symmetric():
         (painleve("p1"), painleve("p6_product", lattice=SQ, lattice2=RECT)),
     ]
     for d1, d2 in pairs:
-        assert compare_2d(d1, d2, trunc_radius_factor=FAST_FACTOR) == compare_2d(
-            d2, d1, trunc_radius_factor=FAST_FACTOR
-        )
+        assert compare_2d(d1, d2) == compare_2d(d2, d1)
 
 
 def test_compare_2d_requires_real():
     with pytest.raises(NotRealStructure):
         compare_2d(
-            painleve("p4", a=1, lattice=Lattice1(1, 0.3 + 1j)), painleve("p3"),
-            trunc_radius_factor=FAST_FACTOR,
+            painleve("p4", a=1, lattice=Lattice1(1, 0.3 + 1j)), painleve("p3")
         )
 
 
@@ -233,7 +226,7 @@ def test_rank_trace_matches_z_rank():
     from locnash.structures import z_rank
 
     d1, d2 = painleve("p2"), painleve("p5", a=0.3, lattice=SQ)
-    v = compare_2d(d1, d2, trunc_radius_factor=FAST_FACTOR)
-    r1 = z_rank(d1, trunc_radius_factor=FAST_FACTOR)
-    r2 = z_rank(d2, trunc_radius_factor=FAST_FACTOR)
+    v = compare_2d(d1, d2)
+    r1 = z_rank(d1)
+    r2 = z_rank(d2)
     assert f"{min(r1, r2)}" in v.reasons[0] and f"{max(r1, r2)}" in v.reasons[0]

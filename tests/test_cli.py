@@ -7,8 +7,6 @@ WP2 = "dim = 1\nfamily = wp_real\na = 2\n"
 P4 = "dim = 2\nfamily = p4\na = 1\nlattice = lattice(1, 1i)\n"
 P5 = "dim = 2\nfamily = p5\na = 0.3\nlattice = lattice(1, 2i)\n"
 
-FAST = ["--trunc-radius-factor", "80"]
-
 
 def desc(tmp_path, name, text):
     p = tmp_path / name
@@ -19,7 +17,7 @@ def desc(tmp_path, name, text):
 def test_eval_grid_shape_and_pole_rows(tmp_path):
     out = tmp_path / "grid.csv"
     rc = main(["eval", "--lattice", "lattice(1,1i)", "--fn", "wp",
-               "--grid", "-0.9:0.9:0.1", "--out", str(out), *FAST])
+               "--grid", "-0.9:0.9:0.1", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "re_u,im_u,re_val,im_val,est_err,pole"
@@ -35,7 +33,7 @@ def test_eval_grid_shape_and_pole_rows(tmp_path):
 def test_eval_sigma_has_no_poles(tmp_path):
     out = tmp_path / "s.csv"
     rc = main(["eval", "--lattice", "lattice(1,1i)", "--fn", "sigma",
-               "--grid", "-0.5:0.5:0.5", "--out", str(out), *FAST])
+               "--grid", "-0.5:0.5:0.5", "--out", str(out)])
     assert rc == 0
     assert all(l.endswith(",0") for l in out.read_text().splitlines()[1:])
 
@@ -44,7 +42,7 @@ def test_eval_descriptor_dim2_writes_per_coordinate(tmp_path):
     p4 = desc(tmp_path, "p4.desc", P4)
     out = tmp_path / "p4.csv"
     rc = main(["eval", "--descriptor", p4, "--grid", "0:0.4:0.2",
-               "--out", str(out), *FAST])
+               "--out", str(out)])
     assert rc == 0
     for k in (1, 2):
         f = tmp_path / f"p4_c{k}.csv"
@@ -64,7 +62,7 @@ def test_eval_bad_lattice_exits_2():
 
 def test_periods_report(tmp_path, capsys):
     p4 = desc(tmp_path, "p4.desc", P4)
-    assert main(["periods", p4, *FAST]) == 0
+    assert main(["periods", p4]) == 0
     out = capsys.readouterr().out
     assert "rank = 2" in out
     assert "closed_form_1 = (omega1, 2*a*zeta(omega1/2))" in out
@@ -73,11 +71,11 @@ def test_periods_report(tmp_path, capsys):
 
 def test_classify_1d_and_2d(tmp_path, capsys):
     wp2 = desc(tmp_path, "wp2.desc", WP2)
-    assert main(["classify", wp2, *FAST]) == 0
+    assert main(["classify", wp2]) == 0
     out = capsys.readouterr().out
     assert "canonical_form = wp" in out and "rank = 2" in out
     p5 = desc(tmp_path, "p5.desc", P5)
-    assert main(["classify", p5, *FAST]) == 0
+    assert main(["classify", p5]) == 0
     out = capsys.readouterr().out
     assert "family = 5" in out and "rank = 3" in out
 
@@ -90,17 +88,17 @@ def test_compare_exit_codes(tmp_path):
     p4 = desc(tmp_path, "p4.desc", P4)
     p5 = desc(tmp_path, "p5.desc", P5)
     null = str(tmp_path / "r.txt")
-    assert main(["compare", w1, w2, "--out", null, *FAST]) == 0
-    assert main(["compare", e, s, "--out", null, *FAST]) == 1
-    assert main(["compare", p4, p5, "--out", null, *FAST]) == 1
-    assert main(["compare", p4, p4, "--out", null, *FAST]) == 4
-    assert main(["compare", e, p4, "--out", null, *FAST]) == 2  # dim mismatch
+    assert main(["compare", w1, w2, "--out", null]) == 0
+    assert main(["compare", e, s, "--out", null]) == 1
+    assert main(["compare", p4, p5, "--out", null]) == 1
+    assert main(["compare", p4, p4, "--out", null]) == 4
+    assert main(["compare", e, p4, "--out", null]) == 2  # dim mismatch
 
 
 def test_compare_report_contains_reasons(tmp_path, capsys):
     e = desc(tmp_path, "e.desc", EXP)
     s = desc(tmp_path, "s.desc", SIN)
-    assert main(["compare", e, s, *FAST]) == 1
+    assert main(["compare", e, s]) == 1
     out = capsys.readouterr().out
     assert "verdict = not_isomorphic" in out
     assert "reason_1 = period rank: 1 vs 1" in out
@@ -110,21 +108,21 @@ def test_verify_aat_exit_codes(tmp_path):
     e = desc(tmp_path, "e.desc", EXP)
     s = desc(tmp_path, "s.desc", SIN)
     null = str(tmp_path / "r.txt")
-    assert main(["verify-aat", e, "--max-degree", "2", "--out", null, *FAST]) == 0
+    assert main(["verify-aat", e, "--max-degree", "2", "--out", null]) == 0
     # degree bound too low for the sine relation: honest negative
-    assert main(["verify-aat", s, "--max-degree", "2", "--out", null, *FAST]) == 1
+    assert main(["verify-aat", s, "--max-degree", "2", "--out", null]) == 1
 
 
 def test_verify_aat_report_shows_relation(tmp_path, capsys):
     e = desc(tmp_path, "e.desc", EXP)
-    assert main(["verify-aat", e, "--max-degree", "2", *FAST]) == 0
+    assert main(["verify-aat", e, "--max-degree", "2"]) == 0
     out = capsys.readouterr().out
     assert "success = 1" in out
     assert "relation_1" in out and "f1(u)*f1(v)" in out.replace(" ", "") or "X" not in out
 
 
 def test_check_identities_pass(tmp_path, capsys):
-    assert main(["check-identities", "--lattice", "lattice(1,1i)", *FAST]) == 0
+    assert main(["check-identities", "--lattice", "lattice(1,1i)"]) == 0
     out = capsys.readouterr().out
     assert "all_pass = 1" in out
     assert "zeta_quasi_periodicity_omega1" in out
@@ -134,14 +132,14 @@ def test_check_identities_pass(tmp_path, capsys):
 def test_reports_byte_identical(tmp_path):
     p4 = desc(tmp_path, "p4.desc", P4)
     out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
-    assert main(["classify", p4, "--out", str(out1), *FAST]) == 0
-    assert main(["classify", p4, "--out", str(out2), *FAST]) == 0
+    assert main(["classify", p4, "--out", str(out1)]) == 0
+    assert main(["classify", p4, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys, monkeypatch):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("seed = 42\nmax_degree = 3\ntrunc_radius_factor = 80\n")
+    cfgfile.write_text("seed = 42\nmax_degree = 3\n")
     e = desc(tmp_path, "e.desc", EXP)
     assert main(["verify-aat", e, "--config", str(cfgfile)]) == 0
     out = capsys.readouterr().out

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import helpers
-from conftest import FAST_FACTOR
 from locnash.errors import InsufficientSamples
 from locnash.lattices import Lattice1
 from locnash.relations import (
@@ -17,7 +16,7 @@ from locnash.structures import exp_map, identity_map, sin_map, wp_real
 
 
 def wp_s(lat):
-    return wp_sampler(lat, trunc_radius_factor=FAST_FACTOR)
+    return wp_sampler(lat)
 
 
 # -- monomial basis ---------------------------------------------------------------
@@ -68,7 +67,7 @@ def test_wp_differential_equation_matches_eisenstein_oracle():
     ctx_sampler = wp_s(lat)
     from locnash.weierstrass import get_context
 
-    ctx = get_context(lat, FAST_FACTOR)
+    ctx = get_context(lat)
 
     def wpp(u):
         v, _, p = ctx.wp_prime_many(np.asarray(u, dtype=complex))
@@ -166,7 +165,7 @@ def test_verify_aat_sin_degree_four():
 
 
 def test_verify_aat_wp():
-    rep = verify_aat(wp_real(1.0), 6, seed=3, trunc_radius_factor=FAST_FACTOR)
+    rep = verify_aat(wp_real(1.0), 6, seed=3)
     cert = rep.certificates[0]
     assert rep.success and cert.residual < 1e-6
     assert cert.max_degree <= 6  # found at 2: the classical biquadratic
@@ -180,7 +179,7 @@ def test_verify_aat_wp_matches_classical_biquadratic():
     with x = f(u), y = f(v), z = f(u+v), up to overall scale."""
     lat = Lattice1(1, 2j)
     d = wp_real(2.0)
-    rep = verify_aat(d, 6, seed=3, trunc_radius_factor=FAST_FACTOR)
+    rep = verify_aat(d, 6, seed=3)
     cert = rep.certificates[0]
     assert rep.success and cert.max_degree == 2
     g2, g3 = helpers.eisenstein_oracle(lat)
@@ -232,7 +231,7 @@ def test_translate_identity():
 
 def test_translate_wp():
     cert = translate_algebraicity_check(
-        wp_real(1.0), 0.3, 6, seed=4, trunc_radius_factor=FAST_FACTOR
+        wp_real(1.0), 0.3, 6, seed=4
     )
     assert cert is not None and cert.max_degree <= 6
     assert cert.residual < 1e-6

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import helpers
-from conftest import FAST_FACTOR
 from locnash.errors import SingularMatrix
 from locnash.lattices import Lattice1
 from locnash.structures import (
@@ -26,11 +25,11 @@ HEX = Lattice1(1, np.exp(1j * np.pi / 3))
 
 
 def pg(d):
-    return period_group(d, trunc_radius_factor=FAST_FACTOR)
+    return period_group(d)
 
 
 def zr(d):
-    return z_rank(d, trunc_radius_factor=FAST_FACTOR)
+    return z_rank(d)
 
 
 # -- period groups -----------------------------------------------------------------
@@ -133,7 +132,7 @@ def test_sin_standard_value():
 
 
 def test_wp_real_map_pole_flag():
-    mv = evaluate_map(wp_real(1.0), 0.0, trunc_radius_factor=FAST_FACTOR)
+    mv = evaluate_map(wp_real(1.0), 0.0)
     assert mv.poles == (True,)
 
 
@@ -149,8 +148,8 @@ def test_p4_period_shift_fixes_map(rng):
     (l1, l2) = rep.group.generators[0]
     us = rng.uniform(0.1, 0.4, 10) + 1j * rng.uniform(0.1, 0.4, 10)
     vs = rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10)
-    v0, p0 = map_batch(d, us, vs, trunc_radius_factor=FAST_FACTOR)
-    v1, p1 = map_batch(d, us + l1, vs + l2, trunc_radius_factor=FAST_FACTOR)
+    v0, p0 = map_batch(d, us, vs)
+    v1, p1 = map_batch(d, us + l1, vs + l2)
     for k in range(2):
         keep = ~(p0[k] | p1[k])
         assert np.max(np.abs(v1[k][keep] - v0[k][keep])) < 1e-8
@@ -169,10 +168,10 @@ def test_period_generators_fix_maps_all_families(rng):
         n = d.dim
         pts = [rng.uniform(-0.45, 0.45, 12) + 1j * rng.uniform(-0.45, 0.45, 12)
                for _ in range(n)]
-        base_v, base_p = map_batch(d, *pts, trunc_radius_factor=FAST_FACTOR)
+        base_v, base_p = map_batch(d, *pts)
         for gen in rep.group.generators:
             shifted = [pts[k] + gen[k] for k in range(n)]
-            v, p = map_batch(d, *shifted, trunc_radius_factor=FAST_FACTOR)
+            v, p = map_batch(d, *shifted)
             for k in range(n):
                 keep = ~(base_p[k] | p[k])
                 assert np.max(np.abs(v[k][keep] - base_v[k][keep])) < 1e-7, d.family
