@@ -38,7 +38,6 @@ from .lattices import (
     index,
     is_real,
     is_sublattice,
-    rank,
     real_rank1_form,
     subgroup,
     transform,

@@ -29,7 +29,7 @@ from .classify import (
 from .config import RunConfig, config_block, fmt, load_config
 from .descriptors import load_descriptor, serialize_descriptor
 from .errors import LocNashError, ParseError
-from .lattices import DiscreteSubgroup, Lattice1, subgroup
+from .lattices import DiscreteSubgroup, Lattice1, gauss_reduced_basis, subgroup
 from .relations import format_polynomial, verify_aat
 from .scalars import parse_lattice_literal
 from .structures import map_batch, period_group
@@ -248,14 +248,23 @@ def cmd_check_identities(args, cfg: RunConfig) -> int:
     checks: list[tuple[str, float, float]] = []
 
     eta = [2.0 * e for e in ctx.eta_half]
+    # sigma's factor exp(eta (z + w/2)) overflows for a long generator w, so
+    # sigma is checked on the Gauss-reduced pair unless the given pair is
+    # already as short; eta is Z-linear on the lattice, so it maps through U
+    r1, r2, U = gauss_reduced_basis(lat.omega1, lat.omega2)
+    if max(abs(lat.omega1), abs(lat.omega2)) <= abs(r2):
+        sigma_pairs = list(zip((lat.omega1, lat.omega2), eta))
+    else:
+        sigma_pairs = list(zip((r1, r2), U @ np.array(eta)))
     for i, w in enumerate((lat.omega1, lat.omega2)):
         shifted, _, _ = ctx.zeta_many(zs + w)
         base, _, _ = ctx.zeta_many(zs)
         res = float(np.max(np.abs(shifted - base - eta[i])))
         checks.append((f"zeta_quasi_periodicity_omega{i + 1}", res, 1e-8))
-        s_shift, _, _ = ctx.sigma_many(zs + w)
+        w_s, eta_s = sigma_pairs[i]
+        s_shift, _, _ = ctx.sigma_many(zs + w_s)
         s_base, _, _ = ctx.sigma_many(zs)
-        rhs = -s_base * np.exp(eta[i] * (zs + w / 2.0))
+        rhs = -s_base * np.exp(eta_s * (zs + w_s / 2.0))
         rel = float(np.max(np.abs(s_shift - rhs) / np.abs(s_shift)))
         checks.append((f"sigma_quasi_periodicity_omega{i + 1}", rel, 1e-7))
 

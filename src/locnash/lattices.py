@@ -1,15 +1,23 @@
 """Algebra of discrete subgroups of (C^n, +), n in {1, 2}.
 
-Generators are double-precision complex vectors.  Every Z-coefficient
-decision (membership, sublattice, index, cosets) goes through a real
-least-squares solve followed by nearest-integer rounding with residual
-gates at a uniform relative tolerance.
+Generators are double-precision complex vectors.  Membership and
+sublattice tests go through a real least-squares solve followed by
+nearest-integer rounding with residual gates at a uniform relative
+tolerance.  Index and coset representatives come from the integer
+transition matrix between the two reduced bases, rounded under the same
+gates and triangularised over Z (Hermite normal form, Cohen, A Course in
+Computational Algebraic Number Theory, section 2.4): the index is the
+product of its diagonal H_ii, and the integer points c with 0 <= c_i < H_ii
+are one per coset.  The common real sublattice reads its multiplier off the
+rational approximations of the transition matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,11 +118,6 @@ def subgroup(gens: Iterable, dim: int | None = None, tol: float = DEFAULT_TOL) -
     return DiscreteSubgroup(dim, tuple(as_vector(g, dim) for g in gens), tol)
 
 
-def rank(G: DiscreteSubgroup) -> int:
-    """Rank of G as a free Z-module (validated at construction time)."""
-    return G.rank
-
-
 def integer_coefficients(G: DiscreteSubgroup, x) -> tuple[np.ndarray, bool]:
     """Solve x = sum m_i * g_i for integer m_i.
 
@@ -184,8 +187,11 @@ def _reduced(G: DiscreteSubgroup) -> DiscreteSubgroup:
     return G
 
 
-def index(G1: DiscreteSubgroup, G2: DiscreteSubgroup) -> int:
-    """Index [G2 : G1] for full-rank sublattices G1 <= G2 of C^dim."""
+def _transition(
+    G1: DiscreteSubgroup, G2: DiscreteSubgroup
+) -> tuple[DiscreteSubgroup, np.ndarray]:
+    """G2's reduced basis B, and the integer matrix T whose column j holds
+    the coefficients over B of generator j of G1's reduced basis."""
     if G1.dim != G2.dim:
         raise ValueError("dimension mismatch")
     full = 2 * G1.dim
@@ -200,44 +206,67 @@ def index(G1: DiscreteSubgroup, G2: DiscreteSubgroup) -> int:
         raise NonIntegerTransition(
             f"transition matrix off integers by {np.max(np.abs(M - T)):.3e}"
         )
-    det = float(np.linalg.det(T))
-    n = round(abs(det))
-    if abs(abs(det) - n) > G1.tol * (1.0 + n):
-        raise NonIntegerTransition(f"non-integral transition determinant {det!r}")
-    if n == 0:
-        raise InternalInconsistency("vanishing determinant for full-rank lattices")
-    return n
+    return B, T.astype(np.int64)
+
+
+def _hermite_diagonal(T: np.ndarray) -> list[int]:
+    """Diagonal of the Hermite form H of the columns of the integer matrix T.
+
+    Unimodular row operations on the transposed matrix triangularise it:
+    H is upper triangular with positive diagonal and its rows span the same
+    subgroup of Z^k as T's columns, so the box 0 <= c_i < H_ii is a complete
+    residue system modulo that subgroup.  The entries above the diagonal are
+    not reduced, since nothing reads them.
+    """
+    H = T.T.tolist()
+    k = len(H)
+    for col in range(k):
+        # Euclid on the column: move the smallest nonzero entry to the pivot
+        # row and reduce the rows below it until they vanish in this column
+        while True:
+            live = [i for i in range(col, k) if H[i][col]]
+            if not live:
+                raise InternalInconsistency(
+                    "vanishing determinant for full-rank lattices"
+                )
+            piv = min(live, key=lambda i: abs(H[i][col]))
+            H[col], H[piv] = H[piv], H[col]
+            if len(live) == 1:
+                break
+            p = H[col][col]
+            for i in range(col + 1, k):
+                f = H[i][col] // p
+                if f:
+                    H[i] = [x - f * y for x, y in zip(H[i], H[col])]
+    return [abs(H[i][i]) for i in range(k)]
+
+
+def index(G1: DiscreteSubgroup, G2: DiscreteSubgroup) -> int:
+    """Index [G2 : G1] for full-rank sublattices G1 <= G2 of C^dim."""
+    _, T = _transition(G1, G2)
+    return math.prod(_hermite_diagonal(T))
 
 
 def coset_representatives(G1: DiscreteSubgroup, G2: DiscreteSubgroup) -> list[Vector]:
     """Representatives of G2/G1, exactly index-many, pairwise non-congruent.
 
-    Enumerates integer combinations of G2's basis and reduces them into a
-    fundamental box of G1.
+    In coordinates over G2's reduced basis, G1 is spanned by the columns of
+    the transition matrix T, so the integer points c of the box
+    0 <= c_i < H_ii of T's Hermite form are one per coset.  Each c is moved
+    by an integer combination of T's columns into the fundamental box of
+    G1's reduced basis, still in integers, and then mapped through G2's
+    basis.
     """
-    n = index(G1, G2)
-    A, B = _reduced(G1), _reduced(G2)
-    basis_a = A.basis_matrix
-    reps: list[Vector] = []
-    dim = G1.dim
-    for combo in itertools.product(range(n), repeat=2 * dim):
-        p = np.zeros(2 * dim)
-        for k, gen in zip(combo, B.generators):
-            p += k * _embed_point(gen)
-        coeff = np.linalg.solve(basis_a, p)
-        frac = coeff - np.floor(coeff + 1e-12)
-        red = basis_a @ frac
-        cand = tuple(complex(red[2 * k], red[2 * k + 1]) for k in range(dim))
-        if any(
-            contains(A, tuple(c - q for c, q in zip(cand, r))) for r in reps
-        ):
-            continue
-        reps.append(cand)
-        if len(reps) == n:
-            return reps
-    raise InternalInconsistency(
-        f"found {len(reps)} coset representatives, expected {n}"
-    )
+    B, T = _transition(G1, G2)
+    box = np.array(
+        list(itertools.product(*map(range, _hermite_diagonal(T)))), dtype=np.int64
+    ).T
+    shift = np.floor(np.linalg.solve(T.astype(float), box) + 1e-12).astype(np.int64)
+    pts = B.basis_matrix @ (box - T @ shift)
+    return [
+        tuple(complex(pts[2 * k, j], pts[2 * k + 1, j]) for k in range(G1.dim))
+        for j in range(pts.shape[1])
+    ]
 
 
 def transform(G: DiscreteSubgroup, alpha_inv) -> DiscreteSubgroup:
@@ -261,8 +290,11 @@ def common_real_sublattice(
 ) -> tuple[DiscreteSubgroup, int] | None:
     """Smallest positive integer a with a*G1 <= G2, as (a*G1, a); None if none <= a_max.
 
-    Bounded search: existence of the multiplier is a theorem, its size is not,
-    so the operation is totalized with an explicit not-found value.
+    Each entry of the transition matrix C (G1's generators over G2's basis)
+    is read as its nearest fraction with denominator <= a_max, and a is the
+    lcm of those denominators; a*C must then pass the integer gate at
+    G1.tol.  Existence of the multiplier is a theorem, its size is not, so
+    the operation is totalized with an explicit not-found value.
     """
     for G in (G1, G2):
         if G.dim != 1 or G.rank != 2:
@@ -270,14 +302,15 @@ def common_real_sublattice(
         if not is_real(G):
             raise ValueError("requires real lattices")
     C = np.linalg.solve(_reduced(G2).basis_matrix, G1.basis_matrix)
-    a_arr = np.arange(1, a_max + 1, dtype=float)[:, None, None]
-    scaled = a_arr * C[None, :, :]
-    ints = np.round(scaled)
-    ok = np.all(np.abs(scaled - ints) <= G1.tol * (1.0 + np.abs(ints)), axis=(1, 2))
-    hits = np.nonzero(ok)[0]
-    if hits.size == 0:
+    a = math.lcm(
+        *(Fraction(c).limit_denominator(a_max).denominator for c in C.flat)
+    )
+    if a > a_max:
         return None
-    a = int(hits[0]) + 1
+    scaled = a * C
+    ints = np.round(scaled)
+    if not np.all(np.abs(scaled - ints) <= G1.tol * (1.0 + np.abs(ints))):
+        return None
     scaled_group = DiscreteSubgroup(
         1, tuple(tuple(a * c for c in g) for g in G1.generators), G1.tol
     )

@@ -1,3 +1,5 @@
+import pytest
+
 from locnash.cli import main
 
 EXP = "dim = 1\nfamily = exp\n"
@@ -121,8 +123,11 @@ def test_verify_aat_report_shows_relation(tmp_path, capsys):
     assert "relation_1" in out and "f1(u)*f1(v)" in out.replace(" ", "") or "X" not in out
 
 
-def test_check_identities_pass(tmp_path, capsys):
-    assert main(["check-identities", "--lattice", "lattice(1,1i)"]) == 0
+@pytest.mark.parametrize(
+    "lattice", ["lattice(1,1i)", "lattice(1, 60+1i)"], ids=["square", "skew-60"]
+)
+def test_check_identities_pass(tmp_path, capsys, lattice):
+    assert main(["check-identities", "--lattice", lattice]) == 0
     out = capsys.readouterr().out
     assert "all_pass = 1" in out
     assert "zeta_quasi_periodicity_omega1" in out

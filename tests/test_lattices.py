@@ -20,6 +20,7 @@ from locnash.lattices import (
     coset_representatives,
     gauss_reduced_basis,
     index,
+    integer_coefficients,
     is_real,
     is_sublattice,
     real_rank1_form,
@@ -186,6 +187,78 @@ def test_coset_representatives_pairwise_non_congruent():
                 assert not contains(g1, (a[0] - b[0],))
 
 
+def _groups_from_rows(P: np.ndarray, dim: int) -> DiscreteSubgroup:
+    """Subgroup of C^dim generated by the rows of P, read as (Re, Im) pairs."""
+    return subgroup([tuple(r[0::2] + 1j * r[1::2]) for r in P], dim)
+
+
+def _assert_coset_system(G1, G2, T, reps):
+    """Each representative lies in G2, one per coset of G1 = rows(T) over G2.
+
+    Over G2's generators a point x of G2 lies in G1 iff x = T^t y for an
+    integer y, i.e. adj(T^t) x = 0 mod det T, which labels each coset."""
+    det = round(np.linalg.det(T))
+    adj = np.round(det * np.linalg.inv(T.T)).astype(np.int64)
+    labels = set()
+    for r in reps:
+        x, ok = integer_coefficients(G2, r)
+        assert ok, f"representative {r} is not in G2"
+        labels.add(tuple(int(v) % abs(det) for v in adj @ x))
+    assert len(labels) == len(reps) == abs(det)
+
+
+@st.composite
+def _unimodular(draw, k: int) -> np.ndarray:
+    """Product of a few integer row shears and an optional sign flip."""
+    U = np.eye(k, dtype=np.int64)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(k)))[:2]
+        U[i] += draw(st.integers(-2, 2)) * U[j]
+    if draw(st.booleans()):
+        U[0] = -U[0]
+    return U
+
+
+@st.composite
+def _sublattice_pairs(draw):
+    """(G1, G2, T) with G1 spanned by the rows of T over G2's generators,
+    1 <= |det T| <= 81, both groups written in unimodularly mixed bases."""
+    dim = draw(st.sampled_from([1, 2]))
+    k = 2 * dim
+    # I + E with |E|_F <= 0.8: a well-conditioned real basis of R^k
+    E = draw(st.lists(st.floats(-0.8 / k, 0.8 / k), min_size=k * k, max_size=k * k))
+    base = draw(_unimodular(k)) @ (np.eye(k) + np.reshape(E, (k, k)))
+    diag, room = [], 81
+    for _ in range(k):
+        d = draw(st.integers(1, room))
+        diag.append(d)
+        room //= d
+    tri = np.diag(diag).astype(np.int64)
+    for i in range(k):
+        for j in range(i + 1, k):
+            tri[i, j] = draw(st.integers(-4, 4))
+    T = draw(_unimodular(k)) @ tri @ draw(_unimodular(k))
+    return _groups_from_rows(T @ base, dim), _groups_from_rows(base, dim), T
+
+
+@given(_sublattice_pairs())
+@settings(max_examples=60, deadline=None)
+def test_index_and_cosets_from_integer_transition(pair):
+    G1, G2, T = pair
+    n = abs(round(np.linalg.det(T)))
+    assert index(G1, G2) == n
+    _assert_coset_system(G1, G2, T, coset_representatives(G1, G2))
+
+
+def test_cosets_c2_index_81():
+    # 3 * <(1,0), (i,0), (0,1), (0,2i)> in a sheared basis: 81 cosets in C^2
+    base = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]], dtype=float)
+    T = 3 * np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, -2, 1, 0], [0, 0, 1, 1]])
+    G1, G2 = _groups_from_rows(T @ base, 2), _groups_from_rows(base, 2)
+    assert index(G1, G2) == 81
+    _assert_coset_system(G1, G2, T, coset_representatives(G1, G2))
+
+
 # -- transform ---------------------------------------------------------------------
 
 def test_transform_identity():
@@ -244,6 +317,19 @@ def test_common_real_sublattice_needs_multiplier():
     got = common_real_sublattice(subgroup([1 / 3, 1j]), SQ)
     assert got is not None
     assert got[1] == 3
+
+
+def test_common_real_sublattice_combines_denominators():
+    # 1/3 and 5/7 need the multiplier lcm(3, 7) = 21
+    got = common_real_sublattice(subgroup([1 / 3, 5j / 7]), SQ)
+    assert got is not None
+    assert got[1] == 21
+
+
+def test_common_real_sublattice_multiplier_above_a_max():
+    G = subgroup([1 / 97, 1j / 89])
+    assert common_real_sublattice(G, SQ, a_max=1000) is None
+    assert common_real_sublattice(G, SQ)[1] == 97 * 89
 
 
 def test_common_real_sublattice_not_found_for_pi():
