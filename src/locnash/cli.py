@@ -13,6 +13,7 @@ nothing time- or path-dependent is emitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -26,12 +27,11 @@ from .classify import (
     compare_2d,
     isomorphic_1d,
 )
-from .config import RunConfig, config_block, fmt, load_config
-from .descriptors import load_descriptor, serialize_descriptor
+from .config import FLOAT_SPEC, RunConfig, config_block, fmt, load_config
+from .descriptors import load_descriptor, parse_lattice1, serialize_descriptor
 from .errors import LocNashError, ParseError
-from .lattices import DiscreteSubgroup, Lattice1, gauss_reduced_basis, subgroup
+from .lattices import DiscreteSubgroup, gauss_reduced_basis, subgroup
 from .relations import format_polynomial, verify_aat
-from .scalars import parse_lattice_literal
 from .structures import map_batch, period_group
 from .weierstrass import (
     LEGENDRE_TOL,
@@ -56,18 +56,6 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_lattice1(literal: str) -> Lattice1:
-    from .errors import DegenerateGenerators
-
-    dim, gens = parse_lattice_literal(literal)
-    if dim != 1 or len(gens) != 2:
-        raise ParseError("expected a full lattice of C: lattice(w1, w2)")
-    try:
-        return Lattice1(gens[0][0], gens[1][0])
-    except DegenerateGenerators as exc:
-        raise ParseError(f"literal does not define a lattice: {exc}") from exc
-
-
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo_s, hi_s, step_s = spec.split(":")
@@ -89,26 +77,32 @@ def _report_head(name: str, cfg: RunConfig) -> list[str]:
 _EVAL_FNS = ("wp", "wp-prime", "zeta", "sigma")
 
 
+_FLOAT = "{:" + FLOAT_SPEC + "}"
+_POLE_ROW = f"{_FLOAT},{_FLOAT},,,,1"
+_VALUE_ROW = f"{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT},0"
+_VALUE_ROW_NO_EST = f"{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT},,0"
+
+
 def _csv_rows(
     points: np.ndarray, values: np.ndarray, est: np.ndarray | None, poles: np.ndarray
 ) -> str:
     """est=None leaves the est_err field empty (map evaluations carry no estimate)."""
     lines = ["re_u,im_u,re_val,im_val,est_err,pole"]
-    for i, (z, v, p) in enumerate(zip(points, values, poles)):
+    ests = [None] * len(points) if est is None else est.tolist()
+    for z, v, e, p in zip(points.tolist(), values.tolist(), ests, poles.tolist()):
         if p:
-            lines.append(f"{fmt(z.real)},{fmt(z.imag)},,,,1")
+            lines.append(_POLE_ROW.format(z.real, z.imag))
+        elif e is None:
+            lines.append(_VALUE_ROW_NO_EST.format(z.real, z.imag, v.real, v.imag))
         else:
-            e = "" if est is None else fmt(est[i])
-            lines.append(
-                f"{fmt(z.real)},{fmt(z.imag)},{fmt(v.real)},{fmt(v.imag)},{e},0"
-            )
+            lines.append(_VALUE_ROW.format(z.real, z.imag, v.real, v.imag, e))
     return "\n".join(lines) + "\n"
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     xs = _parse_grid(args.grid)
     if args.lattice:
-        lat = _parse_lattice1(args.lattice)
+        lat = parse_lattice1(args.lattice)
         ctx = get_context(lat)
         pts = np.array([complex(x, y) for x in xs for y in xs])
         fn = {
@@ -241,7 +235,7 @@ def cmd_verify_aat(args, cfg: RunConfig) -> int:
 # -- check-identities -----------------------------------------------------------
 
 def cmd_check_identities(args, cfg: RunConfig) -> int:
-    lat = _parse_lattice1(args.lattice)
+    lat = parse_lattice1(args.lattice)
     ctx = get_context(lat)
     rng = np.random.default_rng(cfg.seed)
     zs = sample_reduced(lat, 30, rng)
@@ -302,7 +296,10 @@ def cmd_check_identities(args, cfg: RunConfig) -> int:
 
 # -- argument parsing ------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by later ones
+    (parse_args leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file (or set LOCNASH_CONFIG)")
     common.add_argument("--tol", type=float)

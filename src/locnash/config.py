@@ -12,6 +12,10 @@ from dataclasses import dataclass, fields, replace
 from .errors import ParseError
 
 CONFIG_ENV = "LOCNASH_CONFIG"
+#: format spec of the full-precision floats in reports, CSVs, certificates and
+#: descriptors: 17 significant digits, lowercase exponent, so each value
+#: round-trips exactly
+FLOAT_SPEC = ".17g"
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 def fmt(x: float) -> str:
-    """17-significant-digit decimal, lowercase exponent (round-trip exact)."""
-    return f"{x:.17g}"
+    """x as a decimal string in FLOAT_SPEC."""
+    return format(x, FLOAT_SPEC)
 
 
 def fmt_complex(z: complex) -> str:

@@ -7,7 +7,8 @@ Unknown fields are rejected.  ``#`` starts a comment.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .config import fmt
+from .errors import DegenerateGenerators, ParseError
 from .lattices import Lattice1
 from .scalars import parse_complex, parse_exact_real, parse_lattice_literal
 from .structures import FAMILIES_1D, FAMILIES_2D, StructureDescriptor
@@ -15,12 +16,11 @@ from .structures import FAMILIES_1D, FAMILIES_2D, StructureDescriptor
 _FIELDS = {"dim", "family", "a", "a_exact", "lattice", "lattice2", "alpha"}
 
 
-def _parse_lattice1(text: str) -> Lattice1:
-    from .errors import DegenerateGenerators
-
+def parse_lattice1(text: str) -> Lattice1:
+    """A full lattice of C from its literal ``lattice(w1, w2)``."""
     dim, gens = parse_lattice_literal(text)
     if dim != 1 or len(gens) != 2:
-        raise ParseError("descriptor lattices must be full lattices of C (two scalar generators)")
+        raise ParseError("expected a full lattice of C: lattice(w1, w2) with two scalar generators")
     try:
         return Lattice1(gens[0][0], gens[1][0])
     except DegenerateGenerators as exc:
@@ -59,8 +59,8 @@ def parse_descriptor(text: str) -> StructureDescriptor:
 
     a = parse_complex(fields["a"]) if "a" in fields else None
     a_exact = parse_exact_real(fields["a_exact"]) if "a_exact" in fields else None
-    lattice = _parse_lattice1(fields["lattice"]) if "lattice" in fields else None
-    lattice2 = _parse_lattice1(fields["lattice2"]) if "lattice2" in fields else None
+    lattice = parse_lattice1(fields["lattice"]) if "lattice" in fields else None
+    lattice2 = parse_lattice1(fields["lattice2"]) if "lattice2" in fields else None
     alpha = None
     if "alpha" in fields:
         entries = [parse_complex(p) for p in fields["alpha"].split(",")]
@@ -86,11 +86,11 @@ def load_descriptor(path: str) -> StructureDescriptor:
 def _fmt(x: complex) -> str:
     re, im = x.real, x.imag
     if im == 0:
-        return f"{re:.17g}"
+        return fmt(re)
     if re == 0:
-        return f"{im:.17g}i"
+        return f"{fmt(im)}i"
     sign = "+" if im >= 0 else "-"
-    return f"{re:.17g}{sign}{abs(im):.17g}i"
+    return f"{fmt(re)}{sign}{fmt(abs(im))}i"
 
 
 def serialize_descriptor(d: StructureDescriptor) -> str:

@@ -20,12 +20,14 @@ array; NaN entries mark rejected points (poles, capped magnitudes).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import fmt
 from .errors import InsufficientSamples
 from .structures import StructureDescriptor, map_batch
 from .weierstrass import get_context
@@ -44,10 +46,19 @@ _MAX_MONOMIALS = 20_000
 Sampler = Callable[..., np.ndarray]
 
 
+@functools.cache
+def _exponent_table(arity: int, degree: int) -> np.ndarray:
+    """monomial_exponents as a read-only (monomials, arity) integer array."""
+    exps = itertools.product(range(degree + 1), repeat=arity)
+    table = np.array(sorted(exps, key=lambda e: (sum(e), tuple(-x for x in e))),
+                     dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
 def monomial_exponents(arity: int, degree: int) -> list[tuple[int, ...]]:
     """Exponent tuples with every entry <= degree, in graded-lex order."""
-    exps = itertools.product(range(degree + 1), repeat=arity)
-    return sorted(exps, key=lambda e: (sum(e), tuple(-x for x in e)))
+    return [tuple(e) for e in _exponent_table(arity, degree).tolist()]
 
 
 @dataclass(frozen=True)
@@ -82,12 +93,12 @@ class RelationCertificate:
             "relation_certificate",
             f"arity = {self.variable_arity}",
             f"degree = {self.max_degree}",
-            f"residual = {self.residual:.17g}",
-            f"singular_gap = {self.singular_gap:.17g}",
+            f"residual = {fmt(self.residual)}",
+            f"singular_gap = {fmt(self.singular_gap)}",
         ]
         for e, c in zip(self.exponents, self.coefficients):
             key = ",".join(str(k) for k in e)
-            lines.append(f"term ({key}) = {c.real:.17g} {c.imag:.17g}")
+            lines.append(f"term ({key}) = {fmt(c.real)} {fmt(c.imag)}")
         return "\n".join(lines) + "\n"
 
 
@@ -106,20 +117,20 @@ def format_polynomial(cert: RelationCertificate, names: Sequence[str] | None = N
     return " ".join(parts)
 
 
-def _monomial_matrix(values: np.ndarray, exponents: list[tuple[int, ...]]) -> np.ndarray:
-    n, arity = values.shape
-    dmax = max((max(e) for e in exponents), default=0)
-    powers = [
-        np.vander(values[:, k], dmax + 1, increasing=True) for k in range(arity)
-    ]
-    M = np.empty((n, len(exponents)), dtype=complex)
-    for j, e in enumerate(exponents):
-        col = np.ones(n, dtype=complex)
-        for k, p in enumerate(e):
-            if p:
-                col = col * powers[k][:, p]
-        M[:, j] = col
-    return M
+def _monomial_matrix(values: np.ndarray, exponents) -> np.ndarray:
+    """Columns prod_k values[:, k] ** e_k, one per exponent row, C-ordered.
+
+    Factors multiply in variable order, so every entry equals the column-wise
+    product bit for bit; C order keeps the column norms' summation order.
+    """
+    arity = values.shape[1]
+    E = np.asarray(exponents, dtype=np.intp)
+    dmax = int(E.max(initial=0))
+    M = None
+    for k in range(arity):
+        powers = np.vander(values[:, k], dmax + 1, increasing=True)[:, E[:, k]]
+        M = powers if M is None else M * powers
+    return np.ascontiguousarray(M)
 
 
 def _minimal_leading(null_basis: np.ndarray, noise_tol: float = 1e-7) -> np.ndarray:
@@ -227,11 +238,11 @@ def find_relation(
     pool_src = _SamplePool(samplers, domain_dim, rng, box)
 
     for degree in range(1, max_degree + 1):
-        monos = monomial_exponents(arity, degree)
-        m = len(monos)
+        E = _exponent_table(arity, degree)
+        m = len(E)
         n_train = max(n_samples, 2 * m)
         pool = pool_src.ensure(2 * n_train)
-        A = _monomial_matrix(pool[:n_train], monos)
+        A = _monomial_matrix(pool[:n_train], E)
         norms = np.linalg.norm(A, axis=0)
         norms[norms == 0.0] = 1.0
         s, vh = np.linalg.svd(A / norms, full_matrices=False)[1:]
@@ -243,7 +254,7 @@ def find_relation(
             continue
         null_basis = vh[split + 1 :, :].conj().T  # m x r
         c_scaled = _minimal_leading(null_basis)
-        V = _monomial_matrix(pool[n_train : 2 * n_train], monos) / norms
+        V = _monomial_matrix(pool[n_train : 2 * n_train], E) / norms
         residual = float(np.max(np.abs(V @ c_scaled)))
         if residual >= res_tol:
             continue
@@ -253,7 +264,7 @@ def find_relation(
         return RelationCertificate(
             variable_arity=arity,
             max_degree=degree,
-            exponents=tuple(monos),
+            exponents=tuple(monomial_exponents(arity, degree)),
             coefficients=tuple(complex(x) for x in c_orig),
             residual=residual,
             singular_gap=gap,

@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from locnash.cli import main
+from locnash.cli import _csv_rows, build_parser, main
+from locnash.config import fmt
 
 EXP = "dim = 1\nfamily = exp\n"
 SIN = "dim = 1\nfamily = sin\n"
@@ -59,8 +63,81 @@ def test_eval_bad_grid_exits_2(tmp_path):
     assert main(["eval", "--lattice", "lattice(1,1i)", "--grid", "oops"]) == 2
 
 
-def test_eval_bad_lattice_exits_2():
-    assert main(["eval", "--lattice", "lattice(1, 2)", "--grid", "0:1:1"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["eval", "--lattice", "lattice(1, 2)", "--grid", "0:1:1"],
+    ["check-identities", "--lattice", "lattice(1, 2)"],
+    ["check-identities", "--lattice", "lattice(1)"],
+    ["eval", "--lattice", "lattice((1, 0), (0, 1))", "--grid", "0:1:1"],
+    ["classify", "desc:lattice(1, 2)"],
+    ["classify", "desc:lattice(1)"],
+], ids=["eval-degenerate", "check-identities-degenerate", "check-identities-rank-1",
+        "eval-dim-2", "descriptor-degenerate", "descriptor-rank-1"])
+def test_bad_lattice_literal_exits_2(tmp_path, capsys, argv):
+    # "desc:L" stands for a p4 descriptor file whose lattice field is L
+    argv = [desc(tmp_path, "bad.desc", P4.replace("lattice(1, 1i)", a[5:]))
+            if a.startswith("desc:") else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    # one reader for --lattice and descriptor fields, worded for both
+    assert "parse error" in err and "descriptor" not in err
+
+
+def test_repeated_calls_in_one_process(tmp_path):
+    """The parser is built once; later calls give the same exit codes and bytes."""
+    p4 = desc(tmp_path, "p4.desc", P4)
+    e = desc(tmp_path, "e.desc", EXP)
+
+    def one_round(k):
+        d = tmp_path / f"round{k}"
+        d.mkdir()
+        calls = [
+            (["eval", "--lattice", "lattice(1,1i)", "--fn", "zeta",
+              "--grid", "-0.6:0.6:0.3", "--out", str(d / "grid.csv")], ["grid.csv"]),
+            (["eval", "--descriptor", p4, "--grid", "-0.4:0.4:0.2",
+              "--out", str(d / "p4.csv")], ["p4_c1.csv", "p4_c2.csv"]),
+            (["eval", "--lattice", "lattice(1, 2)", "--grid", "0:1:1",
+              "--out", str(d / "bad.csv")], []),
+            (["classify", p4, "--out", str(d / "classify.txt")], ["classify.txt"]),
+            (["verify-aat", e, "--max-degree", "2", "--out", str(d / "aat.txt")],
+             ["aat.txt"]),
+        ]
+        return [(main(argv), [(d / f).read_bytes() for f in files]) for argv, files in calls]
+
+    first, second = one_round(0), one_round(1)
+    assert [code for code, _ in first] == [0, 0, 2, 0, 0]
+    assert first == second
+    assert build_parser() is build_parser()
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.5e-320, np.inf, -np.inf, np.nan, 1e308, -1e308])
+
+
+@given(
+    rows=st.lists(st.tuples(_floats, _floats, _floats, _floats, _floats, st.booleans()),
+                  min_size=1, max_size=12),
+    with_est=st.booleans(),
+)
+def test_csv_rows_fields_use_fmt(rows, with_est):
+    cols = list(zip(*rows))
+    points = np.empty(len(rows), dtype=complex)
+    points.real, points.imag = cols[0], cols[1]
+    values = np.empty(len(rows), dtype=complex)
+    values.real, values.imag = cols[2], cols[3]
+    est = np.array(cols[4]) if with_est else None
+    poles = np.array(cols[5], dtype=bool)
+
+    lines = _csv_rows(points, values, est, poles).split("\n")
+    assert lines[0] == "re_u,im_u,re_val,im_val,est_err,pole"
+    assert lines[-1] == "" and len(lines) == len(rows) + 2
+    for (zr, zi, vr, vi, e, p), line in zip(rows, lines[1:]):
+        # fmt of a numpy scalar, as the row loop once printed it, is fmt of the float
+        assert all(fmt(np.float64(x)) == fmt(x) for x in (zr, zi, vr, vi, e))
+        if p:
+            assert line == f"{fmt(zr)},{fmt(zi)},,,,1"
+        else:
+            est_field = fmt(e) if with_est else ""
+            assert line == f"{fmt(zr)},{fmt(zi)},{fmt(vr)},{fmt(vi)},{est_field},0"
 
 def test_periods_report(tmp_path, capsys):
     p4 = desc(tmp_path, "p4.desc", P4)

@@ -5,6 +5,7 @@ import helpers
 from locnash.errors import InsufficientSamples
 from locnash.lattices import Lattice1
 from locnash.relations import (
+    _monomial_matrix,
     dependent,
     find_relation,
     monomial_exponents,
@@ -27,6 +28,34 @@ def test_monomial_order_graded_lex():
     assert monos[1:3] == [(1, 0), (0, 1)]
     assert len(monos) == 9  # per-variable bound: (d+1)^arity
     assert monos.index((2, 0)) < monos.index((1, 1)) < monos.index((0, 2))
+
+
+def _monomial_matrix_by_columns(values, exponents):
+    """Reference: one column at a time, skipping zero exponents."""
+    n, arity = values.shape
+    dmax = max((max(e) for e in exponents), default=0)
+    powers = [np.vander(values[:, k], dmax + 1, increasing=True) for k in range(arity)]
+    M = np.empty((n, len(exponents)), dtype=complex)
+    for j, e in enumerate(exponents):
+        col = np.ones(n, dtype=complex)
+        for k, p in enumerate(e):
+            if p:
+                col = col * powers[k][:, p]
+        M[:, j] = col
+    return M
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_monomial_matrix_matches_column_loop(rng, arity, degree):
+    values = rng.normal(size=(37, arity)) + 1j * rng.normal(size=(37, arity))
+    monos = monomial_exponents(arity, degree)
+    M = _monomial_matrix(values, monos)
+    ref = _monomial_matrix_by_columns(values, monos)
+    # bit for bit, and C-ordered so that column norms sum in the same order
+    assert M.flags.c_contiguous
+    assert M.shape == ref.shape and M.tobytes() == ref.tobytes()
+    assert monomial_exponents(arity, degree) is not monos
 
 
 def test_monomial_budget_guard():
