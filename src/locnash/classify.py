@@ -20,7 +20,6 @@ from .errors import InternalInconsistency, NotRealStructure, RankOutOfRange
 from .lattices import DEFAULT_TOL, gauss_reduced_basis, real_rank1_form
 from .scalars import ExactReal, ratio_rationality
 from .structures import (
-    FAMILY_RANK,
     StructureDescriptor,
     is_real_structure,
     period_group,
@@ -240,13 +239,11 @@ def classify_2d(
     d: StructureDescriptor,
     tol: float = DEFAULT_TOL,
 ) -> Family2D:
-    """Family index with its rank witness, cross-validated against the table."""
+    """Family index with its rank witness, cross-validated against the table
+    by z_rank."""
     if d.dim != 2:
         raise ValueError("classify_2d requires a dim-2 descriptor")
-    r = z_rank(d, tol)
-    if r != FAMILY_RANK[d.family]:  # z_rank already enforces this
-        raise InternalInconsistency("rank witness disagrees with the family table")
-    return Family2D(_FAMILY_INDEX[d.family], r)
+    return Family2D(_FAMILY_INDEX[d.family], z_rank(d, tol))
 
 
 def compare_2d(

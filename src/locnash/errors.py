@@ -17,8 +17,9 @@ class NotASublattice(LocNashError):
     """First group is not contained in the second."""
 
 
-class NonIntegerTransition(LocNashError):
-    """Transition matrix between bases fails the integer rounding gate."""
+class NonIntegerTransition(NotASublattice):
+    """Transition matrix between bases fails the integer rounding gate, so the
+    first group is not contained in the second."""
 
 
 class SingularMatrix(LocNashError):

@@ -5,7 +5,8 @@ sublattice tests go through a real least-squares solve followed by
 nearest-integer rounding with residual gates at a uniform relative
 tolerance.  Index and coset representatives come from the integer
 transition matrix between the two reduced bases, rounded under the same
-gates and triangularised over Z (Hermite normal form, Cohen, A Course in
+tolerance (the rounding gate is also their sublattice test) and
+triangularised over Z (Hermite normal form, Cohen, A Course in
 Computational Algebraic Number Theory, section 2.4): the index is the
 product of its diagonal H_ii, and the integer points c with 0 <= c_i < H_ii
 are one per coset.  The common real sublattice reads its multiplier off the
@@ -26,9 +27,8 @@ from .errors import (
     DegenerateGenerators,
     InternalInconsistency,
     NonIntegerTransition,
-    NotASublattice,
+    SingularMatrix,
 )
-from .errors import SingularMatrix
 
 DEFAULT_TOL = 1e-9
 
@@ -179,32 +179,36 @@ def gauss_reduced_basis(w1: complex, w2: complex) -> tuple[complex, complex, np.
     return b, a, np.vstack([ub, ua])
 
 
-def _reduced(G: DiscreteSubgroup) -> DiscreteSubgroup:
-    """Gauss-reduce rank-2 dim-1 groups to control conditioning; no-op otherwise."""
+def _reduced_basis(G: DiscreteSubgroup) -> np.ndarray:
+    """G's basis matrix, Gauss-reduced for rank-2 dim-1 groups to control
+    conditioning."""
     if G.dim == 1 and G.rank == 2:
         r1, r2, _ = gauss_reduced_basis(G.generators[0][0], G.generators[1][0])
-        return DiscreteSubgroup(1, ((r1,), (r2,)), G.tol)
-    return G
+        return _embed(((r1,), (r2,)), 1)
+    return G.basis_matrix
 
 
 def _transition(
     G1: DiscreteSubgroup, G2: DiscreteSubgroup
-) -> tuple[DiscreteSubgroup, np.ndarray]:
-    """G2's reduced basis B, and the integer matrix T whose column j holds
-    the coefficients over B of generator j of G1's reduced basis."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """G2's reduced basis matrix B, and the integer matrix T whose column j
+    holds the coefficients over B of generator j of G1's reduced basis.
+
+    G1 <= G2 exactly when T is integral, so the integer gate on T is the
+    sublattice test: it raises NonIntegerTransition, a NotASublattice.
+    """
     if G1.dim != G2.dim:
         raise ValueError("dimension mismatch")
     full = 2 * G1.dim
     if G1.rank != full or G2.rank != full:
         raise ValueError("index requires full lattices on both sides")
-    if not is_sublattice(G1, G2):
-        raise NotASublattice("first group is not contained in the second")
-    A, B = _reduced(G1), _reduced(G2)
-    M = np.linalg.solve(B.basis_matrix, A.basis_matrix)
+    B = _reduced_basis(G2)
+    M = np.linalg.solve(B, _reduced_basis(G1))
     T = np.round(M)
     if np.max(np.abs(M - T)) > G1.tol * (1.0 + np.max(np.abs(T))):
         raise NonIntegerTransition(
-            f"transition matrix off integers by {np.max(np.abs(M - T)):.3e}"
+            "first group is not contained in the second: transition matrix "
+            f"off integers by {np.max(np.abs(M - T)):.3e}"
         )
     return B, T.astype(np.int64)
 
@@ -262,7 +266,7 @@ def coset_representatives(G1: DiscreteSubgroup, G2: DiscreteSubgroup) -> list[Ve
         list(itertools.product(*map(range, _hermite_diagonal(T)))), dtype=np.int64
     ).T
     shift = np.floor(np.linalg.solve(T.astype(float), box) + 1e-12).astype(np.int64)
-    pts = B.basis_matrix @ (box - T @ shift)
+    pts = B @ (box - T @ shift)
     return [
         tuple(complex(pts[2 * k, j], pts[2 * k + 1, j]) for k in range(G1.dim))
         for j in range(pts.shape[1])
@@ -301,7 +305,7 @@ def common_real_sublattice(
             raise ValueError("requires full lattices of C")
         if not is_real(G):
             raise ValueError("requires real lattices")
-    C = np.linalg.solve(_reduced(G2).basis_matrix, G1.basis_matrix)
+    C = np.linalg.solve(_reduced_basis(G2), G1.basis_matrix)
     a = math.lcm(
         *(Fraction(c).limit_denominator(a_max).denominator for c in C.flat)
     )

@@ -6,6 +6,13 @@ column-normalizes it, and splits the singular spectrum at its largest
 consecutive ratio; an accepted certificate must clear both the spectral-gap
 threshold and a validation residual on a disjoint sample set.
 
+The spectrum and the right singular vectors come from the SVD of the
+triangular factor R of a QR factorization of the normalized matrix (Chan,
+ACM TOMS 8, 1982); the left singular vectors are never formed.  Every
+matrix has at least twice as many rows as columns, so LAPACK's divide and
+conquer SVD of the full matrix takes the same QR first: the singular
+values and right singular vectors match it bit for bit.
+
 Degrees are bounded PER VARIABLE: the basis at degree d is
 {X^e : max_i e_i <= d}, ordered graded-lexicographically.  Certificates are
 unit-norm coefficient vectors with the phase of the largest coefficient
@@ -164,6 +171,17 @@ def _normalize_phase(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _singular_spectrum(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of A, from A's QR factor R.
+
+    For n >= 2m rows LAPACK's SVD of A factors A = QR and bidiagonalises R
+    itself, so this gives its s and vh bit for bit; starting from R skips
+    only forming U.
+    """
+    R = np.linalg.qr(A, mode="r")
+    return np.linalg.svd(R, full_matrices=False)[1:]
+
+
 class _SamplePool:
     """Incrementally grown pool of sample rows accepted by every sampler.
 
@@ -245,7 +263,7 @@ def find_relation(
         A = _monomial_matrix(pool[:n_train], E)
         norms = np.linalg.norm(A, axis=0)
         norms[norms == 0.0] = 1.0
-        s, vh = np.linalg.svd(A / norms, full_matrices=False)[1:]
+        s, vh = _singular_spectrum(A / norms)
         with np.errstate(divide="ignore"):
             ratios = np.where(s[1:] > 0.0, s[:-1] / s[1:], np.inf)
         split = int(np.argmax(ratios))

@@ -146,6 +146,17 @@ def test_index_requires_sublattice():
         index(SQ, DBL)
 
 
+@pytest.mark.parametrize(
+    "G1, G2",
+    [(SQ, DBL), (subgroup([1.5, 1.5j]), SQ)],
+    ids=["square-in-double", "stretched-in-square"],
+)
+@pytest.mark.parametrize("op", [index, coset_representatives])
+def test_not_a_sublattice_from_integer_gate(op, G1, G2):
+    with pytest.raises(NotASublattice):
+        op(G1, G2)
+
+
 def test_index_chain_multiplicative():
     quad = subgroup([4, 4j])
     assert index(quad, DBL) == 4

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 import helpers
+from locnash import relations
 from locnash.errors import InsufficientSamples
 from locnash.lattices import Lattice1
 from locnash.relations import (
+    DEFAULT_BOX,
     _monomial_matrix,
+    _SamplePool,
+    _singular_spectrum,
     dependent,
     find_relation,
     monomial_exponents,
@@ -13,11 +17,24 @@ from locnash.relations import (
     verify_aat,
     wp_sampler,
 )
-from locnash.structures import exp_map, identity_map, sin_map, wp_real
+from locnash.structures import exp_map, identity_map, painleve, sin_map, wp_real
+from locnash.weierstrass import get_context
 
 
 def wp_s(lat):
     return wp_sampler(lat)
+
+
+def wp_prime_s(lat):
+    ctx = get_context(lat)
+
+    def wpp(u):
+        v, _, p = ctx.wp_prime_many(np.asarray(u, dtype=complex))
+        v = np.array(v)
+        v[p | (np.abs(v) > 1e3)] = complex("nan")
+        return v
+
+    return wpp
 
 
 # -- monomial basis ---------------------------------------------------------------
@@ -58,6 +75,80 @@ def test_monomial_matrix_matches_column_loop(rng, arity, degree):
     assert monomial_exponents(arity, degree) is not monos
 
 
+# -- singular spectrum from the QR factor -----------------------------------------
+
+def _addition_samplers(f, arity):
+    """Samplers and domain dimension: f at arity - 1 free points and at their
+    sum; f(w) alone at arity 1, and f(w), f(2w) at arity 2."""
+    if arity == 1:
+        return [f], 1
+    if arity == 2:
+        return [f, lambda w: f(2 * w)], 1
+    free = [lambda *w, j=j: f(w[j]) for j in range(arity - 1)]
+    return free + [lambda *w: f(sum(w))], arity - 1
+
+
+def _assert_same_spectrum(A):
+    s_ref, vh_ref = np.linalg.svd(A, full_matrices=False)[1:]
+    s, vh = _singular_spectrum(A)
+    assert s.shape == s_ref.shape and s.tobytes() == s_ref.tobytes()
+    assert vh.shape == vh_ref.shape and vh.tobytes() == vh_ref.tobytes()
+
+
+# every (arity, degree) of find_relation's box with at most 625 monomials
+SEARCH_SHAPES = [
+    (arity, degree)
+    for arity in range(1, 6)
+    for degree in range(1, 5)
+    if (degree + 1) ** arity <= 625
+]
+
+
+@pytest.mark.parametrize("family", ["sin", "wp"])
+@pytest.mark.parametrize("arity, degree", SEARCH_SHAPES)
+def test_singular_spectrum_matches_full_svd(family, arity, degree):
+    f = np.sin if family == "sin" else wp_s(Lattice1(1, 1j))
+    samplers, dim = _addition_samplers(f, arity)
+    exps = monomial_exponents(arity, degree)
+    n_train = max(64, 2 * len(exps))  # find_relation's rows at n_samples = 64
+    pool = _SamplePool(samplers, dim, np.random.default_rng(11), DEFAULT_BOX)
+    A = _monomial_matrix(pool.ensure(n_train)[:n_train], exps)
+    _assert_same_spectrum(A / np.linalg.norm(A, axis=0))
+
+
+def test_singular_spectrum_matches_full_svd_rank_deficient(rng):
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    A = gauss(162, 40) @ gauss(40, 81)  # rank 40 of 81 columns
+    _assert_same_spectrum(A / np.linalg.norm(A, axis=0))
+
+
+def _full_svd_spectrum(A):
+    """Reference: the SVD of the whole matrix, with U formed and discarded."""
+    return np.linalg.svd(A, full_matrices=False)[1:]
+
+
+CERTIFICATE_SEARCHES = {
+    "sin-degree-4": lambda: verify_aat(sin_map(), 4, seed=3).certificates,
+    "wp-differential-equation": lambda: (find_relation(
+        [wp_s(Lattice1(1, 2j)), wp_prime_s(Lattice1(1, 2j))], 3, seed=5
+    ),),
+    "p4-a0": lambda: verify_aat(
+        painleve("p4", a=0, lattice=Lattice1(1, 1j)), 2, seed=3
+    ).certificates,
+}
+
+
+@pytest.mark.parametrize("search", sorted(CERTIFICATE_SEARCHES))
+def test_certificates_match_full_svd_reference(monkeypatch, search):
+    got = CERTIFICATE_SEARCHES[search]()
+    monkeypatch.setattr(relations, "_singular_spectrum", _full_svd_spectrum)
+    ref = CERTIFICATE_SEARCHES[search]()
+    assert None not in got
+    assert got == ref  # dataclass equality: exact coefficients, residual and gap
+
+
 def test_monomial_budget_guard():
     with pytest.raises(ValueError):
         find_relation([lambda u: u] * 6, 9, domain_dim=1)
@@ -93,18 +184,7 @@ def test_exponential_functional_equation():
 
 def test_wp_differential_equation_matches_eisenstein_oracle():
     lat = Lattice1(1, 2j)
-    ctx_sampler = wp_s(lat)
-    from locnash.weierstrass import get_context
-
-    ctx = get_context(lat)
-
-    def wpp(u):
-        v, _, p = ctx.wp_prime_many(np.asarray(u, dtype=complex))
-        v = np.array(v)
-        v[p | (np.abs(v) > 1e3)] = complex("nan")
-        return v
-
-    cert = find_relation([ctx_sampler, wpp], max_degree=3, seed=5, domain_dim=1)
+    cert = find_relation([wp_s(lat), wp_prime_s(lat)], max_degree=3, seed=5, domain_dim=1)
     assert cert is not None and cert.max_degree == 3
     assert cert.residual < 1e-6
     c22 = cert.coefficient_of((0, 2))
