@@ -20,6 +20,7 @@ from .errors import InternalInconsistency, NotRealStructure, RankOutOfRange
 from .lattices import DEFAULT_TOL, gauss_reduced_basis, real_rank1_form
 from .scalars import ExactReal, ratio_rationality
 from .structures import (
+    FAMILIES,
     StructureDescriptor,
     is_real_structure,
     period_group,
@@ -46,12 +47,9 @@ class Verdict:
 @dataclass(frozen=True)
 class CanonicalForm1D:
     kind: str  # "id" | "exp" | "sin" | "wp"
+    rank: int  # of the period group
     a: float | None = None
     a_exact: ExactReal | None = None
-
-    @property
-    def rank(self) -> int:
-        return {"id": 0, "exp": 1, "sin": 1, "wp": 2}[self.kind]
 
 
 def rational_detect(
@@ -131,26 +129,22 @@ def classify_1d(
     report = period_group(d, tol)
     r = report.rank
     if r == 0:
-        return CanonicalForm1D("id")
+        return CanonicalForm1D("id", r)
     if r == 1:
         axis = real_rank1_form(report.group)
         if axis.kind == "imag":
-            return CanonicalForm1D("exp")
+            return CanonicalForm1D("exp", r)
         if axis.kind == "real":
-            return CanonicalForm1D("sin")
+            return CanonicalForm1D("sin", r)
         raise InternalInconsistency(
             "rank-1 period group of a real structure must lie on an axis"
         )
     if r == 2:
         a = _canonical_wp_parameter(report.group, tol)
         a_exact = None
-        if (
-            d.family == "wp_real"
-            and d.a_exact is not None
-            and abs(a - complex(d.a).real) <= 1e-9 * (1.0 + a)
-        ):
+        if d.a_exact is not None and abs(a - d.a.real) <= 1e-9 * (1.0 + a):
             a_exact = d.a_exact
-        return CanonicalForm1D("wp", a=a, a_exact=a_exact)
+        return CanonicalForm1D("wp", r, a=a, a_exact=a_exact)
     raise RankOutOfRange(f"period rank {r} impossible in dimension 1")
 
 
@@ -232,9 +226,6 @@ class Family2D:
     rank: int
 
 
-_FAMILY_INDEX = {"p1": 1, "p2": 2, "p3": 3, "p4": 4, "p5": 5, "p6_product": 6}
-
-
 def classify_2d(
     d: StructureDescriptor,
     tol: float = DEFAULT_TOL,
@@ -243,7 +234,7 @@ def classify_2d(
     by z_rank."""
     if d.dim != 2:
         raise ValueError("classify_2d requires a dim-2 descriptor")
-    return Family2D(_FAMILY_INDEX[d.family], z_rank(d, tol))
+    return Family2D(FAMILIES[d.family].index, z_rank(d, tol))
 
 
 def compare_2d(

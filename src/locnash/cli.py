@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -112,16 +113,16 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             "sigma": ctx.sigma_many,
         }[args.fn]
         values, est, poles = fn(pts)
-        _write(_csv_rows(pts, values, est, poles), args.out or cfg.output_path)
+        _write(_csv_rows(pts, values, est, poles), cfg.output_path)
         return EXIT_OK
     d = load_descriptor(args.descriptor)
     if d.dim == 1:
         pts = np.array([complex(x, y) for x in xs for y in xs])
         vals, poles = map_batch(d, pts)
-        _write(_csv_rows(pts, vals[0], None, poles[0]), args.out or cfg.output_path)
+        _write(_csv_rows(pts, vals[0], None, poles[0]), cfg.output_path)
         return EXIT_OK
     # dim 2: the grid spans real coordinates (x, y); one CSV per map coordinate
-    out = args.out or cfg.output_path
+    out = cfg.output_path
     if not out or out == "-":
         raise ParseError("dim-2 descriptors need --out (one CSV per coordinate)")
     U = np.array([complex(x, 0) for x in xs for _ in xs])
@@ -154,7 +155,7 @@ def cmd_periods(args, cfg: RunConfig) -> int:
     lines.extend(_group_lines(rep.group))
     for i, form in enumerate(rep.closed_form, start=1):
         lines.append(f"closed_form_{i} = {form}")
-    _write("\n".join(lines) + "\n", args.out or cfg.output_path)
+    _write("\n".join(lines) + "\n", cfg.output_path)
     return EXIT_OK
 
 
@@ -176,7 +177,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
         fam = classify_2d(d, cfg.tol)
         lines.append(f"family = {fam.index}")
         lines.append(f"rank = {fam.rank}")
-    _write("\n".join(lines) + "\n", args.out or cfg.output_path)
+    _write("\n".join(lines) + "\n", cfg.output_path)
     return EXIT_OK
 
 
@@ -197,7 +198,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     lines.append(f"verdict = {verdict.outcome}")
     for i, r in enumerate(verdict.reasons, start=1):
         lines.append(f"reason_{i} = {r}")
-    _write("\n".join(lines) + "\n", args.out or cfg.output_path)
+    _write("\n".join(lines) + "\n", cfg.output_path)
     if verdict.outcome == NOT_ISOMORPHIC:
         return EXIT_NEGATIVE
     if verdict.outcome == UNDETERMINED:
@@ -228,7 +229,7 @@ def cmd_verify_aat(args, cfg: RunConfig) -> int:
         lines.append(f"relation_{i} = {format_polynomial(cert, names)}")
         lines.append("[certificate]")
         lines.extend(cert.serialize().rstrip().splitlines())
-    _write("\n".join(lines) + "\n", args.out or cfg.output_path)
+    _write("\n".join(lines) + "\n", cfg.output_path)
     return EXIT_OK if report.success else EXIT_NEGATIVE
 
 
@@ -290,7 +291,7 @@ def cmd_check_identities(args, cfg: RunConfig) -> int:
         all_pass &= ok
         lines.append(f"{name} = {fmt(res)} (threshold {fmt(thr)}) {'PASS' if ok else 'FAIL'}")
     lines.append(f"all_pass = {int(all_pass)}")
-    _write("\n".join(lines) + "\n", args.out or cfg.output_path)
+    _write("\n".join(lines) + "\n", cfg.output_path)
     return EXIT_OK if all_pass else EXIT_NEGATIVE
 
 
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-degree", type=int, dest="max_degree")
     common.add_argument("--max-denominator", type=int, dest="max_denominator")
     common.add_argument("--n-samples", type=int, dest="n_samples")
-    common.add_argument("--out", help="output path (default stdout)")
+    common.add_argument("--out", dest="output_path", help="output path (default stdout)")
 
     p = argparse.ArgumentParser(prog="locnash", description=__doc__)
     p.add_argument("--version", action="version", version=f"locnash {__version__}")
@@ -346,9 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_CFG_KEYS = ("tol", "seed", "max_degree", "max_denominator", "n_samples")
-
-
 def _merge_dash_values(argv: list[str]) -> list[str]:
     """Join '--grid -0.9:0.9:0.1' into '--grid=-0.9:0.9:0.1' so argparse does
     not mistake the leading-dash value for an option."""
@@ -369,9 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_dash_values(list(argv if argv is not None else sys.argv[1:])))
     try:
-        overrides = {k: getattr(args, k, None) for k in _CFG_KEYS}
-        if getattr(args, "out", None):
-            overrides["output_path"] = args.out
+        overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         cfg = load_config(getattr(args, "config", None), overrides)
         return args.func(args, cfg)
     except ParseError as exc:

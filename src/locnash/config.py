@@ -6,6 +6,7 @@ names; the environment variable LOCNASH_CONFIG supplies a default path.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -28,64 +29,69 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        for name in ("tol", "max_degree", "n_samples", "max_denominator"):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
+        for name in ("max_degree", "n_samples", "max_denominator"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
-_INT_FIELDS = {"max_degree", "n_samples", "seed", "max_denominator"}
-_FLOAT_FIELDS = {"tol"}
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+#: the config file's keys with the type of their values
+_TYPES = {
+    "tol": float, "max_degree": int, "n_samples": int, "seed": int,
+    "max_denominator": int, "output_path": str,
+}
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines into a RunConfig kwargs dict."""
-    out: dict = {}
+def read_fields(text: str, keys, kind: str) -> dict[str, str]:
+    """The ``key = value`` lines of a document as strings (``#`` starts a
+    comment); a line without ``=``, a key not in ``keys``, a repeated key and
+    an empty value are ParseErrors naming ``kind`` and the line."""
+    out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ParseError(f"config line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FIELD_NAMES:
-            raise ParseError(f"config line {lineno}: unknown key {key!r}")
-        try:
-            if key in _INT_FIELDS:
-                out[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                out[key] = float(value)
-            else:
-                out[key] = value
-        except ValueError as exc:
-            raise ParseError(f"config line {lineno}: bad value for {key}") from exc
+        where = f"{kind} line {lineno}"
+        if not eq:
+            raise ParseError(f"{where}: expected 'key = value', got {raw!r}")
+        if key not in keys:
+            raise ParseError(f"{where}: unknown key {key!r}")
+        if key in out:
+            raise ParseError(f"{where}: duplicate key {key!r}")
+        if not value:
+            raise ParseError(f"{where}: empty value for {key!r}")
+        out[key] = value
     return out
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Defaults, overlaid by the config file (explicit path or LOCNASH_CONFIG),
-    overlaid by non-None overrides (command-line flags)."""
+    overlaid by non-None overrides (command-line flags).  Values of the wrong
+    type or out of range are ParseErrors."""
     cfg = RunConfig()
     path = path or os.environ.get(CONFIG_ENV)
-    if path:
-        try:
+    try:
+        if path:
             with open(path, "r", encoding="utf-8") as fh:
-                cfg = replace(cfg, **parse_config_text(fh.read()))
-        except OSError as exc:
-            raise ParseError(f"cannot read config file {path}: {exc}") from exc
-    if overrides:
-        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+                values = read_fields(fh.read(), _TYPES, "config")
+            cfg = replace(cfg, **{k: _TYPES[k](v) for k, v in values.items()})
+        if overrides:
+            cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    except OSError as exc:
+        raise ParseError(f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"bad run configuration: {exc}") from exc
     return cfg
 
 
 def fmt(x: float) -> str:
     """x as a decimal string in FLOAT_SPEC."""
     return format(x, FLOAT_SPEC)
-
-
-def fmt_complex(z: complex) -> str:
-    return f"{fmt(z.real)} {fmt(z.imag)}"
 
 
 def config_block(cfg: RunConfig) -> list[str]:

@@ -1,19 +1,21 @@
 """Descriptor file format: one structure per document, ``key = value`` lines.
 
-Recognized fields: ``dim``, ``family``, ``a``, ``a_exact``, ``lattice``,
-``lattice2``, ``alpha`` (row-major complex entries, comma separated).
-Unknown fields are rejected.  ``#`` starts a comment.
+``dim`` and ``family`` are required; ``alpha`` (row-major complex entries,
+comma separated, default the identity) is open to every family.  Of ``a``,
+``a_exact``, ``lattice`` and ``lattice2`` a document carries the fields its
+family requires or allows (``structures.FAMILIES``).  Unknown, repeated or
+empty fields and fields the family does not use are rejected; ``#`` starts a
+comment.  Serialization writes each field that differs from its default, so
+a descriptor survives serialize -> parse unchanged.
 """
 
 from __future__ import annotations
 
-from .config import fmt
+from .config import fmt, read_fields
 from .errors import DegenerateGenerators, ParseError
 from .lattices import Lattice1
 from .scalars import parse_complex, parse_exact_real, parse_lattice_literal
-from .structures import FAMILIES_1D, FAMILIES_2D, StructureDescriptor
-
-_FIELDS = {"dim", "family", "a", "a_exact", "lattice", "lattice2", "alpha"}
+from .structures import FAMILIES, PARAMETERS, StructureDescriptor
 
 
 def parse_lattice1(text: str) -> Lattice1:
@@ -27,25 +29,15 @@ def parse_lattice1(text: str) -> Lattice1:
         raise ParseError(f"literal does not define a lattice: {exc}") from exc
 
 
+_PARSE = {
+    "a": parse_complex, "a_exact": parse_exact_real,
+    "lattice": parse_lattice1, "lattice2": parse_lattice1,
+}
+
+
 def parse_descriptor(text: str) -> StructureDescriptor:
     """Parse one descriptor document."""
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _FIELDS:
-            raise ParseError(f"line {lineno}: unknown field {key!r}")
-        if key in fields:
-            raise ParseError(f"line {lineno}: duplicate field {key!r}")
-        if not value:
-            raise ParseError(f"line {lineno}: empty value for {key!r}")
-        fields[key] = value
-
+    fields = read_fields(text, ("dim", "family", "alpha") + PARAMETERS, "descriptor")
     for required in ("dim", "family"):
         if required not in fields:
             raise ParseError(f"missing required field {required!r}")
@@ -53,14 +45,8 @@ def parse_descriptor(text: str) -> StructureDescriptor:
         dim = int(fields["dim"])
     except ValueError as exc:
         raise ParseError(f"bad dim: {fields['dim']!r}") from exc
-    family = fields["family"]
-    if family not in FAMILIES_1D + FAMILIES_2D:
-        raise ParseError(f"unknown family {family!r}")
 
-    a = parse_complex(fields["a"]) if "a" in fields else None
-    a_exact = parse_exact_real(fields["a_exact"]) if "a_exact" in fields else None
-    lattice = parse_lattice1(fields["lattice"]) if "lattice" in fields else None
-    lattice2 = parse_lattice1(fields["lattice2"]) if "lattice2" in fields else None
+    params = {key: _PARSE[key](value) for key, value in fields.items() if key in _PARSE}
     alpha = None
     if "alpha" in fields:
         entries = [parse_complex(p) for p in fields["alpha"].split(",")]
@@ -70,10 +56,7 @@ def parse_descriptor(text: str) -> StructureDescriptor:
             tuple(entries[i * dim + j] for j in range(dim)) for i in range(dim)
         )
     try:
-        return StructureDescriptor(
-            dim=dim, family=family, a=a, lattice=lattice, lattice2=lattice2,
-            alpha=alpha, a_exact=a_exact,
-        )
+        return StructureDescriptor(dim=dim, family=fields["family"], alpha=alpha, **params)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -93,16 +76,17 @@ def _fmt(x: complex) -> str:
     return f"{fmt(re)}{sign}{fmt(abs(im))}i"
 
 
+def _lattice(lat: Lattice1) -> str:
+    return f"lattice({_fmt(lat.omega1)}, {_fmt(lat.omega2)})"
+
+
+_FORMAT = {"a": _fmt, "a_exact": str, "lattice": _lattice, "lattice2": _lattice}
+
+
 def serialize_descriptor(d: StructureDescriptor) -> str:
     lines = [f"dim = {d.dim}", f"family = {d.family}"]
-    if d.a is not None:
-        lines.append(f"a = {_fmt(d.a)}")
-    if d.a_exact is not None:
-        lines.append(f"a_exact = {d.a_exact}")
-    if d.lattice is not None and d.family != "wp_real":
-        lines.append(f"lattice = lattice({_fmt(d.lattice.omega1)}, {_fmt(d.lattice.omega2)})")
-    if d.lattice2 is not None:
-        lines.append(f"lattice2 = lattice({_fmt(d.lattice2.omega1)}, {_fmt(d.lattice2.omega2)})")
+    for name in FAMILIES[d.family].explicit_fields(d):
+        lines.append(f"{name} = {_FORMAT[name](getattr(d, name))}")
     if not d.alpha_is_identity:
         flat = ", ".join(_fmt(x) for row in d.alpha for x in row)
         lines.append(f"alpha = {flat}")

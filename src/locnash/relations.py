@@ -436,9 +436,8 @@ def translate_algebraicity_check(
     value_cap: float | None = DEFAULT_VALUE_CAP,
     **kwargs,
 ) -> RelationCertificate | None:
-    """Certificate that u -> f(u + shift) is algebraic over the unshifted map."""
-    if d.dim != 1:
-        raise ValueError("translate check handles dim-1 descriptors")
+    """Certificate that u -> f(u + shift) is algebraic over the unshifted map
+    (dim-1 descriptors only, as map_sampler checks)."""
     s0 = map_sampler(d, 0, 0j, value_cap)
     s1 = map_sampler(d, 0, shift, value_cap)
     return find_relation([s0, s1], max_degree, n_samples, seed, domain_dim=1, **kwargs)

@@ -250,3 +250,45 @@ def test_missing_descriptor_exits_2(tmp_path):
 def test_bad_descriptor_field_exits_2(tmp_path):
     bad = desc(tmp_path, "bad.desc", "dim = 1\nfamily = exp\nbogus = 1\n")
     assert main(["classify", bad]) == 2
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--n-samples", "0"], None),
+    (["--max-denominator", "0"], None),
+    (["--max-degree", "0"], None),
+    (["--seed", "-5"], None),
+    (["--tol", "nan"], None),
+    (["--tol", "inf"], None),
+    ([], "tol = -1\n"),
+    ([], "tol = nan\n"),
+    ([], "seed = 1\nseed = 2\n"),
+    ([], "output_path =\n"),
+    ([], "n_samples = 2.5\n"),
+])
+def test_invalid_run_config_exits_2(tmp_path, capsys, flags, config):
+    argv = ["verify-aat", desc(tmp_path, "e.desc", EXP)] + flags
+    if config is not None:
+        argv += ["--config", desc(tmp_path, "run.cfg", config)]
+    assert main(argv) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "dim = 1\nfamily = exp\nlattice = lattice(1, 1i)\n",
+    "dim = 1\nfamily = exp\na = 3\nlattice = lattice(1, 1i)\n",
+    "dim = 2\nfamily = p1\na = 1\n",
+    P4 + "lattice2 = lattice(1, 2i)\n",
+])
+def test_unused_descriptor_field_exits_2(tmp_path, capsys, text):
+    assert main(["classify", desc(tmp_path, "d.desc", text)]) == 2
+    assert "does not use" in capsys.readouterr().err
+
+
+def test_wp_real_explicit_lattice_report(tmp_path, capsys):
+    wp = desc(tmp_path, "wp.desc", WP2 + "lattice = lattice(1, 1i)\n")
+    assert main(["classify", wp]) == 0
+    out = capsys.readouterr().out
+    assert "lattice = lattice(1, 1i)" in out and "\na = 1\n" in out
+    assert main(["periods", wp]) == 0
+    out = capsys.readouterr().out
+    assert "closed_form_1 = omega1" in out and "closed_form_2 = omega2" in out
