@@ -1,9 +1,10 @@
 """Algebra of discrete subgroups of (C^n, +), n in {1, 2}.
 
 Generators are double-precision complex vectors.  Membership and
-sublattice tests go through a real least-squares solve followed by
-nearest-integer rounding with residual gates at a uniform relative
-tolerance.  Index and coset representatives come from the integer
+sublattice tests take real least-squares coefficients from the pseudo-inverse
+of the basis matrix, computed once per group on its first membership test,
+followed by nearest-integer rounding with residual gates at a uniform
+relative tolerance.  Index and coset representatives come from the integer
 transition matrix between the two reduced bases, rounded under the same
 tolerance (the rounding gate is also their sublattice test) and
 triangularised over Z (Hermite normal form, Cohen, A Course in
@@ -15,6 +16,8 @@ rational approximations of the transition matrix.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,33 +40,23 @@ Vector = tuple[complex, ...]
 
 def as_vector(x, dim: int) -> Vector:
     """Normalize a scalar / sequence to a tuple of `dim` finite complex numbers."""
-    if np.isscalar(x) or isinstance(x, complex):
-        vec = (complex(x),)
-    else:
-        vec = tuple(complex(c) for c in x)
+    # tuples, the common case, skip the slower scalar test
+    scalar = not isinstance(x, tuple) and (np.isscalar(x) or isinstance(x, complex))
+    vec = (complex(x),) if scalar else tuple(map(complex, x))
     if len(vec) != dim:
         raise ValueError(f"expected a point of C^{dim}, got {x!r}")
-    if not all(np.isfinite(c.real) and np.isfinite(c.imag) for c in vec):
+    if not all(map(cmath.isfinite, vec)):
         raise ValueError(f"non-finite component in {x!r}")
     return vec
 
 
 def _embed(vectors: Sequence[Vector], dim: int) -> np.ndarray:
     """Real 2n x r matrix whose columns are the (Re, Im) parts of the vectors."""
-    mat = np.zeros((2 * dim, len(vectors)))
-    for j, v in enumerate(vectors):
-        for k in range(dim):
-            mat[2 * k, j] = v[k].real
-            mat[2 * k + 1, j] = v[k].imag
-    return mat
+    return np.array(vectors, dtype=complex).reshape(len(vectors), dim).view(float).T.copy()
 
 
 def _embed_point(x: Vector) -> np.ndarray:
-    out = np.empty(2 * len(x))
-    for k, c in enumerate(x):
-        out[2 * k] = c.real
-        out[2 * k + 1] = c.imag
-    return out
+    return np.array(x, dtype=complex).view(float)
 
 
 @dataclass(frozen=True)
@@ -106,6 +99,16 @@ class DiscreteSubgroup:
     def basis_matrix(self) -> np.ndarray:
         return _embed(self.generators, self.dim)
 
+    @functools.cached_property
+    def _solver(self) -> tuple[np.ndarray, np.ndarray]:
+        """The basis matrix and its pseudo-inverse V S^-1 U^T, built on the
+        first membership test; groups that test none never pay for them.
+        Construction keeps every singular value above tol times the largest,
+        so each one is inverted."""
+        mat = self.basis_matrix
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        return mat, (vt.T / s) @ u.T
+
 
 def subgroup(gens: Iterable, dim: int | None = None, tol: float = DEFAULT_TOL) -> DiscreteSubgroup:
     """Convenience constructor; infers the dimension from the first generator."""
@@ -122,16 +125,16 @@ def integer_coefficients(G: DiscreteSubgroup, x) -> tuple[np.ndarray, bool]:
     """Solve x = sum m_i * g_i for integer m_i.
 
     Returns (m, ok) with m the rounded coefficient vector; ok is True when
-    every least-squares coefficient is within tolerance of an integer and the
-    integer reconstruction matches x.
+    every least-squares coefficient (from the group's pseudo-inverse) is
+    within tolerance of an integer and the integer reconstruction matches x.
     """
     vec = as_vector(x, G.dim)
     target = _embed_point(vec)
     if G.rank == 0:
         ok = float(np.linalg.norm(target)) <= G.tol * (1.0 + np.linalg.norm(target))
         return np.zeros(0), ok
-    mat = G.basis_matrix
-    coeff, *_ = np.linalg.lstsq(mat, target, rcond=None)
+    mat, pinv = G._solver
+    coeff = pinv @ target
     ints = np.round(coeff)
     coeff_ok = np.all(np.abs(coeff - ints) <= G.tol * (1.0 + np.abs(ints)))
     resid = float(np.linalg.norm(mat @ ints - target))
@@ -165,18 +168,18 @@ def gauss_reduced_basis(w1: complex, w2: complex) -> tuple[complex, complex, np.
     matrix such that r_i = U[i,0]*w1 + U[i,1]*w2, det U = +-1.
     """
     a, b = complex(w1), complex(w2)
-    ua, ub = np.array([1, 0], dtype=np.int64), np.array([0, 1], dtype=np.int64)
+    ua, ub = (1, 0), (0, 1)
     if abs(a) < abs(b):
         a, b, ua, ub = b, a, ub, ua
     for _ in range(256):
         t = round((a * b.conjugate()).real / abs(b) ** 2)
-        a, ua = a - t * b, ua - t * ub
+        a, ua = a - t * b, (ua[0] - t * ub[0], ua[1] - t * ub[1])
         if abs(a) >= abs(b):
             break
         a, b, ua, ub = b, a, ub, ua
     else:  # pragma: no cover
         raise InternalInconsistency("Gauss reduction did not terminate")
-    return b, a, np.vstack([ub, ua])
+    return b, a, np.array([ub, ua], dtype=np.int64)
 
 
 def _reduced_basis(G: DiscreteSubgroup) -> np.ndarray:

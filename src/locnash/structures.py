@@ -226,6 +226,8 @@ def period_group(
             inv = np.linalg.inv(d.alpha_matrix)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(f"alpha is singular: {exc}") from exc
+        if not np.all(np.isfinite(inv)):
+            raise SingularMatrix("the inverse of alpha overflows")
         group = transform(group, inv)
         forms = [f"alpha^-1 {f}" for f in forms]
     return PeriodGroupReport(group, group.rank, tuple(forms))
@@ -322,9 +324,13 @@ def evaluate_map(
 
 
 def is_real_structure(d: StructureDescriptor, tol: float = DEFAULT_TOL) -> bool:
-    """True iff alpha is real and every embedded lattice/parameter is conjugation-stable."""
+    """True iff alpha is real and every embedded lattice/parameter is conjugation-stable.
+
+    Alpha's imaginary part is measured against its largest entry, so the
+    test does not depend on alpha's scale.
+    """
     A = d.alpha_matrix
-    if np.max(np.abs(A.imag)) > tol * (1.0 + np.max(np.abs(A))):
+    if np.max(np.abs(A.imag)) > tol * np.max(np.abs(A)):
         return False
     for lat in (d.lattice, d.lattice2):
         if lat is not None and not is_real(lat.to_subgroup(tol)):

@@ -24,6 +24,15 @@ _TAIL_TARGET (at most 17, at the hexagonal lattice), so no truncation knob is
 left.  ``est_error`` is that tail bound scaled to each function, plus a
 rounding floor proportional to the magnitudes summed and to the argument
 reduction's lever |u| / |u_red|: a bound up to rounding.
+
+Construction computes eagerly only what the eta constants and the Legendre
+gate read: the reduced basis and its orientation, the nome and term count,
+q^2n and c_n = 1 / (1 - q^2n), eta1, zeta(r2/2), eta_half and the gate.  The
+argument reduction matrix, the series weights n c_n and n^2 c_n, the sigma
+product's shifted powers and normalisation, and every error bound (the tail
+bounds of zeta, wp, wp', log sigma and eta1, and the bound on the eta shift)
+are built on first use, so a period group, which reads only eta, pays for
+none of them.
 """
 
 from __future__ import annotations
@@ -78,57 +87,41 @@ def _half_angle(v: np.ndarray):
 class WeierstrassContext:
     """Evaluation context for one lattice: reduced basis, nome, eta constants.
 
-    Immutable after construction; contexts may be shared freely across
+    Construction computes what the eta constants and the Legendre gate read;
+    the tables that only evaluation reads (argument reduction, the series
+    weights for wp and wp', the sigma product and the error bounds) are
+    completed on first use and then never change.  Concurrent first use
+    computes identical values, so contexts may be shared freely across
     threads and evaluation batches partitioned between workers.
     """
 
     def __init__(self, lattice: Lattice1):
         self.lattice = lattice
         r1, r2, U = gauss_reduced_basis(lattice.omega1, lattice.omega2)
+        (a, b), (c, d) = U.tolist()
         if (r2 / r1).imag < 0:
-            r2, U = -r2, U * np.array([[1], [-1]])
+            r2, c, d = -r2, -c, -d
         self._r1, self._r2 = r1, r2
         self.pole_tol = 1e-8 * abs(r2)
-        det = r1.real * r2.imag - r2.real * r1.imag
-        self._binv = np.array(
-            [[r2.imag, -r2.real], [-r1.imag, r1.real]]
-        ) / det
 
         self._pi_tau = np.pi * r2 / r1
-        rho = float(np.exp(-self._pi_tau.imag))  # |q|
+        rho = self._rho = float(np.exp(-self._pi_tau.imag))  # |q|
         terms = 1
         while 16.0 * _tail(2, terms, rho) / (1.0 - rho * rho) > _TAIL_TARGET:
             terms += 1
         self.n_terms = terms
-        n = np.arange(1, terms + 1)
-        q2n = np.exp(2j * n * self._pi_tau)
-        c_n = 1.0 / (1.0 - q2n)
-        self._n = n
-        self._q2n_shift = np.concatenate([[1.0], q2n[:-1]])
-        self._weights = (c_n, n * c_n, n * n * c_n)
+        n = self._n = np.arange(1, terms + 1)
+        q2n = self._q2n = np.exp(2j * n * self._pi_tau)
+        c_n = self._c_n = 1.0 / (1.0 - q2n)
         self._k = np.pi / r1
         e2_tau = 1.0 - 24.0 * np.sum(n * q2n * c_n)
         self._eta1 = np.pi**2 * e2_tau / (3.0 * r1)
-        self._log_norm = np.log(r1 / np.pi) - 2.0 * np.sum(np.log1p(-q2n))
-
-        # tail bounds: the theta series with k = 0, 1, 2 powers of n, eta1
-        # from the E2 series in q^2, and the theta1 product (in log sigma)
-        k_abs = abs(self._k)
-        tails = [_tail(j, terms, rho) / (1.0 - rho * rho) for j in range(3)]
-        self._eta1_tail = 8.0 * np.pi**2 / abs(r1) * _tail(1, terms, rho * rho) / (1.0 - rho * rho)
-        self._tail_zeta = 4.0 * k_abs * tails[0]
-        self._tail_wp = 8.0 * k_abs**2 * tails[1] + self._eta1_tail / abs(r1)
-        self._tail_wp_prime = 16.0 * k_abs**3 * tails[2]
-        self._tail_logsigma = 4.0 * rho ** (2 * terms + 1) / ((1.0 - rho) * (1.0 - rho * rho))
 
         # eta constants for the reduced generators, solved back to the
         # lattice's own generators through the unimodular change of basis
-        half = np.array([r2 / 2.0])
-        zeta_half, mag = self._zeta_red(half)
+        zeta_half, self._zeta_half_mag = self._zeta_red(np.array([r2 / 2.0]))
         self._eta_red = np.array([self._eta1, 2.0 * zeta_half[0]])
-        self._eta_est = 2.0 * float((self._zeta_tail(half) + mag * self._rounding(half, half, 1))[0])
-        (a, b), (c, d) = U
-        Uinv = round(a * d - b * c) * np.array([[d, -b], [-c, a]])
+        Uinv = (a * d - b * c) * np.array([[d, -b], [-c, a]])
         eta_orig = Uinv @ self._eta_red  # since eta_red = U @ eta_orig
         self.eta_half = (eta_orig[0] / 2.0, eta_orig[1] / 2.0)
 
@@ -142,6 +135,64 @@ class WeierstrassContext:
             raise ValueError(
                 f"Legendre defect {self.legendre_defect:.3e} exceeds {LEGENDRE_TOL:g}"
             )
+
+    # -- tables completed on first use -----------------------------------------
+
+    def _tails(self, k: int) -> float:
+        """Bound on the dropped terms of the theta series with n^k weights."""
+        rho = self._rho
+        return _tail(k, self.n_terms, rho) / (1.0 - rho * rho)
+
+    @functools.cached_property
+    def _eta1_tail(self) -> float:
+        """Bound on the dropped terms of eta1's E2 series in q^2."""
+        rho = self._rho
+        return 8.0 * np.pi**2 / abs(self._r1) * _tail(1, self.n_terms, rho * rho) / (1.0 - rho * rho)
+
+    @functools.cached_property
+    def _tail_zeta(self) -> float:
+        return 4.0 * abs(self._k) * self._tails(0)
+
+    @functools.cached_property
+    def _eta_est(self) -> float:
+        """Error bound of eta_red[1] = 2 zeta(r2/2), which each period of a
+        zeta or sigma shift carries."""
+        half = np.array([self._r2 / 2.0])
+        return 2.0 * float((self._zeta_tail(half) + self._zeta_half_mag * self._rounding(half, half, 1))[0])
+
+    @functools.cached_property
+    def _binv(self) -> np.ndarray:
+        r1, r2 = self._r1, self._r2
+        det = r1.real * r2.imag - r2.real * r1.imag
+        return np.array([[r2.imag, -r2.real], [-r1.imag, r1.real]]) / det
+
+    @functools.cached_property
+    def _weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """n^k c_n for k = 0, 1, 2."""
+        n, c_n = self._n, self._c_n
+        return (c_n, n * c_n, n * n * c_n)
+
+    @functools.cached_property
+    def _q2n_shift(self) -> np.ndarray:
+        return np.concatenate([[1.0], self._q2n[:-1]])
+
+    @functools.cached_property
+    def _log_norm(self) -> complex:
+        return np.log(self._r1 / np.pi) - 2.0 * np.sum(np.log1p(-self._q2n))
+
+    @functools.cached_property
+    def _tail_wp(self) -> float:
+        return 8.0 * abs(self._k) ** 2 * self._tails(1) + self._eta1_tail / abs(self._r1)
+
+    @functools.cached_property
+    def _tail_wp_prime(self) -> float:
+        return 16.0 * abs(self._k) ** 3 * self._tails(2)
+
+    @functools.cached_property
+    def _tail_logsigma(self) -> float:
+        """Bound on the dropped factors of the theta1 product, in log sigma."""
+        rho = self._rho
+        return 4.0 * rho ** (2 * self.n_terms + 1) / ((1.0 - rho) * (1.0 - rho * rho))
 
     def _zeta_tail(self, ur: np.ndarray) -> np.ndarray:
         return self._tail_zeta + np.abs(ur / self._r1) * self._eta1_tail
@@ -165,11 +216,14 @@ class WeierstrassContext:
         bound on the sum of the terms' moduli (each term is at most 2^k |q|
         times the one before it)."""
         p = np.exp(2j * (self._pi_tau + np.concatenate([v, -v])))
-        shape = (p.size, self._n.size)
-        sums = np.multiply.accumulate(np.broadcast_to(p[:, None], shape), axis=1) @ self._weights[k]
+        weights = self._weights[k] if k else self._c_n
+        # a stride-0 view: materialising the repeated p costs up to 3x on
+        # large batches, where the series dominates
+        shape = (p.size, self.n_terms)
+        sums = np.multiply.accumulate(np.broadcast_to(p[:, None], shape), axis=1) @ weights
         m = v.size
         first = np.abs(p[:m]) + np.abs(p[m:])
-        return sums[:m] + sign * sums[m:], 1.5 * abs(self._weights[k][0]) * first
+        return sums[:m] + sign * sums[m:], 1.5 * abs(weights[0]) * first
 
     def _rounding(self, u: np.ndarray, ur: np.ndarray, order: int) -> np.ndarray:
         """Relative rounding error per unit of summed magnitude: the exponents

@@ -103,6 +103,13 @@ def test_classify_rejects_non_real():
         classify_1d(exp_map(alpha=1j))
 
 
+def test_classify_rejects_tiny_non_real_alpha():
+    """The realness test is relative to alpha, so a tiny complex alpha is
+    not taken for a real one."""
+    with pytest.raises(NotRealStructure):
+        classify_1d(exp_map(alpha=1.4e-45 * (1 + 1j)))
+
+
 def test_classify_centered_real_lattice():
     # <1, (1+1.5i)/2> is conjugation-closed without an axis basis; the
     # canonical search must still find <1, 1.5i> up to finite index

@@ -284,6 +284,12 @@ def test_unused_descriptor_field_exits_2(tmp_path, capsys, text):
     assert "does not use" in capsys.readouterr().err
 
 
+def test_periods_overflowing_alpha_inverse_exits_3(tmp_path, capsys):
+    d = desc(tmp_path, "e.desc", EXP + "alpha = 5e-324\n")
+    assert main(["periods", d]) == 3
+    assert "SingularMatrix" in capsys.readouterr().err
+
+
 def test_wp_real_explicit_lattice_report(tmp_path, capsys):
     wp = desc(tmp_path, "wp.desc", WP2 + "lattice = lattice(1, 1i)\n")
     assert main(["classify", wp]) == 0

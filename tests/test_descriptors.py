@@ -222,7 +222,7 @@ def outcome(d):
     classify = classify_1d if d.dim == 1 else classify_2d
     try:
         return classify(d)
-    except Exception as exc:  # an alpha near 0 can end in numpy's LinAlgError
+    except Exception as exc:  # e.g. SingularMatrix for an alpha near 0
         return type(exc), str(exc)
 
 

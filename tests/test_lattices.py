@@ -15,6 +15,7 @@ from locnash.errors import (
 from locnash.lattices import (
     DiscreteSubgroup,
     Lattice1,
+    as_vector,
     common_real_sublattice,
     contains,
     coset_representatives,
@@ -259,6 +260,58 @@ def test_index_and_cosets_from_integer_transition(pair):
     n = abs(round(np.linalg.det(T)))
     assert index(G1, G2) == n
     _assert_coset_system(G1, G2, T, coset_representatives(G1, G2))
+
+
+def _lstsq_coefficients(G, x):
+    """integer_coefficients with its coefficients from np.linalg.lstsq."""
+    target = np.array(as_vector(x, G.dim), dtype=complex).view(float)
+    mat = G.basis_matrix
+    coeff, *_ = np.linalg.lstsq(mat, target, rcond=None)
+    ints = np.round(coeff)
+    coeff_ok = np.all(np.abs(coeff - ints) <= G.tol * (1.0 + np.abs(ints)))
+    resid = float(np.linalg.norm(mat @ ints - target))
+    ok = bool(coeff_ok) and resid <= G.tol * (1.0 + float(np.linalg.norm(target)))
+    return ints.astype(np.int64), ok
+
+
+@st.composite
+def _membership_cases(draw):
+    """A group of C^dim of rank 1..2 dim in a well-conditioned basis, an integer
+    combination of its generators, and a point at least 1e-6 off the group:
+    a fractional step along a generator or a step out of the real span."""
+    dim = draw(st.sampled_from([1, 2]))
+    k = 2 * dim
+    rank = draw(st.integers(1, k))
+    E = draw(st.lists(st.floats(-0.8 / k, 0.8 / k), min_size=k * k, max_size=k * k))
+    basis = draw(st.sampled_from([0.5, 1.0, 1e3])) * (np.eye(k) + np.reshape(E, (k, k)))
+    m = np.array(draw(st.lists(st.integers(-10, 10), min_size=rank, max_size=rank)))
+    member = m @ basis[:rank]
+    step = draw(st.floats(1e-6, 0.45)) * draw(st.sampled_from([-1.0, 1.0]))
+    off = member + step * basis[draw(st.integers(0, k - 1))]
+    point = lambda r: tuple(r[0::2] + 1j * r[1::2])  # noqa: E731
+    return _groups_from_rows(basis[:rank], dim), m, point(member), point(off)
+
+
+@given(_membership_cases())
+@settings(max_examples=150, deadline=None)
+def test_membership_from_pseudo_inverse(case):
+    G, m, member, off = case
+    ints, ok = integer_coefficients(G, member)
+    assert ok and ints.tolist() == m.tolist()
+    assert not contains(G, off)
+    for x in (member, off):
+        got, want = integer_coefficients(G, x), _lstsq_coefficients(G, x)
+        assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
+
+
+def test_pseudo_inverse_only_on_membership():
+    """A group that tests no membership builds no pseudo-inverse, and the
+    one it builds is not a field: equality and hashing ignore it."""
+    G = subgroup([1, 1j])
+    assert "_solver" not in vars(G)
+    assert contains(G, 2 - 3j)
+    assert "_solver" in vars(G)
+    assert G == SQ and hash(G) == hash(SQ) and repr(G) == repr(SQ)
 
 
 def test_cosets_c2_index_81():

@@ -119,6 +119,14 @@ def test_singular_alpha_rejected():
         pg(d)
 
 
+@pytest.mark.parametrize("d", [exp_map(5e-324), painleve("p2", alpha=[[5e-324, 0], [0, 1]])],
+                         ids=["exp", "p2"])
+def test_alpha_with_overflowing_inverse_rejected(d):
+    """alpha is invertible in floating point but 1 / 5e-324 is inf."""
+    with pytest.raises(SingularMatrix, match="overflows"):
+        pg(d)
+
+
 # -- map evaluation ------------------------------------------------------------------
 
 def test_p3_at_origin():
@@ -188,6 +196,13 @@ def test_is_real_structure_examples():
     assert not is_real_structure(exp_map(alpha=1j))
     assert is_real_structure(painleve("p5", a=0.5, lattice=RECT))
     assert not is_real_structure(painleve("p5", a=0.5 + 0.2j, lattice=RECT))
+
+
+@pytest.mark.parametrize("scale", [1.4e-45, 1e-12, 1.0, 1e12])
+def test_is_real_structure_scale_free_in_alpha(scale):
+    assert not is_real_structure(exp_map(alpha=scale * (1 + 1j)))
+    assert not is_real_structure(painleve("p3", alpha=[[scale, 0], [0, scale * 1j]]))
+    assert is_real_structure(exp_map(alpha=scale))
 
 
 # -- descriptor validation ----------------------------------------------------------------

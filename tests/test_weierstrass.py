@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from locnash.lattices import Lattice1, subgroup
+from locnash.lattices import Lattice1, gauss_reduced_basis, subgroup
+from locnash.structures import painleve, period_group
 from locnash.weierstrass import (
     LEGENDRE_TOL,
+    WeierstrassContext,
     conjugate_lattice_check,
     coset_sum_check,
     get_context,
@@ -250,6 +252,50 @@ def test_presentation_invariance(base, U):
     expected = flip * (U @ eta)
     assert np.max(np.abs(eta_new - expected) / np.maximum(1.0, np.abs(expected))) <= 1e-12
     assert ctx_new.n_terms == ctx.n_terms
+
+
+# -- tables completed on first use ----------------------------------------------------
+
+KINDS = ("wp", "wp_prime", "zeta", "sigma")
+
+
+def test_period_group_builds_no_evaluation_tables():
+    """The eta constants and the Legendre gate read neither the argument
+    reduction, nor the wp / wp' series weights, nor the sigma product."""
+    lat = Lattice1(1, 0.137 + 1.29j)
+    get_context.cache_clear()
+    period_group(painleve("p4", a=1, lattice=lat))
+    ctx = get_context(lat)
+    lazy = {"_binv", "_weights", "_q2n_shift", "_log_norm", "_eta1_tail", "_eta_est",
+            "_tail_zeta", "_tail_wp", "_tail_wp_prime", "_tail_logsigma"}
+    assert not lazy & set(vars(ctx))
+    ctx.wp(0.3 + 0.1j)
+    assert {"_binv", "_weights", "_tail_wp"} <= set(vars(ctx))
+    assert not {"_log_norm", "_q2n_shift", "_tail_logsigma", "_eta_est"} & set(vars(ctx))
+
+
+def _outputs(ctx, zs, kinds):
+    out = {}
+    for kind in kinds:
+        values, est, poles = getattr(ctx, f"{kind}_many")(zs)
+        scalar = getattr(ctx, kind)(zs[0])
+        out[kind] = (values.tobytes(), est.tobytes(), poles.tobytes(), repr(scalar))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.sampled_from([1j, 2j, np.exp(1j * np.pi / 3), 5j, 0.31 + 1.07j]), U=unimodular())
+def test_lazy_tables_independent_of_evaluation_order(base, U):
+    """Fresh contexts give byte-equal values, bounds and poles whether sigma
+    or wp completes the tables first."""
+    lat = Lattice1(*(U @ np.array([1, base])))
+    r1, r2, _ = gauss_reduced_basis(lat.omega1, lat.omega2)
+    zs = sample_reduced(lat, 5, np.random.default_rng(5))
+    zs = np.concatenate([zs, zs[:2] + r1 - 2 * r2, [0, r1, 0.5 * r2]])
+    wp_first = WeierstrassContext(lat)
+    sigma_first = WeierstrassContext(lat)
+    assert _outputs(wp_first, zs, KINDS) == _outputs(sigma_first, zs, KINDS[::-1])
+    assert (wp_first.eta_half, wp_first.n_terms) == (sigma_first.eta_half, sigma_first.n_terms)
 
 
 def test_eta_from_skew_basis_matches_reduced(square):
