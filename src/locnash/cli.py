@@ -102,6 +102,7 @@ def _csv_rows(
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     xs = _parse_grid(args.grid)
+    out = cfg.output_path
     if args.lattice:
         lat = parse_lattice1(args.lattice)
         ctx = get_context(lat)
@@ -112,26 +113,28 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             "zeta": ctx.zeta_many,
             "sigma": ctx.sigma_many,
         }[args.fn]
-        values, est, poles = fn(pts)
-        _write(_csv_rows(pts, values, est, poles), cfg.output_path)
-        return EXIT_OK
-    d = load_descriptor(args.descriptor)
-    if d.dim == 1:
+        grids = {out: fn(pts)}
+    elif (d := load_descriptor(args.descriptor)).dim == 1:
         pts = np.array([complex(x, y) for x in xs for y in xs])
         vals, poles = map_batch(d, pts)
-        _write(_csv_rows(pts, vals[0], None, poles[0]), cfg.output_path)
-        return EXIT_OK
-    # dim 2: the grid spans real coordinates (x, y); one CSV per map coordinate
-    out = cfg.output_path
-    if not out or out == "-":
-        raise ParseError("dim-2 descriptors need --out (one CSV per coordinate)")
-    U = np.array([complex(x, 0) for x in xs for _ in xs])
-    V = np.array([complex(y, 0) for _ in xs for y in xs])
-    vals, poles = map_batch(d, U, V)
-    stem = out[:-4] if out.endswith(".csv") else out
-    pts = U + 1j * V.real
-    for k in range(2):
-        _write(_csv_rows(pts, vals[k], None, poles[k]), f"{stem}_c{k + 1}.csv")
+        grids = {out: (vals[0], None, poles[0])}
+    else:
+        # dim 2: the grid spans real coordinates (x, y); one CSV per map coordinate
+        if not out or out == "-":
+            raise ParseError("dim-2 descriptors need --out (one CSV per coordinate)")
+        U = np.array([complex(x, 0) for x in xs for _ in xs])
+        V = np.array([complex(y, 0) for _ in xs for y in xs])
+        vals, poles = map_batch(d, U, V)
+        stem = out[:-4] if out.endswith(".csv") else out
+        pts = U + 1j * V.real
+        grids = {f"{stem}_c{k + 1}.csv": (vals[k], None, poles[k]) for k in range(2)}
+    # a non-pole value past the double range (sigma) stops the command before any write
+    for values, _, poles in grids.values():
+        bad = np.flatnonzero(~(poles | np.isfinite(values)))
+        if bad.size:
+            raise ValueError(f"value at u = {complex(pts[bad[0]])} is not finite")
+    for path, (values, est, poles) in grids.items():
+        _write(_csv_rows(pts, values, est, poles), path)
     return EXIT_OK
 
 

@@ -21,8 +21,9 @@ dimension > 1 (monomial multiples of the minimal relation fit the same
 degree box), the certificate is the element with the graded-lex minimal
 leading monomial, i.e. the minimal relation itself.
 
-A sampler is a vectorized callable mapping coordinate arrays to a complex
-array; NaN entries mark rejected points (poles, capped magnitudes).
+A row sampler maps coordinate arrays to a (batch, arity) complex array; rows
+with a NaN entry are rejected.  verify_aat evaluates its map once at u, v and
+u+v per batch; find_relation stacks its column samplers into rows.
 """
 
 from __future__ import annotations
@@ -183,18 +184,18 @@ def _singular_spectrum(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _SamplePool:
-    """Incrementally grown pool of sample rows accepted by every sampler.
+    """Incrementally grown pool of finite sample rows from one row sampler.
 
-    Rows where any sampler returns a non-finite value are dropped.  Growth is
+    Rows where the sampler returns a non-finite entry are dropped.  Growth is
     deterministic for a fixed generator state and request sequence.
     """
 
-    def __init__(self, samplers, domain_dim, rng, box):
-        self.samplers = list(samplers)
+    def __init__(self, rows, arity, domain_dim, rng, box):
+        self.sample = rows
         self.domain_dim = domain_dim
         self.rng = rng
         self.box = box
-        self.rows = np.empty((0, len(self.samplers)), dtype=complex)
+        self.rows = np.empty((0, arity), dtype=complex)
         self.attempts = 0
 
     def ensure(self, size: int) -> np.ndarray:
@@ -211,11 +212,8 @@ class _SamplePool:
                 for _ in range(self.domain_dim)
             ]
             self.attempts += batch
-            vals = np.stack(
-                [np.asarray(s(*coords), dtype=complex) for s in self.samplers],
-                axis=1,
-            )
-            good = np.all(np.isfinite(vals.real) & np.isfinite(vals.imag), axis=1)
+            vals = self.sample(*coords)
+            good = np.all(np.isfinite(vals), axis=1)
             self.rows = np.concatenate([self.rows, vals[good]], axis=0)
         return self.rows
 
@@ -242,9 +240,19 @@ def find_relation(
     n_samples is a floor: every degree trains (and separately validates) on
     at least twice its monomial count.
     """
+    def rows(*coords):
+        return np.stack([np.asarray(s(*coords), dtype=complex) for s in samplers], axis=1)
+
+    rng = rng if rng is not None else np.random.default_rng(seed)
+    return _search(rows, len(samplers), max_degree, n_samples, rng, domain_dim, box,
+                   gap_threshold, res_tol)
+
+
+def _search(rows, arity, max_degree, n_samples, rng, domain_dim, box, gap_threshold,
+            res_tol) -> RelationCertificate | None:
+    """find_relation's degree loop over the rows of a row sampler."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    arity = len(samplers)
     if arity < 1:
         raise ValueError("need at least one sampler")
     if (max_degree + 1) ** arity > _MAX_MONOMIALS:
@@ -252,8 +260,7 @@ def find_relation(
             f"{(max_degree + 1) ** arity} monomials at degree {max_degree} "
             f"exceed the desk-scale limit {_MAX_MONOMIALS}"
         )
-    rng = rng if rng is not None else np.random.default_rng(seed)
-    pool_src = _SamplePool(samplers, domain_dim, rng, box)
+    pool_src = _SamplePool(rows, arity, domain_dim, rng, box)
 
     for degree in range(1, max_degree + 1):
         E = _exponent_table(arity, degree)
@@ -292,30 +299,15 @@ def find_relation(
 
 # -- samplers built from descriptors ------------------------------------------
 
-def _coordinate_sampler(
-    d: StructureDescriptor,
-    coord: int,
-    part: str,
-    value_cap: float | None,
-) -> Sampler:
-    n = d.dim
-
-    def sampler(*coords):
-        if part == "u":
-            args = coords[:n]
-        elif part == "v":
-            args = coords[n:]
-        else:
-            args = tuple(coords[j] + coords[n + j] for j in range(n))
-        vals, poles = map_batch(d, *args)
-        v = np.array(vals[coord], dtype=complex)
-        bad = poles[coord] | ~(np.isfinite(v.real) & np.isfinite(v.imag))
-        if value_cap is not None:
-            bad |= np.abs(v) > value_cap
-        v[bad] = complex("nan")
-        return v
-
-    return sampler
+def _reject(values, poles, value_cap: float | None) -> np.ndarray:
+    """values as a new complex array, NaN at poles, at non-finite values and
+    above value_cap (None: no cap)."""
+    v = np.array(values, dtype=complex)
+    bad = poles | ~np.isfinite(v)
+    if value_cap is not None:
+        bad |= np.abs(v) > value_cap
+    v[bad] = complex("nan")
+    return v
 
 
 def map_sampler(
@@ -327,10 +319,12 @@ def map_sampler(
     """One coordinate of a dim-1 descriptor's map as a sampler, u -> f(u + shift)."""
     if d.dim != 1:
         raise ValueError("map_sampler handles dim-1 descriptors")
-    base = _coordinate_sampler(d, coord, "u", value_cap)
-    if shift == 0:
-        return base
-    return lambda u: base(np.asarray(u, dtype=complex) + shift)
+
+    def sampler(u):
+        vals, poles = map_batch(d, u if shift == 0 else np.asarray(u, dtype=complex) + shift)
+        return _reject(vals[coord], poles[coord], value_cap)
+
+    return sampler
 
 
 def wp_sampler(
@@ -342,14 +336,24 @@ def wp_sampler(
 
     def sampler(u):
         v, _, poles = ctx.wp_many(np.asarray(u, dtype=complex))
-        v = np.array(v, dtype=complex)
-        bad = poles
-        if value_cap is not None:
-            bad = bad | (np.abs(v) > value_cap)
-        v[bad] = complex("nan")
-        return v
+        return _reject(v, poles, value_cap)
 
     return sampler
+
+
+def _aat_rows(d: StructureDescriptor, coord: int, value_cap: float | None):
+    """Row sampler f_1(u)...f_n(u), f_1(v)...f_n(v), f_coord(u+v) over 2n
+    coordinates: u is the first n, v the last n."""
+    n = d.dim
+
+    def rows(*coords):
+        u, v = coords[:n], coords[n:]
+        (fu, pu), (fv, pv) = map_batch(d, *u), map_batch(d, *v)
+        fuv, puv = map_batch(d, *(a + b for a, b in zip(u, v)))
+        cols = [_reject(f[j], p[j], value_cap) for f, p in ((fu, pu), (fv, pv)) for j in range(n)]
+        return np.stack(cols + [_reject(fuv[coord], puv[coord], value_cap)], axis=1)
+
+    return rows
 
 
 # -- higher-level checks -------------------------------------------------------
@@ -385,25 +389,11 @@ def verify_aat(
     coordinate constitutes the certificate.
     """
     n = d.dim
-    certs: list[RelationCertificate | None] = []
-    for coord in range(n):
-        samplers = (
-            [_coordinate_sampler(d, j, "u", value_cap) for j in range(n)]
-            + [_coordinate_sampler(d, j, "v", value_cap) for j in range(n)]
-            + [_coordinate_sampler(d, coord, "uv", value_cap)]
-        )
-        certs.append(
-            find_relation(
-                samplers,
-                max_degree,
-                n_samples,
-                seed + coord,
-                domain_dim=2 * n,
-                box=box,
-                gap_threshold=gap_threshold,
-                res_tol=res_tol,
-            )
-        )
+    certs = [
+        _search(_aat_rows(d, coord, value_cap), 2 * n + 1, max_degree, n_samples,
+                np.random.default_rng(seed + coord), 2 * n, box, gap_threshold, res_tol)
+        for coord in range(n)
+    ]
     return AATReport(all(c is not None for c in certs), tuple(certs), max_degree)
 
 

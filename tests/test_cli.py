@@ -44,6 +44,15 @@ def test_eval_sigma_has_no_poles(tmp_path):
     assert all(l.endswith(",0") for l in out.read_text().splitlines()[1:])
 
 
+def test_eval_sigma_past_double_range_exits_3(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    rc = main(["eval", "--lattice", "lattice(0.3, 0.39i)", "--fn", "sigma",
+               "--grid", "7.9:8.1:0.2", "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    assert "(7.9+7.9j) is not finite" in capsys.readouterr().err
+
+
 def test_eval_descriptor_dim2_writes_per_coordinate(tmp_path):
     p4 = desc(tmp_path, "p4.desc", P4)
     out = tmp_path / "p4.csv"

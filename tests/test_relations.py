@@ -7,6 +7,8 @@ from locnash.errors import InsufficientSamples
 from locnash.lattices import Lattice1
 from locnash.relations import (
     DEFAULT_BOX,
+    DEFAULT_VALUE_CAP,
+    AATReport,
     _monomial_matrix,
     _SamplePool,
     _singular_spectrum,
@@ -17,7 +19,7 @@ from locnash.relations import (
     verify_aat,
     wp_sampler,
 )
-from locnash.structures import exp_map, identity_map, painleve, sin_map, wp_real
+from locnash.structures import exp_map, identity_map, map_batch, painleve, sin_map, wp_real
 from locnash.weierstrass import get_context
 
 
@@ -111,7 +113,10 @@ def test_singular_spectrum_matches_full_svd(family, arity, degree):
     samplers, dim = _addition_samplers(f, arity)
     exps = monomial_exponents(arity, degree)
     n_train = max(64, 2 * len(exps))  # find_relation's rows at n_samples = 64
-    pool = _SamplePool(samplers, dim, np.random.default_rng(11), DEFAULT_BOX)
+    def rows(*w):
+        return np.stack([s(*w) for s in samplers], axis=1)
+
+    pool = _SamplePool(rows, arity, dim, np.random.default_rng(11), DEFAULT_BOX)
     A = _monomial_matrix(pool.ensure(n_train)[:n_train], exps)
     _assert_same_spectrum(A / np.linalg.norm(A, axis=0))
 
@@ -314,6 +319,94 @@ def test_verify_aat_p3_both_coordinates():
 
     rep = verify_aat(painleve("p3"), 1, seed=3)
     assert rep.success and len(rep.certificates) == 2
+
+
+def _column_sampler(d, coord, part):
+    """Reference: one map coordinate at u, v or u+v, one map_batch per column."""
+    n = d.dim
+
+    def sampler(*w):
+        u, v = w[:n], w[n:]
+        args = {"u": u, "v": v, "uv": tuple(a + b for a, b in zip(u, v))}[part]
+        vals, poles = map_batch(d, *args)
+        out = np.array(vals[coord], dtype=complex)
+        out[poles[coord] | ~np.isfinite(out) | (np.abs(out) > DEFAULT_VALUE_CAP)] = complex("nan")
+        return out
+
+    return sampler
+
+
+def _verify_aat_by_columns(d, max_degree, seed):
+    """Reference: find_relation over 2n + 1 column samplers per coordinate."""
+    n = d.dim
+    certs = tuple(
+        find_relation(
+            [_column_sampler(d, j, "u") for j in range(n)]
+            + [_column_sampler(d, j, "v") for j in range(n)]
+            + [_column_sampler(d, coord, "uv")],
+            max_degree, 64, seed + coord, domain_dim=2 * n,
+        )
+        for coord in range(n)
+    )
+    return AATReport(None not in certs, certs, max_degree)
+
+
+SKEW = Lattice1(1, 5 + 1j)  # <1,i> in a skew basis
+REAL_ALPHA = np.random.default_rng(29).normal(size=(2, 2))
+AAT_CASES = {
+    "id": (identity_map(), 1),
+    "exp": (exp_map(), 2),
+    "wp_real": (wp_real(2.0), 2),
+    "p1-alpha": (painleve("p1", alpha=REAL_ALPHA), 1),
+    "p2-alpha": (painleve("p2", alpha=REAL_ALPHA), 1),
+    "p3-alpha": (painleve("p3", alpha=REAL_ALPHA), 1),
+    "p4-a0": (painleve("p4", a=0, lattice=Lattice1(1, 1j)), 2),
+    "p4-a0-skew-alpha": (painleve("p4", a=0, lattice=SKEW, alpha=REAL_ALPHA), 2),
+    "p4-a1": (painleve("p4", a=1, lattice=Lattice1(1, 1j)), 1),
+    "p5-real": (painleve("p5", a=0.3, lattice=Lattice1(1, 2j)), 1),
+    "p5-complex": (painleve("p5", a=0.2 + 0.4j, lattice=SKEW), 1),
+    "p6_product": (painleve("p6_product", lattice=Lattice1(1, 1j), lattice2=Lattice1(1, 2j)), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AAT_CASES))
+def test_verify_aat_matches_column_samplers(case):
+    d, degree = AAT_CASES[case]
+    for seed in (0, 7):
+        # dataclass equality: the same degrees, coefficients, residuals and gaps
+        assert verify_aat(d, degree, seed=seed) == _verify_aat_by_columns(d, degree, seed)
+
+
+@pytest.mark.parametrize("case", ["exp", "p4-a0", "p6_product"])
+def test_verify_aat_evaluates_map_three_times_per_batch(monkeypatch, case):
+    d, degree = AAT_CASES[case]
+    counts = {"map_batch": 0, "batches": 0}
+
+    def counting_map_batch(*args):
+        counts["map_batch"] += 1
+        return map_batch(*args)
+
+    class CountingPool(_SamplePool):
+        def __init__(self, rows, *args):
+            def counted(*coords):
+                counts["batches"] += 1
+                return rows(*coords)
+
+            super().__init__(counted, *args)
+
+    monkeypatch.setattr(relations, "map_batch", counting_map_batch)
+    monkeypatch.setattr(relations, "_SamplePool", CountingPool)
+    rep = verify_aat(d, degree, seed=3)
+    assert rep.success and counts["batches"] >= d.dim
+    assert counts["map_batch"] == 3 * counts["batches"]
+
+
+def test_verify_aat_degree_and_budget_guards():
+    d = painleve("p4", a=0, lattice=Lattice1(1, 1j))
+    with pytest.raises(ValueError, match="monomials at degree 7"):  # 8^5 = 32768
+        verify_aat(d, 7)
+    with pytest.raises(ValueError, match="max_degree must be >= 1"):
+        verify_aat(d, 0)
 
 
 def test_verify_aat_reports_failure():

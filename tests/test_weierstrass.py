@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from locnash.errors import NotASublattice
 from locnash.lattices import Lattice1, gauss_reduced_basis, subgroup
 from locnash.structures import painleve, period_group
 from locnash.weierstrass import (
@@ -59,6 +61,18 @@ def test_pole_flags(square):
         assert ctx.zeta(u).pole_flag
         assert ctx.wp_prime(u).pole_flag
     assert not ctx.wp(0.5 + 0.25j).pole_flag
+
+
+def test_sigma_past_double_range_is_flagged_without_warning():
+    ctx = get_context(Lattice1(0.3, 0.39j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = ctx.sigma(6 + 0.1j)  # about 1e282: still a double, bits unchanged
+        over = ctx.sigma(8 + 0.1j)
+    assert big.value == complex(-1.3189113106590518e282, -6.246944539025065e282)
+    assert big.est_error == 2.6029314937402004e273
+    assert not np.isfinite(over.value) and over.est_error == np.inf
+    assert not over.pole_flag
 
 
 # -- quasi-periodicity -------------------------------------------------------------
@@ -358,6 +372,16 @@ def test_coset_sum_constant_for_non_homothetic_pair(rng, square):
     # and the raw residual reported by the check equals |const|, far from zero
     res = coset_sum_check(subgroup([1, 2j]), subgroup([1, 1j]), zs)
     assert res == pytest.approx(abs(const), rel=1e-6)
+
+
+@pytest.mark.parametrize("g1, g2", [
+    ([1, 1j], [2, 2j]),                 # G2 is a proper sublattice of G1
+    ([1, math.sqrt(2) * 1j], [1, 1j]),  # incommensurable
+])
+def test_coset_sum_rejects_non_sublattice(rng, square, g1, g2):
+    zs = sample_reduced(square, 5, rng)
+    with pytest.raises(NotASublattice):
+        coset_sum_check(subgroup(g1), subgroup(g2), zs)
 
 
 def test_coset_sum_wp_prime_identity_is_exact(rng, square):
