@@ -101,6 +101,8 @@ def _csv_rows(
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
+    if args.descriptor and args.fn:
+        raise ParseError("--fn applies to --lattice only; a descriptor's map is fixed")
     xs = _parse_grid(args.grid)
     out = cfg.output_path
     if args.lattice:
@@ -112,7 +114,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             "wp-prime": ctx.wp_prime_many,
             "zeta": ctx.zeta_many,
             "sigma": ctx.sigma_many,
-        }[args.fn]
+        }[args.fn or "wp"]
         grids = {out: fn(pts)}
     elif (d := load_descriptor(args.descriptor)).dim == 1:
         pts = np.array([complex(x, y) for x in xs for y in xs])
@@ -321,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = pe.add_mutually_exclusive_group(required=True)
     src.add_argument("--lattice", help='lattice literal, e.g. "lattice(1, 1i)"')
     src.add_argument("--descriptor", help="descriptor file")
-    pe.add_argument("--fn", choices=_EVAL_FNS, default="wp")
+    pe.add_argument("--fn", choices=_EVAL_FNS, help="function on --lattice (default wp)")
     pe.add_argument("--grid", required=True, help="lo:hi:step for both axes")
     pe.set_defaults(func=cmd_eval)
 

@@ -4,7 +4,8 @@ A relation is a polynomial P with P(f_1(w), ..., f_k(w)) = 0 on a sampling
 domain.  Detection builds the monomial evaluation matrix at random points,
 column-normalizes it, and splits the singular spectrum at its largest
 consecutive ratio; an accepted certificate must clear both the spectral-gap
-threshold and a validation residual on a disjoint sample set.
+threshold and a validation residual on a disjoint sample set.  The gates are
+fixed: no call sets them.
 
 The spectrum and the right singular vectors come from the SVD of the
 triangular factor R of a QR factorization of the normalized matrix (Chan,
@@ -40,9 +41,9 @@ from .errors import InsufficientSamples
 from .structures import StructureDescriptor, map_batch
 from .weierstrass import get_context
 
-DEFAULT_GAP_THRESHOLD = 1e6
-DEFAULT_RES_TOL = 1e-6
-DEFAULT_BOX = 1.5
+DEFAULT_GAP_THRESHOLD = 1e6  # least accepted ratio of consecutive singular values
+DEFAULT_RES_TOL = 1e-6  # validation residual must stay below this
+DEFAULT_BOX = 1.5  # samples draw real and imaginary parts from [-box, box]
 # Magnitude cap realizing the "exclude pole neighborhoods" sampling policy:
 # |wp| <= 30 keeps samples ~0.2 away from poles.  A loose cap lets single
 # near-pole rows dominate high-degree monomial columns, which both erodes the
@@ -87,13 +88,13 @@ class RelationCertificate:
                 return c
         return 0j
 
-    def support(self, rel_tol: float = 1e-8) -> list[tuple[tuple[int, ...], complex]]:
-        """Terms with |coeff| above rel_tol * max|coeff|."""
+    def support(self) -> list[tuple[tuple[int, ...], complex]]:
+        """Terms with |coeff| above 1e-8 * max|coeff|."""
         top = max(abs(c) for c in self.coefficients)
         return [
             (e, c)
             for e, c in zip(self.exponents, self.coefficients)
-            if abs(c) > rel_tol * top
+            if abs(c) > 1e-8 * top
         ]
 
     def serialize(self) -> str:
@@ -141,11 +142,11 @@ def _monomial_matrix(values: np.ndarray, exponents) -> np.ndarray:
     return np.ascontiguousarray(M)
 
 
-def _minimal_leading(null_basis: np.ndarray, noise_tol: float = 1e-7) -> np.ndarray:
+def _minimal_leading(null_basis: np.ndarray) -> np.ndarray:
     """Nullspace element with the graded-lex minimal leading monomial.
 
     Eliminates from the highest monomial row downward, retiring one basis
-    column per essentially-nonzero row.
+    column per row with an entry of at least 1e-7.
     """
     B = null_basis.copy()
     active = list(range(B.shape[1]))
@@ -153,7 +154,7 @@ def _minimal_leading(null_basis: np.ndarray, noise_tol: float = 1e-7) -> np.ndar
         if len(active) == 1:
             break
         vals = np.abs(B[row, active])
-        if vals.max() < noise_tol:
+        if vals.max() < 1e-7:
             continue
         pivot = active[int(np.argmax(vals))]
         pval = B[row, pivot]
@@ -190,11 +191,10 @@ class _SamplePool:
     deterministic for a fixed generator state and request sequence.
     """
 
-    def __init__(self, rows, arity, domain_dim, rng, box):
+    def __init__(self, rows, arity, domain_dim, rng):
         self.sample = rows
         self.domain_dim = domain_dim
         self.rng = rng
-        self.box = box
         self.rows = np.empty((0, arity), dtype=complex)
         self.attempts = 0
 
@@ -207,8 +207,8 @@ class _SamplePool:
                 )
             batch = max(256, size - len(self.rows))
             coords = [
-                self.rng.uniform(-self.box, self.box, batch)
-                + 1j * self.rng.uniform(-self.box, self.box, batch)
+                self.rng.uniform(-DEFAULT_BOX, DEFAULT_BOX, batch)
+                + 1j * self.rng.uniform(-DEFAULT_BOX, DEFAULT_BOX, batch)
                 for _ in range(self.domain_dim)
             ]
             self.attempts += batch
@@ -225,10 +225,6 @@ def find_relation(
     seed: int = 0,
     *,
     domain_dim: int = 1,
-    box: float = DEFAULT_BOX,
-    gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-    res_tol: float = DEFAULT_RES_TOL,
-    rng: np.random.Generator | None = None,
 ) -> RelationCertificate | None:
     """Lowest-degree polynomial relation among the samplers, or None.
 
@@ -243,13 +239,11 @@ def find_relation(
     def rows(*coords):
         return np.stack([np.asarray(s(*coords), dtype=complex) for s in samplers], axis=1)
 
-    rng = rng if rng is not None else np.random.default_rng(seed)
-    return _search(rows, len(samplers), max_degree, n_samples, rng, domain_dim, box,
-                   gap_threshold, res_tol)
+    return _search(rows, len(samplers), max_degree, n_samples, np.random.default_rng(seed),
+                   domain_dim)
 
 
-def _search(rows, arity, max_degree, n_samples, rng, domain_dim, box, gap_threshold,
-            res_tol) -> RelationCertificate | None:
+def _search(rows, arity, max_degree, n_samples, rng, domain_dim) -> RelationCertificate | None:
     """find_relation's degree loop over the rows of a row sampler."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
@@ -260,7 +254,7 @@ def _search(rows, arity, max_degree, n_samples, rng, domain_dim, box, gap_thresh
             f"{(max_degree + 1) ** arity} monomials at degree {max_degree} "
             f"exceed the desk-scale limit {_MAX_MONOMIALS}"
         )
-    pool_src = _SamplePool(rows, arity, domain_dim, rng, box)
+    pool_src = _SamplePool(rows, arity, domain_dim, rng)
 
     for degree in range(1, max_degree + 1):
         E = _exponent_table(arity, degree)
@@ -275,13 +269,13 @@ def _search(rows, arity, max_degree, n_samples, rng, domain_dim, box, gap_thresh
             ratios = np.where(s[1:] > 0.0, s[:-1] / s[1:], np.inf)
         split = int(np.argmax(ratios))
         gap = float(ratios[split])
-        if not gap >= gap_threshold:
+        if not gap >= DEFAULT_GAP_THRESHOLD:
             continue
         null_basis = vh[split + 1 :, :].conj().T  # m x r
         c_scaled = _minimal_leading(null_basis)
         V = _monomial_matrix(pool[n_train : 2 * n_train], E) / norms
         residual = float(np.max(np.abs(V @ c_scaled)))
-        if residual >= res_tol:
+        if residual >= DEFAULT_RES_TOL:
             continue
         c_orig = c_scaled / norms
         c_orig = c_orig / np.linalg.norm(c_orig)
@@ -299,49 +293,38 @@ def _search(rows, arity, max_degree, n_samples, rng, domain_dim, box, gap_thresh
 
 # -- samplers built from descriptors ------------------------------------------
 
-def _reject(values, poles, value_cap: float | None) -> np.ndarray:
+def _reject(values, poles) -> np.ndarray:
     """values as a new complex array, NaN at poles, at non-finite values and
-    above value_cap (None: no cap)."""
+    above DEFAULT_VALUE_CAP."""
     v = np.array(values, dtype=complex)
-    bad = poles | ~np.isfinite(v)
-    if value_cap is not None:
-        bad |= np.abs(v) > value_cap
-    v[bad] = complex("nan")
+    v[poles | ~np.isfinite(v) | (np.abs(v) > DEFAULT_VALUE_CAP)] = complex("nan")
     return v
 
 
-def map_sampler(
-    d: StructureDescriptor,
-    coord: int = 0,
-    shift: complex = 0j,
-    value_cap: float | None = DEFAULT_VALUE_CAP,
-) -> Sampler:
-    """One coordinate of a dim-1 descriptor's map as a sampler, u -> f(u + shift)."""
+def map_sampler(d: StructureDescriptor, shift: complex = 0j) -> Sampler:
+    """A dim-1 descriptor's map as a sampler, u -> f(u + shift)."""
     if d.dim != 1:
         raise ValueError("map_sampler handles dim-1 descriptors")
 
     def sampler(u):
         vals, poles = map_batch(d, u if shift == 0 else np.asarray(u, dtype=complex) + shift)
-        return _reject(vals[coord], poles[coord], value_cap)
+        return _reject(vals[0], poles[0])
 
     return sampler
 
 
-def wp_sampler(
-    lattice,
-    value_cap: float | None = DEFAULT_VALUE_CAP,
-) -> Sampler:
+def wp_sampler(lattice) -> Sampler:
     """wp over the given lattice as a sampler with pole / magnitude rejection."""
     ctx = get_context(lattice)
 
     def sampler(u):
         v, _, poles = ctx.wp_many(np.asarray(u, dtype=complex))
-        return _reject(v, poles, value_cap)
+        return _reject(v, poles)
 
     return sampler
 
 
-def _aat_rows(d: StructureDescriptor, coord: int, value_cap: float | None):
+def _aat_rows(d: StructureDescriptor, coord: int):
     """Row sampler f_1(u)...f_n(u), f_1(v)...f_n(v), f_coord(u+v) over 2n
     coordinates: u is the first n, v the last n."""
     n = d.dim
@@ -350,8 +333,8 @@ def _aat_rows(d: StructureDescriptor, coord: int, value_cap: float | None):
         u, v = coords[:n], coords[n:]
         (fu, pu), (fv, pv) = map_batch(d, *u), map_batch(d, *v)
         fuv, puv = map_batch(d, *(a + b for a, b in zip(u, v)))
-        cols = [_reject(f[j], p[j], value_cap) for f, p in ((fu, pu), (fv, pv)) for j in range(n)]
-        return np.stack(cols + [_reject(fuv[coord], puv[coord], value_cap)], axis=1)
+        cols = [_reject(f[j], p[j]) for f, p in ((fu, pu), (fv, pv)) for j in range(n)]
+        return np.stack(cols + [_reject(fuv[coord], puv[coord])], axis=1)
 
     return rows
 
@@ -376,11 +359,6 @@ def verify_aat(
     max_degree: int,
     n_samples: int = 64,
     seed: int = 0,
-    *,
-    box: float = DEFAULT_BOX,
-    gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-    res_tol: float = DEFAULT_RES_TOL,
-    value_cap: float | None = DEFAULT_VALUE_CAP,
 ) -> AATReport:
     """Numerical algebraic-addition-theorem certificate for the descriptor.
 
@@ -390,8 +368,8 @@ def verify_aat(
     """
     n = d.dim
     certs = [
-        _search(_aat_rows(d, coord, value_cap), 2 * n + 1, max_degree, n_samples,
-                np.random.default_rng(seed + coord), 2 * n, box, gap_threshold, res_tol)
+        _search(_aat_rows(d, coord), 2 * n + 1, max_degree, n_samples,
+                np.random.default_rng(seed + coord), 2 * n)
         for coord in range(n)
     ]
     return AATReport(all(c is not None for c in certs), tuple(certs), max_degree)
@@ -403,16 +381,13 @@ def dependent(
     max_degree: int,
     n_samples: int = 64,
     seed: int = 0,
-    **kwargs,
 ) -> tuple[bool, RelationCertificate | None]:
     """Two-variable algebraic-dependence test.
 
     False means "no relation found at this degree bound"; it is not a proof
     of independence.
     """
-    cert = find_relation(
-        [sampler1, sampler2], max_degree, n_samples, seed, domain_dim=1, **kwargs
-    )
+    cert = find_relation([sampler1, sampler2], max_degree, n_samples, seed)
     return cert is not None, cert
 
 
@@ -422,12 +397,7 @@ def translate_algebraicity_check(
     max_degree: int,
     n_samples: int = 64,
     seed: int = 0,
-    *,
-    value_cap: float | None = DEFAULT_VALUE_CAP,
-    **kwargs,
 ) -> RelationCertificate | None:
     """Certificate that u -> f(u + shift) is algebraic over the unshifted map
     (dim-1 descriptors only, as map_sampler checks)."""
-    s0 = map_sampler(d, 0, 0j, value_cap)
-    s1 = map_sampler(d, 0, shift, value_cap)
-    return find_relation([s0, s1], max_degree, n_samples, seed, domain_dim=1, **kwargs)
+    return find_relation([map_sampler(d), map_sampler(d, shift)], max_degree, n_samples, seed)

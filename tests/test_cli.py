@@ -68,6 +68,24 @@ def test_eval_descriptor_dim2_writes_per_coordinate(tmp_path):
         assert sum(1 for l in lines[1:] if l.endswith(",1")) == 3
 
 
+def test_eval_lattice_defaults_to_wp(tmp_path):
+    default, wp = tmp_path / "default.csv", tmp_path / "wp.csv"
+    base = ["eval", "--lattice", "lattice(1,1i)", "--grid", "-0.5:0.5:0.25"]
+    assert main(base + ["--out", str(default)]) == 0
+    assert main(base + ["--fn", "wp", "--out", str(wp)]) == 0
+    assert default.read_bytes() == wp.read_bytes()
+
+
+@pytest.mark.parametrize("fn", ["wp", "sigma"])
+def test_eval_descriptor_with_fn_exits_2(tmp_path, capsys, fn):
+    out = tmp_path / "e.csv"
+    rc = main(["eval", "--descriptor", desc(tmp_path, "e.desc", EXP), "--fn", fn,
+               "--grid", "0:0.4:0.2", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "--fn applies to --lattice only" in capsys.readouterr().err
+
+
 def test_eval_bad_grid_exits_2(tmp_path):
     assert main(["eval", "--lattice", "lattice(1,1i)", "--grid", "oops"]) == 2
 

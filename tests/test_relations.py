@@ -6,7 +6,6 @@ from locnash import relations
 from locnash.errors import InsufficientSamples
 from locnash.lattices import Lattice1
 from locnash.relations import (
-    DEFAULT_BOX,
     DEFAULT_VALUE_CAP,
     AATReport,
     _monomial_matrix,
@@ -14,6 +13,7 @@ from locnash.relations import (
     _singular_spectrum,
     dependent,
     find_relation,
+    map_sampler,
     monomial_exponents,
     translate_algebraicity_check,
     verify_aat,
@@ -116,7 +116,7 @@ def test_singular_spectrum_matches_full_svd(family, arity, degree):
     def rows(*w):
         return np.stack([s(*w) for s in samplers], axis=1)
 
-    pool = _SamplePool(rows, arity, dim, np.random.default_rng(11), DEFAULT_BOX)
+    pool = _SamplePool(rows, arity, dim, np.random.default_rng(11))
     A = _monomial_matrix(pool.ensure(n_train)[:n_train], exps)
     _assert_same_spectrum(A / np.linalg.norm(A, axis=0))
 
@@ -414,6 +414,39 @@ def test_verify_aat_reports_failure():
     # over a map whose sum coordinate breaks the box; use a degree too low for sin
     rep = verify_aat(sin_map(), 2, seed=3)
     assert not rep.success and rep.certificates[0] is None
+
+
+# -- map_sampler -------------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d, shift", [
+    (exp_map(), 0j), (exp_map(alpha=0.7), 0.3 - 0.2j), (sin_map(), 1.0),
+    (wp_real(1.0), 0j), (wp_real(1.0), 0.25 + 0.1j),
+], ids=["exp", "exp-alpha-shift", "sin-shift", "wp_real", "wp_real-shift"])
+def test_map_sampler_is_map_batch_at_shifted_points(rng, d, shift):
+    u = rng.uniform(-2, 2, 200) + 1j * rng.uniform(-2, 2, 200)
+    got = map_sampler(d, shift)(u)
+    (vals,), (poles,) = map_batch(d, u + shift)
+    rejected = poles | ~np.isfinite(vals) | (np.abs(vals) > DEFAULT_VALUE_CAP)
+    assert np.array_equal(np.isnan(got), rejected)
+    assert np.array_equal(got[~rejected], vals[~rejected])  # the values themselves
+    assert (~rejected).sum() > 50
+
+
+def test_map_sampler_rejects_poles_non_finite_and_large_values():
+    wp = map_sampler(wp_real(1.0))
+    # a pole, |wp(0.1)| ~ 100 above the cap, an ordinary point
+    got = wp(np.array([0, 0.1, 0.5 + 0.3j]))
+    assert np.isnan(got[:2]).all() and np.isfinite(got[2])
+    exp = map_sampler(exp_map())
+    with np.errstate(over="ignore", invalid="ignore"):  # exp(800) overflows to inf
+        got = exp(np.array([800, complex("nan"), 4, 3]))
+    # inf, nan, e^4 = 54.6 above the cap, e^3 = 20.1 below it
+    assert np.isnan(got[:3]).all() and got[3] == np.exp(3 + 0j)
+
+
+def test_map_sampler_needs_dim_1():
+    with pytest.raises(ValueError, match="dim-1"):
+        map_sampler(painleve("p1"))
 
 
 # -- translates -------------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from locnash.errors import SingularMatrix
@@ -183,6 +187,79 @@ def test_period_generators_fix_maps_all_families(rng):
             for k in range(n):
                 keep = ~(base_p[k] | p[k])
                 assert np.max(np.abs(v[k][keep] - base_v[k][keep])) < 1e-7, d.family
+
+
+# -- period-group oracle -------------------------------------------------------------------
+
+#: the families with a nonzero period group, and for each model coordinate the
+#: descriptor field naming the lattice wp / zeta / sigma read there (None: entire)
+ELLIPTIC_FIELDS = {
+    "exp": (None,), "sin": (None,), "wp_real": ("lattice",),
+    "p2": (None, None), "p3": (None, None), "p4": ("lattice", None),
+    "p5": ("lattice", None), "p6_product": ("lattice", "lattice2"),
+}
+# <1, k + tau>: skew bases for k > 0
+LATTICES = st.builds(lambda re, im, k: Lattice1(1, complex(re + k, im)),
+                     st.floats(-0.5, 0.5), st.floats(0.7, 2.0), st.integers(0, 4))
+
+
+@st.composite
+def periodic_descriptors(draw):
+    """A descriptor of a family with periods under a random real alpha, and a seed."""
+    family = draw(st.sampled_from(sorted(ELLIPTIC_FIELDS)))
+    dim = len(ELLIPTIC_FIELDS[family])
+    seed = draw(st.integers(0, 2**32 - 1))
+    kwargs = {
+        "wp_real": lambda: {"a": draw(st.floats(0.5, 2.0))},
+        "p4": lambda: {"a": draw(st.sampled_from([0, 1])), "lattice": draw(LATTICES)},
+        "p5": lambda: {"a": draw(st.sampled_from([0.3, 0.2 + 0.4j, -0.7, 0.5 - 0.9j])),
+                       "lattice": draw(LATTICES)},
+        "p6_product": lambda: {"lattice": draw(LATTICES), "lattice2": draw(LATTICES)},
+    }.get(family, dict)()
+    alpha = helpers.random_real_invertible(np.random.default_rng(seed), dim)
+    return StructureDescriptor(dim, family, alpha=tuple(map(tuple, alpha)), **kwargs), seed
+
+
+def _points_off_poles(d, rng, n=8):
+    """u with alpha u inside the cells of the model's lattices, at cell
+    coordinates in [0.15, 0.85], and in the box |Re|, |Im| <= 1 elsewhere."""
+    w = []
+    for field in ELLIPTIC_FIELDS[d.family]:
+        if field is None:
+            w.append(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        else:
+            lat = getattr(d, field)
+            s, t = rng.uniform(0.15, 0.85, (2, n))
+            w.append(s * lat.omega1 + t * lat.omega2)
+    return list(np.linalg.solve(d.alpha_matrix, np.array(w)))
+
+
+def _shift_defect(d, u, shift) -> float:
+    """Largest max |f_k(u + shift) - f_k(u)| / max |f_k(u)| over the map
+    coordinates k, maxima over the points; inf if a shifted point is a pole."""
+    v0, _ = map_batch(d, *u)
+    v, p = map_batch(d, *(x + s for x, s in zip(u, shift)))
+    if any(pk.any() for pk in p):
+        return np.inf
+    return max(float(np.max(np.abs(v[k] - v0[k])) / np.max(np.abs(v0[k])))
+               for k in range(d.dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(periodic_descriptors())
+def test_period_group_oracle(case):
+    """Every closed-form generator is a period of the map; no nonzero element
+    of (1/p)P / P is, for p = 2 and 3."""
+    d, seed = case
+    u = _points_off_poles(d, np.random.default_rng(seed))
+    gens = np.array(period_group(d).group.generators)
+    assert len(gens) == FAMILY_RANK[d.family]
+    for g in gens:
+        assert _shift_defect(d, u, g) <= 1e-10
+    for p in (2, 3):
+        for c in itertools.product(range(p), repeat=len(gens)):
+            if any(c):
+                assert _shift_defect(d, u, np.array(c) @ gens / p) >= 0.1, (p, c)
 
 
 # -- realness ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -247,8 +247,12 @@ def unimodular(draw, bound=60):
     return np.array([[a, b], [c, d]])
 
 
+# Dyadic bases, so that U @ w is exact and both contexts see the same lattice;
+# 1/2 + 55/64 i is near-hexagonal (e^{i pi/3} = 1/2 + 0.866 i, whose rounded
+# products move the lattice itself by about 1e-12 relative).
 @settings(max_examples=40, deadline=None)
-@given(base=st.sampled_from([1j, 2j, np.exp(1j * np.pi / 3)]), U=unimodular())
+@given(base=st.sampled_from([1j, 2j, 0.5 + 55j / 64]), U=unimodular())
+@example(base=0.5 + 55j / 64, U=np.array([[35, 59], [16, 27]]))
 def test_presentation_invariance(base, U):
     lat = Lattice1(1, base)
     w = np.array([lat.omega1, lat.omega2])
