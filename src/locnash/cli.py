@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import fields
 
@@ -63,10 +64,13 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError as exc:
         raise ParseError(f"bad grid spec {spec!r}, expected lo:hi:step") from exc
-    if step <= 0 or hi < lo:
+    # nan passes every comparison below unnoticed, so finiteness comes first
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ParseError(f"bad grid spec {spec!r}")
-    count = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(count)
+    span = (hi - lo) / step  # inf when the step is tiny against the range
+    if not math.isfinite(span):
+        raise ParseError(f"bad grid spec {spec!r}: the point count is not finite")
+    return lo + step * np.arange(int(round(span)) + 1)
 
 
 def _report_head(name: str, cfg: RunConfig) -> list[str]:

@@ -14,9 +14,14 @@ centered cell, u = u_red + m r1 + n r2, and with v = pi u_red / r1:
 where eta1 = 2 zeta(r1/2) = pi^2 E2(tau) / (3 r1) with the Eisenstein series
 E2.  The log-derivatives of theta1 are a cot / csc^2 term plus Fourier series
 in p = q^2 exp(+-2iv), and sigma uses the theta1 product; every series term is
-bounded by n^k |q|^n on the centered cell.  eta2 = 2 zeta(r2/2) comes from the
-same series, so the Legendre relation eta1 r2 - eta2 r1 = 2 pi i remains an
-independent check.
+bounded by n^k |q|^n on the centered cell.  eta2 = 2 zeta(r2/2) needs no
+series: at v = pi tau / 2 the two p are q^3 and q, so the zeta series
+telescopes, sum c_n (q^3n - q^n) = -sum q^n, and cot(v) - 2i S = -i.  That
+leaves eta2 = eta1 tau - 2 pi i / r1 for any eta1, which is Legendre's relation
+eta1 r2 - eta2 r1 = 2 pi i (DLMF 23.2.14), and the context takes eta2 from it.
+Both constants are then carried to the lattice's own generators, where the
+Legendre gate measures the rounding of that change of basis and its
+orientation; it cannot test eta1.
 Quasi-periodicity (the eta shift) carries the values back to u.
 
 Each context takes the fewest terms whose geometric tail bound is below
@@ -27,12 +32,12 @@ reduction's lever |u| / |u_red|: a bound up to rounding.
 
 Construction computes eagerly only what the eta constants and the Legendre
 gate read: the reduced basis and its orientation, the nome and term count,
-q^2n and c_n = 1 / (1 - q^2n), eta1, zeta(r2/2), eta_half and the gate.  The
-argument reduction matrix, the series weights n c_n and n^2 c_n, the sigma
-product's shifted powers and normalisation, and every error bound (the tail
-bounds of zeta, wp, wp', log sigma and eta1, and the bound on the eta shift)
-are built on first use, so a period group, which reads only eta, pays for
-none of them.
+q^2n and c_n = 1 / (1 - q^2n), eta1, eta2 from Legendre's relation, eta_half
+and the gate; it evaluates no theta series.  The argument reduction matrix,
+the series weights n c_n and n^2 c_n, the sigma product's shifted powers and
+normalisation, and every error bound (the tail bounds of zeta, wp, wp', log
+sigma and eta1, and the bound on the eta shift) are built on first use, so a
+period group, which reads only eta, pays for none of them.
 """
 
 from __future__ import annotations
@@ -116,20 +121,19 @@ class WeierstrassContext:
         e2_tau = 1.0 - 24.0 * np.sum(n * q2n * c_n)
         self._eta1 = np.pi**2 * e2_tau / (3.0 * r1)
 
-        # eta constants for the reduced generators, solved back to the
+        # eta2 from Legendre's relation eta1 r2 - eta2 r1 = 2 pi i on the
+        # oriented reduced basis, then both constants solved back to the
         # lattice's own generators through the unimodular change of basis
-        zeta_half, self._zeta_half_mag = self._zeta_red(np.array([r2 / 2.0]))
-        self._eta_red = np.array([self._eta1, 2.0 * zeta_half[0]])
-        Uinv = (a * d - b * c) * np.array([[d, -b], [-c, a]])
-        eta_orig = Uinv @ self._eta_red  # since eta_red = U @ eta_orig
-        self.eta_half = (eta_orig[0] / 2.0, eta_orig[1] / 2.0)
+        eta1 = complex(self._eta1)
+        eta2 = (eta1 * r2 - 2j * np.pi) / r1
+        self._eta_red = np.array([eta1, eta2])
+        det = a * d - b * c  # eta_red = U @ eta_orig and U^-1 = det * adj(U)
+        e1 = det * (d * eta1 - b * eta2)
+        e2 = det * (a * eta2 - c * eta1)
+        self.eta_half = (e1 / 2.0, e2 / 2.0)
 
-        legendre = (
-            eta_orig[0] * lattice.omega2 - eta_orig[1] * lattice.omega1
-        )
-        self.legendre_defect = float(
-            min(abs(legendre - 2j * np.pi), abs(legendre + 2j * np.pi))
-        )
+        legendre = e1 * lattice.omega2 - e2 * lattice.omega1
+        self.legendre_defect = min(abs(legendre - 2j * np.pi), abs(legendre + 2j * np.pi))
         if self.legendre_defect > LEGENDRE_TOL:
             raise ValueError(
                 f"Legendre defect {self.legendre_defect:.3e} exceeds {LEGENDRE_TOL:g}"
@@ -155,9 +159,14 @@ class WeierstrassContext:
     @functools.cached_property
     def _eta_est(self) -> float:
         """Error bound of eta_red[1] = 2 zeta(r2/2), which each period of a
-        zeta or sigma shift carries."""
+        zeta or sigma shift carries.
+
+        It also bounds eta_red[1] as Legendre's relation gives it: that error is
+        |tau| err(eta1) plus rounding, inside twice the |tau/2| _eta1_tail and
+        the magnitude terms below."""
         half = np.array([self._r2 / 2.0])
-        return 2.0 * float((self._zeta_tail(half) + self._zeta_half_mag * self._rounding(half, half, 1))[0])
+        _, mag = self._zeta_red(half)
+        return 2.0 * float((self._zeta_tail(half) + mag * self._rounding(half, half, 1))[0])
 
     @functools.cached_property
     def _binv(self) -> np.ndarray:

@@ -1,3 +1,10 @@
+import os
+
+# before numpy is imported: one BLAS thread, as in bench/run.py; spinning BLAS
+# threads slow the suite several times over next to one busy core
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -1,11 +1,11 @@
 """Oracles for the test suite.
 
-The mpmath reference evaluates sigma/zeta/wp/wp' from mpmath's jtheta at 30
-digits on the basis as given, membership is decided by brute-force
-enumeration, and the Eisenstein invariants come from plain hard-cutoff
-lattice sums; none of these shares code with the package.  The double
-precision q-series reference uses the same expansions as the package's
-evaluator, so it checks consistency, not correctness.
+The mpmath reference evaluates sigma/zeta/wp/wp' and eta from mpmath's
+jtheta at 30 digits on the basis as given, membership is decided by
+brute-force enumeration, and the Eisenstein invariants come from plain
+hard-cutoff lattice sums; none of these shares code with the package.  The
+double precision q-series reference uses the same expansions as the
+package's evaluator, so it checks consistency, not correctness.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from locnash.lattices import Lattice1
 
 
 def mpmath_reference(lat: Lattice1, dps: int = 30):
-    """kind -> callable z -> complex, for kind in wp, wp_prime, zeta, sigma.
+    """kind -> callable z -> complex, for kind in wp, wp_prime, zeta, sigma,
+    and "eta" -> callable () -> (eta1, eta2) = (2 zeta(w1/2), 2 zeta(w2/2)),
+    each taken from the theta quotient at its own half-period, so neither
+    reads Legendre's relation.
 
     With w1 = lat.omega1, q = exp(i pi omega2 / w1), v = pi z / w1 and
     L = log theta1(v):
@@ -50,16 +53,23 @@ def mpmath_reference(lat: Lattice1, dps: int = 30):
             if kind == "sigma":
                 return complex((w1 / mp.pi) * mp.exp(e1 * z**2 / (2 * w1))
                                * mp.jtheta(1, k * z, q) / t1p0)
-            d1, d2, d3 = log_derivatives(z)
             if kind == "zeta":
-                return complex(e1 * z / w1 + k * d1)
+                # the first log-derivative alone: higher theta derivatives
+                # cost more as |q| nears 1 in a skew basis
+                log_d1 = mp.jtheta(1, k * z, q, 1) / mp.jtheta(1, k * z, q)
+                return complex(e1 * z / w1 + k * log_d1)
+            d1, d2, d3 = log_derivatives(z)
             if kind == "wp":
                 return complex(k**2 * (c - d2))
             if kind == "wp_prime":
                 return complex(-(k**3) * d3)
             raise ValueError(kind)
 
-    return {kind: functools.partial(value, kind) for kind in ("wp", "wp_prime", "zeta", "sigma")}
+    def eta():
+        return tuple(2 * value("zeta", w / 2) for w in (lat.omega1, lat.omega2))
+
+    refs = {kind: functools.partial(value, kind) for kind in ("wp", "wp_prime", "zeta", "sigma")}
+    return refs | {"eta": eta}
 
 
 def qseries_reference(lat: Lattice1, nterms: int = 200):

@@ -90,6 +90,14 @@ def test_eval_bad_grid_exits_2(tmp_path):
     assert main(["eval", "--lattice", "lattice(1,1i)", "--grid", "oops"]) == 2
 
 
+@pytest.mark.parametrize("grid", ["0:inf:0.1", "0:1e300:1e-300", "nan:1:0.1", "0:1:nan", "0:1:inf"])
+def test_eval_non_finite_grid_exits_2(grid, capsys):
+    # an infinite point count used to escape as OverflowError, nan bounds and
+    # steps as a numeric failure
+    assert main(["eval", "--lattice", "lattice(1,1i)", "--grid", grid]) == 2
+    assert "bad grid spec" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--lattice", "lattice(1, 2)", "--grid", "0:1:1"],
     ["check-identities", "--lattice", "lattice(1, 2)"],

@@ -127,6 +127,17 @@ def test_legendre_defect(lattices):
         assert ctx.legendre_defect < LEGENDRE_TOL
 
 
+def test_legendre_gate_fires_on_skew_basis():
+    """<w1, (k^2 + 1) w1 + k tau w1> is <w1, tau w1> for every k; the gate
+    measures the change back to the given basis, whose rounding grows with
+    k until the defect passes LEGENDRE_TOL."""
+    w1, tau = 0.37 + 0.11j, 0.23 + 1.31j
+    lat = {k: Lattice1(w1, (k * k + 1) * w1 + k * tau * w1) for k in (10**3, 10**4)}
+    assert WeierstrassContext(lat[10**3]).legendre_defect < LEGENDRE_TOL
+    with pytest.raises(ValueError, match=r"Legendre defect \d\.\d{3}e-\d\d exceeds 1e-08"):
+        WeierstrassContext(lat[10**4])
+
+
 # -- consistency: derivatives by central differences ------------------------------------
 
 def test_zeta_derivative_is_minus_wp(lattices, rng):
@@ -272,24 +283,53 @@ def test_presentation_invariance(base, U):
     assert ctx_new.n_terms == ctx.n_terms
 
 
+@settings(max_examples=60, deadline=None)
+@given(base=st.sampled_from([1j, 2j, np.exp(1j * np.pi / 3), 5j, 0.31 + 1.07j]), U=unimodular())
+def test_eta_against_mpmath(base, U):
+    """eta on the given generators against 2 zeta(w_k / 2) from jtheta, and
+    _eta_est against the error of the reduced-basis eta2 that Legendre's
+    relation gives."""
+    lat = Lattice1(*(U @ np.array([1, base])))
+    ctx = WeierstrassContext(lat)
+    for got, want in zip(ctx.eta_half, helpers.mpmath_reference(lat)["eta"]()):
+        assert _rel_err(2 * got, want) <= 1e-12
+    reduced = Lattice1(ctx._r1, ctx._r2)  # already oriented, so kept as given
+    eta2 = helpers.mpmath_reference(reduced)["eta"]()[1]
+    assert abs(ctx._eta_red[1] - eta2) <= ctx._eta_est
+
+
 # -- tables completed on first use ----------------------------------------------------
 
 KINDS = ("wp", "wp_prime", "zeta", "sigma")
 
 
-def test_period_group_builds_no_evaluation_tables():
+def test_period_group_builds_no_evaluation_tables(monkeypatch):
     """The eta constants and the Legendre gate read neither the argument
-    reduction, nor the wp / wp' series weights, nor the sigma product."""
+    reduction, nor the wp / wp' series weights, nor the sigma product, and
+    construction evaluates no theta series: eta2 comes from Legendre's
+    relation."""
     lat = Lattice1(1, 0.137 + 1.29j)
     get_context.cache_clear()
+
+    def no_series(*args):
+        raise AssertionError("theta series evaluated")
+
+    monkeypatch.setattr(WeierstrassContext, "_series", no_series)
+    WeierstrassContext(lat)
     period_group(painleve("p4", a=1, lattice=lat))
+    period_group(painleve("p5", a=0.3 - 0.2j, lattice=lat))
     ctx = get_context(lat)
     lazy = {"_binv", "_weights", "_q2n_shift", "_log_norm", "_eta1_tail", "_eta_est",
             "_tail_zeta", "_tail_wp", "_tail_wp_prime", "_tail_logsigma"}
     assert not lazy & set(vars(ctx))
+    monkeypatch.undo()
     ctx.wp(0.3 + 0.1j)
     assert {"_binv", "_weights", "_tail_wp"} <= set(vars(ctx))
     assert not {"_log_norm", "_q2n_shift", "_tail_logsigma", "_eta_est"} & set(vars(ctx))
+    # a shift by r2 carries eta2, and with it the bound _eta_est
+    z = 0.21 - 0.17j + ctx._r2
+    assert _rel_err(ctx.zeta(z).value, helpers.mpmath_reference(lat)["zeta"](z)) <= 1e-12
+    assert "_eta_est" in vars(ctx)
 
 
 def _outputs(ctx, zs, kinds):
