@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalInconsistency, NotRealStructure, RankOutOfRange
-from .lattices import DEFAULT_TOL, gauss_reduced_basis, real_rank1_form
+from .lattices import DEFAULT_TOL, real_rank1_form
 from .scalars import ExactReal, ratio_rationality
 from .structures import (
     FAMILIES,
@@ -91,11 +91,11 @@ def _canonical_wp_parameter(group, tol: float) -> float:
     lattice elements; passing to that rectangular finite-index sublattice
     changes the parameter by a rational factor only, which the rational-ratio
     criterion absorbs.  A real lattice is rectangular or rhombic, so on its
-    Gauss-reduced basis (r1, r2) both elements are among r_i, r1 +- r2 and
-    2 r_i - r_j: a +-2 coefficient box holds them, however the generators
-    were written.
+    Gauss-reduced basis (r1, r2), which the group keeps, both elements are
+    among r_i, r1 +- r2 and 2 r_i - r_j: a +-2 coefficient box holds them,
+    however the generators were written.
     """
-    r1, r2, _ = gauss_reduced_basis(group.generators[0][0], group.generators[1][0])
+    r1, r2 = (complex(*col) for col in group._reduction[0].T)
     thr = tol * abs(r2) * 4
     m = np.arange(-2, 3)
     M, N = np.meshgrid(m, m, indexing="ij")

@@ -48,6 +48,7 @@ EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_UNDETERMINED = 4
+_MAX_GRID_AXIS = 512  # eval holds the square of this in points, about 0.7 kB each
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -68,8 +69,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ParseError(f"bad grid spec {spec!r}")
     span = (hi - lo) / step  # inf when the step is tiny against the range
-    if not math.isfinite(span):
-        raise ParseError(f"bad grid spec {spec!r}: the point count is not finite")
+    if not span < _MAX_GRID_AXIS - 0.5:  # round(span) + 1 points per axis
+        raise ParseError(f"bad grid spec {spec!r}: more than {_MAX_GRID_AXIS} points per axis")
     return lo + step * np.arange(int(round(span)) + 1)
 
 

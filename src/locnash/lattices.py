@@ -1,17 +1,16 @@
 """Algebra of discrete subgroups of (C^n, +), n in {1, 2}.
 
-Generators are double-precision complex vectors.  Membership and
-sublattice tests take real least-squares coefficients from the pseudo-inverse
-of the basis matrix, computed once per group on its first membership test,
-followed by nearest-integer rounding with residual gates at a uniform
-relative tolerance.  Index and coset representatives come from the integer
-transition matrix between the two reduced bases, rounded under the same
-tolerance (the rounding gate is also their sublattice test) and
-triangularised over Z (Hermite normal form, Cohen, A Course in
-Computational Algebraic Number Theory, section 2.4): the index is the
-product of its diagonal H_ii, and the integer points c with 0 <= c_i < H_ii
-are one per coset.  The common real sublattice reads its multiplier off the
-rational approximations of the transition matrix.
+Generators are double-precision complex vectors; a rank-2 group of C is
+Gauss-reduced once, at construction, and validated on its reduced basis.
+Every integrality verdict passes one gate (`_integral`), a backward-error
+bound with no tolerance.  Membership rounds the coefficients from the
+pseudo-inverse of the given basis, built on a group's first membership
+test.  Index and cosets come from the integer transition matrix onto the
+second group's reduced basis, triangularised over Z (Hermite normal form,
+Cohen, A Course in Computational Algebraic Number Theory, section 2.4): the
+index is the product of its diagonal H_ii, and the integer points c with
+0 <= c_i < H_ii are one per coset.  The common real sublattice reads its
+multiplier off the rational approximations of the transition matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +33,15 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
+#: `_integral`'s K.  A sum of k <= 4 terms t_i b_i formed in double is off by
+#: at most gamma_k sum |t_i| |b_i| in each real coordinate, gamma_k = k u / (1 -
+#: k u), u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+#: section 3.1); with gamma_5 for forming B t - x here that is 4.5 eps, and 16
+#: leaves a factor above 3 for members formed in a few more operations.
+GATE_K = 16.0
+_EPS = float(np.finfo(float).eps)
+_column_norms = functools.partial(np.hypot.reduce, axis=0)
+_IDENTITY = tuple(np.eye(r, dtype=np.int64) for r in range(5))  # U of a basis kept as given
 
 Vector = tuple[complex, ...]
 
@@ -55,16 +63,13 @@ def _embed(vectors: Sequence[Vector], dim: int) -> np.ndarray:
     return np.array(vectors, dtype=complex).reshape(len(vectors), dim).view(float).T.copy()
 
 
-def _embed_point(x: Vector) -> np.ndarray:
-    return np.array(x, dtype=complex).view(float)
-
-
 @dataclass(frozen=True)
 class DiscreteSubgroup:
     """Finitely generated discrete subgroup of (C^dim, +).
 
     The generators must be linearly independent over R; dependent input is
-    rejected at construction rather than silently reduced.
+    rejected at construction rather than silently reduced.  A rank-2 group
+    of C is tested on its Gauss-reduced basis, which it keeps (`_reduction`).
     """
 
     dim: int
@@ -83,13 +88,20 @@ class DiscreteSubgroup:
             raise DegenerateGenerators(
                 f"{r} generators exceed the maximal rank {2 * self.dim}"
             )
+        if self.dim == 1 and r == 2:
+            r1, r2, U = gauss_reduced_basis(gens[0][0], gens[1][0])
+            reduced = ((r1,), (r2,))
+        else:
+            reduced, U = gens, _IDENTITY[r]
+        mat = _embed(reduced, self.dim)
         if r:
-            mat = _embed(gens, self.dim)
             sv = np.linalg.svd(mat, compute_uv=False)
             if sv[-1] <= self.tol * sv[0] or sv[0] == 0.0:
                 raise DegenerateGenerators(
                     f"generators are R-dependent at tol={self.tol:g}"
                 )
+        # not a field, like _solver: eq, hash and repr read the generators
+        object.__setattr__(self, "_reduction", (mat, U))  # rows of U: over gens
 
     @property
     def rank(self) -> int:
@@ -103,8 +115,8 @@ class DiscreteSubgroup:
     def _solver(self) -> tuple[np.ndarray, np.ndarray]:
         """The basis matrix and its pseudo-inverse V S^-1 U^T, built on the
         first membership test; groups that test none never pay for them.
-        Construction keeps every singular value above tol times the largest,
-        so each one is inverted."""
+        Construction bounds the reduced basis's singular values, not these:
+        the integer gate, not the conditioning, decides membership."""
         mat = self.basis_matrix
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
         return mat, (vt.T / s) @ u.T
@@ -121,24 +133,29 @@ def subgroup(gens: Iterable, dim: int | None = None, tol: float = DEFAULT_TOL) -
     return DiscreteSubgroup(dim, tuple(as_vector(g, dim) for g in gens), tol)
 
 
-def integer_coefficients(G: DiscreteSubgroup, x) -> tuple[np.ndarray, bool]:
-    """Solve x = sum m_i * g_i for integer m_i.
+def _integral(B: np.ndarray, X: np.ndarray, T: np.ndarray) -> bool:
+    """True when each column x of X is B t, t the same column of the
+    integer-valued T, up to rounding: |B t - x| <= K eps (sum |t_i| |b_i| +
+    |x|), K = GATE_K.  A point off the group misses by a lattice distance."""
+    gap = _column_norms(B @ T - X)
+    scale = np.abs(T).T @ _column_norms(B) + _column_norms(X)
+    return bool((gap <= GATE_K * _EPS * scale).all())
 
-    Returns (m, ok) with m the rounded coefficient vector; ok is True when
-    every least-squares coefficient (from the group's pseudo-inverse) is
-    within tolerance of an integer and the integer reconstruction matches x.
-    """
-    vec = as_vector(x, G.dim)
-    target = _embed_point(vec)
+
+def _coefficients(G: DiscreteSubgroup, X: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Coefficients over G's generators of the columns of the real 2n x k X
+    (or of one point), from G's pseudo-inverse and rounded, and whether they
+    pass the integer gate.  The trivial group holds 0 alone."""
     if G.rank == 0:
-        ok = float(np.linalg.norm(target)) <= G.tol * (1.0 + np.linalg.norm(target))
-        return np.zeros(0), ok
+        return np.zeros((0,) + X.shape[1:]), not X.any()
     mat, pinv = G._solver
-    coeff = pinv @ target
-    ints = np.round(coeff)
-    coeff_ok = np.all(np.abs(coeff - ints) <= G.tol * (1.0 + np.abs(ints)))
-    resid = float(np.linalg.norm(mat @ ints - target))
-    ok = bool(coeff_ok) and resid <= G.tol * (1.0 + float(np.linalg.norm(target)))
+    T = np.round(pinv @ X)
+    return T, _integral(mat, X, T)
+
+
+def integer_coefficients(G: DiscreteSubgroup, x) -> tuple[np.ndarray, bool]:
+    """Solve x = sum m_i * g_i for integer m_i: (m, True when m passes the gate)."""
+    ints, ok = _coefficients(G, np.array(as_vector(x, G.dim), dtype=complex).view(float))
     return ints.astype(np.int64), ok
 
 
@@ -149,16 +166,14 @@ def contains(G: DiscreteSubgroup, x) -> bool:
 
 def is_real(G: DiscreteSubgroup) -> bool:
     """True iff G is closed under componentwise complex conjugation."""
-    return all(
-        contains(G, tuple(c.conjugate() for c in g)) for g in G.generators
-    )
+    return _coefficients(G, _embed([[c.conjugate() for c in g] for g in G.generators], G.dim))[1]
 
 
 def is_sublattice(G1: DiscreteSubgroup, G2: DiscreteSubgroup) -> bool:
     """True iff every generator of G1 lies in G2."""
     if G1.dim != G2.dim:
         raise ValueError("dimension mismatch")
-    return all(contains(G2, g) for g in G1.generators)
+    return _coefficients(G2, G1.basis_matrix)[1]
 
 
 def gauss_reduced_basis(w1: complex, w2: complex) -> tuple[complex, complex, np.ndarray]:
@@ -172,6 +187,8 @@ def gauss_reduced_basis(w1: complex, w2: complex) -> tuple[complex, complex, np.
     if abs(a) < abs(b):
         a, b, ua, ub = b, a, ub, ua
     for _ in range(256):
+        if not b:  # a zero generator, or a step that cancels exactly
+            raise DegenerateGenerators(f"generators {w1}, {w2} are R-dependent")
         t = round((a * b.conjugate()).real / abs(b) ** 2)
         a, ua = a - t * b, (ua[0] - t * ub[0], ua[1] - t * ub[1])
         if abs(a) >= abs(b):
@@ -182,38 +199,32 @@ def gauss_reduced_basis(w1: complex, w2: complex) -> tuple[complex, complex, np.
     return b, a, np.array([ub, ua], dtype=np.int64)
 
 
-def _reduced_basis(G: DiscreteSubgroup) -> np.ndarray:
-    """G's basis matrix, Gauss-reduced for rank-2 dim-1 groups to control
-    conditioning."""
-    if G.dim == 1 and G.rank == 2:
-        r1, r2, _ = gauss_reduced_basis(G.generators[0][0], G.generators[1][0])
-        return _embed(((r1,), (r2,)), 1)
-    return G.basis_matrix
-
-
 def _transition(
     G1: DiscreteSubgroup, G2: DiscreteSubgroup
 ) -> tuple[np.ndarray, np.ndarray]:
     """G2's reduced basis matrix B, and the integer matrix T whose column j
     holds the coefficients over B of generator j of G1's reduced basis.
 
-    G1 <= G2 exactly when T is integral, so the integer gate on T is the
-    sublattice test: it raises NonIntegerTransition, a NotASublattice.
+    T is rounded from a solve over B.  The integer gate checks G1's
+    generators as given against G2's generators as given, with T carried
+    there by G2's U: the reduced bases carry the rounding of their
+    reduction, the given ones do not.  It is the sublattice test and raises
+    NonIntegerTransition, a NotASublattice.  G1's U then moves T to G1's
+    reduced basis, in integers.
     """
     if G1.dim != G2.dim:
         raise ValueError("dimension mismatch")
     full = 2 * G1.dim
     if G1.rank != full or G2.rank != full:
         raise ValueError("index requires full lattices on both sides")
-    B = _reduced_basis(G2)
-    M = np.linalg.solve(B, _reduced_basis(G1))
-    T = np.round(M)
-    if np.max(np.abs(M - T)) > G1.tol * (1.0 + np.max(np.abs(T))):
+    (B, U), X = G2._reduction, G1.basis_matrix
+    T = np.round(np.linalg.solve(B, X))
+    if not _integral(G2.basis_matrix, X, U.T @ T):
         raise NonIntegerTransition(
-            "first group is not contained in the second: transition matrix "
-            f"off integers by {np.max(np.abs(M - T)):.3e}"
+            "first group is not contained in the second: its generators are "
+            "no integer combinations of the second's basis"
         )
-    return B, T.astype(np.int64)
+    return B, T.astype(np.int64) @ G1._reduction[1].T
 
 
 def _hermite_diagonal(T: np.ndarray) -> list[int]:
@@ -297,26 +308,23 @@ def common_real_sublattice(
 ) -> tuple[DiscreteSubgroup, int] | None:
     """Smallest positive integer a with a*G1 <= G2, as (a*G1, a); None if none <= a_max.
 
-    Each entry of the transition matrix C (G1's generators over G2's basis)
-    is read as its nearest fraction with denominator <= a_max, and a is the
-    lcm of those denominators; a*C must then pass the integer gate at
-    G1.tol.  Existence of the multiplier is a theorem, its size is not, so
-    the operation is totalized with an explicit not-found value.
+    Each entry of the transition matrix C (G1's generators over G2's reduced
+    basis) is read as its nearest fraction with denominator <= a_max, and a
+    is the lcm of those denominators; round(a*C) must then pass the integer
+    gate as in `_transition`.  Existence of the multiplier is a theorem, its
+    size is not, so the operation is totalized with an explicit not-found value.
     """
     for G in (G1, G2):
         if G.dim != 1 or G.rank != 2:
             raise ValueError("requires full lattices of C")
         if not is_real(G):
             raise ValueError("requires real lattices")
-    C = np.linalg.solve(_reduced_basis(G2), G1.basis_matrix)
+    (B, U), X = G2._reduction, G1.basis_matrix
+    C = np.linalg.solve(B, X)
     a = math.lcm(
         *(Fraction(c).limit_denominator(a_max).denominator for c in C.flat)
     )
-    if a > a_max:
-        return None
-    scaled = a * C
-    ints = np.round(scaled)
-    if not np.all(np.abs(scaled - ints) <= G1.tol * (1.0 + np.abs(ints))):
+    if a > a_max or not _integral(G2.basis_matrix, a * X, U.T @ np.round(a * C)):
         return None
     scaled_group = DiscreteSubgroup(
         1, tuple(tuple(a * c for c in g) for g in G1.generators), G1.tol

@@ -50,7 +50,7 @@ DEFAULT_BOX = 1.5  # samples draw real and imaginary parts from [-box, box]
 # singular gap and amplifies evaluation error in the validation residual by
 # |value|^(degree-1); 30 passes a 30-seed robustness scan on every fixture.
 DEFAULT_VALUE_CAP = 30.0
-_MAX_MONOMIALS = 20_000
+_MAX_MATRIX_BYTES = 512 * 2**20  # one complex128 monomial matrix
 
 Sampler = Callable[..., np.ndarray]
 
@@ -249,11 +249,11 @@ def _search(rows, arity, max_degree, n_samples, rng, domain_dim) -> RelationCert
         raise ValueError("max_degree must be >= 1")
     if arity < 1:
         raise ValueError("need at least one sampler")
-    if (max_degree + 1) ** arity > _MAX_MONOMIALS:
-        raise ValueError(
-            f"{(max_degree + 1) ** arity} monomials at degree {max_degree} "
-            f"exceed the desk-scale limit {_MAX_MONOMIALS}"
-        )
+    m = (max_degree + 1) ** arity
+    n_rows = max(n_samples, 2 * m)  # the largest training matrix is n_rows x m
+    if 16 * n_rows * m > _MAX_MATRIX_BYTES:
+        raise ValueError(f"{m} monomials at degree {max_degree} over {n_rows} rows exceed "
+                         f"the desk-scale limit of {_MAX_MATRIX_BYTES >> 20} MiB")
     pool_src = _SamplePool(rows, arity, domain_dim, rng)
 
     for degree in range(1, max_degree + 1):

@@ -326,8 +326,8 @@ def evaluate_map(
 def is_real_structure(d: StructureDescriptor, tol: float = DEFAULT_TOL) -> bool:
     """True iff alpha is real and every embedded lattice/parameter is conjugation-stable.
 
-    Alpha's imaginary part is measured against its largest entry, so the
-    test does not depend on alpha's scale.
+    Alpha's imaginary part is measured against its largest entry, and a's
+    against |a|, so the test depends on neither scale.
     """
     A = d.alpha_matrix
     if np.max(np.abs(A.imag)) > tol * np.max(np.abs(A)):
@@ -335,7 +335,7 @@ def is_real_structure(d: StructureDescriptor, tol: float = DEFAULT_TOL) -> bool:
     for lat in (d.lattice, d.lattice2):
         if lat is not None and not is_real(lat.to_subgroup(tol)):
             return False
-    if d.a is not None and abs(d.a.imag) > tol * (1.0 + abs(d.a)):
+    if d.a is not None and abs(d.a.imag) > tol * abs(d.a):
         return False
     return True
 

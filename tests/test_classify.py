@@ -24,6 +24,7 @@ from locnash.structures import (
     exp_map,
     identity_map,
     painleve,
+    is_real_structure,
     sin_map,
     wp_real,
 )
@@ -85,12 +86,22 @@ def test_classify_wp_normalizes_lattice():
     assert form.kind == "wp" and form.a == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("k", [60, 100, 1000])
+@pytest.mark.parametrize("k", [60, 100, 1000, 100000])
 def test_classify_wp_skew_basis(k):
     # <1, k + i> is <1, i> written with a long second generator
     d = StructureDescriptor(1, "wp_real", a=1.0, lattice=Lattice1(1, k + 1j))
     form = classify_1d(d)
     assert form.kind == "wp" and form.a == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_complex_a_not_real_at_any_scale(scale):
+    # a's imaginary part is measured against |a|, as alpha's against alpha
+    d = painleve("p5", a=scale * (1 + 1j), lattice=SQ)
+    assert not is_real_structure(d)
+    assert is_real_structure(painleve("p5", a=scale, lattice=SQ))
+    with pytest.raises(NotRealStructure):
+        compare_2d(d, painleve("p3"))
 
 
 def test_classify_wp_under_real_alpha():

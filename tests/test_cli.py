@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from locnash.cli import _csv_rows, build_parser, main
+from locnash import cli
+from locnash.cli import _csv_rows, _parse_grid, build_parser, main
 from locnash.config import fmt
+from locnash.errors import ParseError
+from locnash.structures import map_batch, wp_real
 
 EXP = "dim = 1\nfamily = exp\n"
 SIN = "dim = 1\nfamily = sin\n"
@@ -96,6 +99,46 @@ def test_eval_non_finite_grid_exits_2(grid, capsys):
     # steps as a numeric failure
     assert main(["eval", "--lattice", "lattice(1,1i)", "--grid", grid]) == 2
     assert "bad grid spec" in capsys.readouterr().err
+
+
+def test_eval_grid_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # 10^4 points per axis would be 10^8 grid points; evaluation raises here,
+    # so a missing cap fails the test without allocating the grid
+    def no_context(lattice):
+        raise AssertionError("the grid reached evaluation")
+
+    monkeypatch.setattr(cli, "get_context", no_context)
+    out = tmp_path / "big.csv"
+    assert main(["eval", "--lattice", "lattice(1,1i)", "--grid", "0:1:1e-4",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "more than 512 points per axis" in capsys.readouterr().err
+    assert len(_parse_grid("0:511:1")) == 512
+    with pytest.raises(ParseError):
+        _parse_grid("0:512:1")
+
+
+def test_eval_descriptor_dim1_rows_match_map_batch(tmp_path):
+    out = tmp_path / "wp.csv"
+    rc = main(["eval", "--descriptor", desc(tmp_path, "wp.desc", WP1),
+               "--grid", "-0.5:0.5:0.25", "--out", str(out)])
+    assert rc == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+    xs = np.linspace(-0.5, 0.5, 5)
+    pts = np.array([complex(x, y) for x in xs for y in xs])
+    vals, poles = map_batch(wp_real(1.0), pts)
+    assert len(rows) == 25 and sum(poles[0]) == 1  # the origin
+    for row, z, v, p in zip(rows, pts, vals[0], poles[0]):
+        assert (float(row[0]), float(row[1])) == (z.real, z.imag)
+        assert row[4] == "" and row[5] == ("1" if p else "0")
+        if not p:
+            assert (float(row[2]), float(row[3])) == (v.real, v.imag)
+
+
+def test_eval_descriptor_dim2_needs_out(tmp_path, capsys):
+    assert main(["eval", "--descriptor", desc(tmp_path, "p4.desc", P4),
+                 "--grid", "0:0.4:0.2"]) == 2
+    assert "need --out" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -323,6 +366,15 @@ def test_periods_overflowing_alpha_inverse_exits_3(tmp_path, capsys):
     d = desc(tmp_path, "e.desc", EXP + "alpha = 5e-324\n")
     assert main(["periods", d]) == 3
     assert "SingularMatrix" in capsys.readouterr().err
+
+
+def test_classify_skew_lattice_report(tmp_path, capsys):
+    # <1, 100000 + i> is the square lattice: its given basis has condition
+    # number about 1e10, its reduced basis 1
+    wp = desc(tmp_path, "wp.desc", WP2 + "lattice = lattice(1, 100000+1i)\n")
+    assert main(["classify", wp]) == 0
+    out = capsys.readouterr().out
+    assert "canonical_form = wp" in out and "\na = 1\n" in out
 
 
 def test_wp_real_explicit_lattice_report(tmp_path, capsys):

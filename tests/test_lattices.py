@@ -64,6 +64,36 @@ def test_dependent_pair_rejected():
         subgroup([1 + 1j, 2 + 2j])
 
 
+def test_dependent_pair_cancelling_in_the_reduction_rejected():
+    # 3 * w rounds, so the pair's area is not 0, but w2 - 3 w1 cancels exactly
+    w = 0.1 + 0.3j
+    assert (w.conjugate() * (3 * w)).imag != 0.0
+    with pytest.raises(DegenerateGenerators):
+        subgroup([w, 3 * w])
+
+
+def test_reduction_kept_at_construction():
+    """A skew basis builds when its reduced basis is well conditioned; the
+    reduction is no field, so equality, hashing and repr ignore it."""
+    G = subgroup([1, 100000 + 1j])
+    B, U = G._reduction
+    assert B.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert U.tolist() == [[1, 0], [-100000, 1]]
+    H = subgroup([1, 100000 + 1j])
+    assert G == H and hash(G) == hash(H) and "_reduction" not in repr(G)
+    assert subgroup([(1, 0.5j), (1j, 2)])._reduction[1].tolist() == np.eye(2).tolist()
+
+
+@pytest.mark.parametrize("k", [1e2, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("c", [0.5, 1.3, 2.0])
+def test_skew_basis_builds_and_is_real(k, c):
+    # <1, k + ci> is <1, ci>; the given basis has condition number about k^2
+    G = subgroup([1, k + c * 1j])
+    assert is_real(G)
+    assert contains(G, c * 1j) and not contains(G, c * 0.5j)
+    assert index(G, subgroup([1, c * 1j])) == 1
+
+
 # -- contains -------------------------------------------------------------------
 
 def test_contains_integer_combination():
@@ -84,6 +114,19 @@ def test_contains_generators_and_halves():
         for (g,) in G.generators:
             assert contains(G, g)
             assert not contains(G, g / 2)
+
+
+def test_contains_large_coefficients():
+    # a relative gate on the coefficients admits the half-integer past 5e8
+    assert contains(SQ, 1e9) and contains(SQ, 1e9 + 1e9j)
+    assert not contains(SQ, 1e9 + 0.5) and not contains(SQ, 1e9 + 0.5j)
+
+
+def test_trivial_group_holds_zero_alone():
+    G = DiscreteSubgroup(1, ())
+    ints, ok = integer_coefficients(G, 0)
+    assert ok and ints.shape == (0,)
+    assert not contains(G, 1e-300) and not contains(DiscreteSubgroup(2, ()), (0, 1e-300j))
 
 
 def test_contains_agrees_with_bruteforce(rng):
@@ -260,6 +303,47 @@ def test_index_and_cosets_from_integer_transition(pair):
     n = abs(round(np.linalg.det(T)))
     assert index(G1, G2) == n
     _assert_coset_system(G1, G2, T, coset_representatives(G1, G2))
+
+
+@st.composite
+def _near_dependent_groups(draw):
+    """<g, 3g + eps h>, eps log-uniform in [1e-6, 1e-3], with h at least 0.3
+    rad off g's direction; integer coefficients up to 1000; and an integer
+    matrix M = U D, det M = det D <= 16, whose rows give a sublattice: U is a
+    shear product with entries up to 751 and D upper triangular with entries
+    up to 4.  Half the draws take s2 = -3, where U's first row (1 - 3 s1, s1)
+    cancels the 3 g up to one g, so G1 has a long generator near s1 eps h."""
+    eps = 10.0 ** draw(st.floats(-6, -3))
+    phi, psi = draw(st.floats(0, 2 * math.pi)), draw(st.floats(0.3, math.pi - 0.3))
+    g = draw(st.floats(0.5, 2)) * complex(math.cos(phi), math.sin(phi))
+    h = draw(st.floats(0.5, 2)) * complex(math.cos(phi + psi), math.sin(phi + psi))
+    s1 = draw(st.integers(-250, 250))
+    s2 = draw(st.just(-3) | st.integers(-3, 3))
+    D = np.array([[draw(st.integers(1, 4)), draw(st.integers(-4, 4))],
+                  [0, draw(st.integers(1, 4))]])
+    M = np.array([[1 + s1 * s2, s1], [s2, 1]]) @ D
+    m = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=2, max_size=2)))
+    return g, 3 * g + eps * h, M, m
+
+
+@given(_near_dependent_groups())
+@settings(max_examples=200, deadline=None)
+def test_integer_gate_on_near_dependent_generators(case):
+    """Exact members are accepted with their coefficients, half a reduced
+    vector off is rejected, and integer sublattices get their exact index
+    and cosets, whatever the condition of the given basis (up to about 1e7)."""
+    g, y, M, m = case
+    G2 = subgroup([g, y])
+    member = int(m[0]) * g + int(m[1]) * y
+    ints, ok = integer_coefficients(G2, member)
+    assert ok and ints.tolist() == m.tolist()
+    r1, r2, _ = gauss_reduced_basis(g, y)
+    assert not contains(G2, member + r1 / 2) and not contains(G2, member + r2 / 2)
+    G1 = subgroup([int(a) * g + int(b) * y for a, b in M])
+    n = abs(round(np.linalg.det(M)))
+    assert is_sublattice(G1, G2)
+    assert index(G1, G2) == n
+    assert len(coset_representatives(G1, G2)) == n
 
 
 def _lstsq_coefficients(G, x):

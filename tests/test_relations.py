@@ -159,6 +159,29 @@ def test_monomial_budget_guard():
         find_relation([lambda u: u] * 6, 9, domain_dim=1)
 
 
+class _Allocated(Exception):
+    pass
+
+
+def test_matrix_budget_guard(monkeypatch):
+    """A search whose monomial matrix would pass 512 MiB stops before it
+    samples; sampling and the matrix raise here, so a wrong guard allocates
+    nothing."""
+    def boom(*args):
+        raise _Allocated
+
+    monkeypatch.setattr(_SamplePool, "ensure", boom)
+    monkeypatch.setattr(relations, "_monomial_matrix", boom)
+    # arity 5 is a dim-2 AAT search: degree 5 needs 15552 x 7776, degree 6
+    # 33614 x 16807 (9 GB); a 10^8-row floor needs 3.2 GB on one variable
+    for arity, degree, n_samples in ((5, 5, 64), (5, 6, 64), (1, 1, 10**8)):
+        with pytest.raises(ValueError, match="MiB"):
+            find_relation([lambda u: u] * arity, degree, n_samples)
+    for arity, degree, n_samples in ((5, 4, 64), (3, 8, 64), (1, 1, 10**6)):
+        with pytest.raises(_Allocated):
+            find_relation([lambda u: u] * arity, degree, n_samples)
+
+
 # -- basic detections ---------------------------------------------------------------
 
 def test_linear_identity_relation():
