@@ -93,16 +93,17 @@ def _canonical_wp_parameter(group, tol: float) -> float:
     criterion absorbs.  A real lattice is rectangular or rhombic, so on its
     Gauss-reduced basis (r1, r2), which the group keeps, both elements are
     among r_i, r1 +- r2 and 2 r_i - r_j: a +-2 coefficient box holds them,
-    however the generators were written.
+    however the generators were written.  Each candidate v counts as real
+    when its imaginary part is within tol |v| and its real part is positive
+    (and as imaginary likewise), so the gate holds at any elongation.
     """
-    r1, r2 = (complex(*col) for col in group._reduction[0].T)
-    thr = tol * abs(r2) * 4
+    r1, r2, _ = group.reduced_basis
     m = np.arange(-2, 3)
     M, N = np.meshgrid(m, m, indexing="ij")
     vals = M * r1 + N * r2
-    re, im = vals.real, vals.imag
-    real_mask = (np.abs(im) <= thr) & (re > thr)
-    imag_mask = (np.abs(re) <= thr) & (im > thr)
+    re, im, thr = vals.real, vals.imag, tol * np.abs(vals)
+    real_mask = (np.abs(im) <= thr) & (re > 0)
+    imag_mask = (np.abs(re) <= thr) & (im > 0)
     if not real_mask.any() or not imag_mask.any():
         raise InternalInconsistency(
             "no axis-aligned sublattice found; period group is not real"

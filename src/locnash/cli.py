@@ -32,7 +32,7 @@ from .classify import (
 from .config import FLOAT_SPEC, RunConfig, config_block, fmt, load_config
 from .descriptors import load_descriptor, parse_lattice1, serialize_descriptor
 from .errors import LocNashError, ParseError
-from .lattices import DiscreteSubgroup, gauss_reduced_basis, subgroup
+from .lattices import DiscreteSubgroup, subgroup
 from .relations import format_polynomial, verify_aat
 from .structures import map_batch, period_group
 from .weierstrass import (
@@ -256,7 +256,7 @@ def cmd_check_identities(args, cfg: RunConfig) -> int:
     # sigma's factor exp(eta (z + w/2)) overflows for a long generator w, so
     # sigma is checked on the Gauss-reduced pair unless the given pair is
     # already as short; eta is Z-linear on the lattice, so it maps through U
-    r1, r2, U = gauss_reduced_basis(lat.omega1, lat.omega2)
+    r1, r2, U = lat.to_subgroup().reduced_basis
     if max(abs(lat.omega1), abs(lat.omega2)) <= abs(r2):
         sigma_pairs = list(zip((lat.omega1, lat.omega2), eta))
     else:
@@ -275,10 +275,10 @@ def cmd_check_identities(args, cfg: RunConfig) -> int:
 
     checks.append(("conjugation", conjugate_lattice_check(ctx, zs), 1e-8))
 
-    doubled = subgroup([2 * lat.omega1, 2 * lat.omega2], tol=cfg.tol)
-    full = subgroup([lat.omega1, lat.omega2], tol=cfg.tol)
+    # judged at the default tol, as the literal was when it was read
+    doubled = subgroup([2 * lat.omega1, 2 * lat.omega2])
     checks.append(
-        ("coset_sum_doubled_sublattice", coset_sum_check(doubled, full, zs), 1e-6)
+        ("coset_sum_doubled_sublattice", coset_sum_check(doubled, lat.to_subgroup(), zs), 1e-6)
     )
 
     base, _, _ = ctx.wp_many(zs)
@@ -386,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, FileNotFoundError) as exc:
         print(f"locnash: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except LocNashError as exc:
+    except (LocNashError, ArithmeticError) as exc:  # a float past the double range, too
         print(f"locnash: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

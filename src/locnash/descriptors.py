@@ -25,7 +25,7 @@ def parse_lattice1(text: str) -> Lattice1:
         raise ParseError("expected a full lattice of C: lattice(w1, w2) with two scalar generators")
     try:
         return Lattice1(gens[0][0], gens[1][0])
-    except DegenerateGenerators as exc:
+    except (DegenerateGenerators, ValueError) as exc:
         raise ParseError(f"literal does not define a lattice: {exc}") from exc
 
 

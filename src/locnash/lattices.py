@@ -1,7 +1,8 @@
 """Algebra of discrete subgroups of (C^n, +), n in {1, 2}.
 
 Generators are double-precision complex vectors; a rank-2 group of C is
-Gauss-reduced once, at construction, and validated on its reduced basis.
+Gauss-reduced once, at construction, and validated on its reduced basis,
+which every consumer reads (`reduced_basis`); a `Lattice1` is one such group.
 Every integrality verdict passes one gate (`_integral`), a backward-error
 bound with no tolerance.  Membership rounds the coefficients from the
 pseudo-inverse of the given basis, built on a group's first membership
@@ -39,6 +40,8 @@ DEFAULT_TOL = 1e-9
 #: section 3.1); with gamma_5 for forming B t - x here that is 4.5 eps, and 16
 #: leaves a factor above 3 for members formed in a few more operations.
 GATE_K = 16.0
+#: the most cosets `coset_representatives` enumerates
+MAX_COSETS = 2**20
 _EPS = float(np.finfo(float).eps)
 _column_norms = functools.partial(np.hypot.reduce, axis=0)
 _IDENTITY = tuple(np.eye(r, dtype=np.int64) for r in range(5))  # U of a basis kept as given
@@ -111,6 +114,12 @@ class DiscreteSubgroup:
     def basis_matrix(self) -> np.ndarray:
         return _embed(self.generators, self.dim)
 
+    @property
+    def reduced_basis(self) -> tuple[complex, complex, np.ndarray]:
+        """(r1, r2, U) of a rank-2 group of C, r_i = U[i,0] g_1 + U[i,1] g_2."""
+        (x1, x2), (y1, y2) = self._reduction[0].tolist()  # else a ValueError
+        return complex(x1, y1), complex(x2, y2), self._reduction[1]
+
     @functools.cached_property
     def _solver(self) -> tuple[np.ndarray, np.ndarray]:
         """The basis matrix and its pseudo-inverse V S^-1 U^T, built on the
@@ -180,30 +189,48 @@ def gauss_reduced_basis(w1: complex, w2: complex) -> tuple[complex, complex, np.
     """Lagrange/Gauss reduction of a rank-2 basis of C.
 
     Returns (r1, r2, U) with (r1, r2) a shortest basis, U the integer
-    matrix such that r_i = U[i,0]*w1 + U[i,1]*w2, det U = +-1.
+    matrix such that r_i = U[i,0]*w1 + U[i,1]*w2, det U = +-1.  The pair is
+    reduced as a copy scaled by a power of two, which is exact, so that its
+    largest component lies in [1/2, 1): |b|^2 neither overflows nor
+    underflows at any scale, and at ordinary scales every bit is as if
+    unscaled.
     """
-    a, b = complex(w1), complex(w2)
+    w1, w2 = complex(w1), complex(w2)
+    k = -math.frexp(max(abs(w1.real), abs(w1.imag), abs(w2.real), abs(w2.imag)))[1]
+    a, b = _ldexp(w1, k), _ldexp(w2, k)
     ua, ub = (1, 0), (0, 1)
     if abs(a) < abs(b):
         a, b, ua, ub = b, a, ub, ua
     for _ in range(256):
-        if not b:  # a zero generator, or a step that cancels exactly
+        nb = abs(b) ** 2
+        if not nb:  # a zero generator, a step that cancels exactly, or one
+            # so short against the other that its square underflows
             raise DegenerateGenerators(f"generators {w1}, {w2} are R-dependent")
-        t = round((a * b.conjugate()).real / abs(b) ** 2)
+        t = round((a * b.conjugate()).real / nb)
         a, ua = a - t * b, (ua[0] - t * ub[0], ua[1] - t * ub[1])
         if abs(a) >= abs(b):
             break
         a, b, ua, ub = b, a, ub, ua
     else:  # pragma: no cover
         raise InternalInconsistency("Gauss reduction did not terminate")
-    return b, a, np.array([ub, ua], dtype=np.int64)
+    if max(map(abs, ua + ub)) >= 2**63:
+        raise DegenerateGenerators(
+            f"generators {w1}, {w2} reduce only by a change of basis past 64-bit integers"
+        )
+    return _ldexp(b, -k), _ldexp(a, -k), np.array([ub, ua], dtype=np.int64)
+
+
+def _ldexp(z: complex, k: int) -> complex:
+    """z 2^k, exact inside the double range."""
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
 
 
 def _transition(
     G1: DiscreteSubgroup, G2: DiscreteSubgroup
 ) -> tuple[np.ndarray, np.ndarray]:
-    """G2's reduced basis matrix B, and the integer matrix T whose column j
-    holds the coefficients over B of generator j of G1's reduced basis.
+    """G2's reduced basis matrix B, and the integer matrix T (of Python
+    ints, so no entry wraps) whose column j holds the coefficients over B of
+    generator j of G1's reduced basis.
 
     T is rounded from a solve over B.  The integer gate checks G1's
     generators as given against G2's generators as given, with T carried
@@ -224,7 +251,7 @@ def _transition(
             "first group is not contained in the second: its generators are "
             "no integer combinations of the second's basis"
         )
-    return B, T.astype(np.int64) @ G1._reduction[1].T
+    return B, np.frompyfunc(int, 1, 1)(T) @ G1._reduction[1].T.astype(object)
 
 
 def _hermite_diagonal(T: np.ndarray) -> list[int]:
@@ -260,7 +287,7 @@ def _hermite_diagonal(T: np.ndarray) -> list[int]:
 
 
 def index(G1: DiscreteSubgroup, G2: DiscreteSubgroup) -> int:
-    """Index [G2 : G1] for full-rank sublattices G1 <= G2 of C^dim."""
+    """Index [G2 : G1] for full-rank sublattices G1 <= G2 of C^dim, exact."""
     _, T = _transition(G1, G2)
     return math.prod(_hermite_diagonal(T))
 
@@ -273,12 +300,14 @@ def coset_representatives(G1: DiscreteSubgroup, G2: DiscreteSubgroup) -> list[Ve
     0 <= c_i < H_ii of T's Hermite form are one per coset.  Each c is moved
     by an integer combination of T's columns into the fundamental box of
     G1's reduced basis, still in integers, and then mapped through G2's
-    basis.
+    basis.  An index above MAX_COSETS raises ValueError before any is built.
     """
     B, T = _transition(G1, G2)
-    box = np.array(
-        list(itertools.product(*map(range, _hermite_diagonal(T)))), dtype=np.int64
-    ).T
+    diag = _hermite_diagonal(T)
+    if (n := math.prod(diag)) > MAX_COSETS:
+        raise ValueError(f"index {n} exceeds the {MAX_COSETS} cosets enumerated at most")
+    T = T.astype(np.int64)
+    box = np.array(list(itertools.product(*map(range, diag))), dtype=np.int64).T
     shift = np.floor(np.linalg.solve(T.astype(float), box) + 1e-12).astype(np.int64)
     pts = B @ (box - T @ shift)
     return [
@@ -358,7 +387,9 @@ def real_rank1_form(G: DiscreteSubgroup) -> Rank1Axis:
 class Lattice1:
     """Full lattice of (C, +) given by an ordered generator pair.
 
-    Orientation is normalized so that Im(omega2/omega1) > 0.
+    Orientation is normalized so that Im(omega2/omega1) > 0.  The oriented
+    pair is kept as a `DiscreteSubgroup` (`to_subgroup`), which alone judges
+    it, at DEFAULT_TOL whatever tolerance a caller works at.
     """
 
     omega1: complex
@@ -366,18 +397,12 @@ class Lattice1:
 
     def __post_init__(self):
         w1, w2 = complex(self.omega1), complex(self.omega2)
-        for w in (w1, w2):
-            if not (np.isfinite(w.real) and np.isfinite(w.imag)):
-                raise ValueError("non-finite lattice generator")
-        area = (w1.conjugate() * w2).imag
-        if abs(area) <= 1e-12 * abs(w1) * abs(w2) or w1 == 0 or w2 == 0:
-            raise DegenerateGenerators(
-                f"generators {w1}, {w2} are R-dependent"
-            )
-        if area < 0:
+        if (w1.conjugate() * w2).imag < 0:
             w2 = -w2
         object.__setattr__(self, "omega1", w1)
         object.__setattr__(self, "omega2", w2)
+        # not a field, as DiscreteSubgroup._reduction: eq and hash read the pair
+        object.__setattr__(self, "_group", DiscreteSubgroup(1, ((w1,), (w2,))))
 
     @property
     def covolume(self) -> float:
@@ -395,8 +420,8 @@ class Lattice1:
             raise ValueError("zero scaling")
         return Lattice1(c * self.omega1, c * self.omega2)
 
-    def to_subgroup(self, tol: float = DEFAULT_TOL) -> DiscreteSubgroup:
-        return DiscreteSubgroup(1, ((self.omega1,), (self.omega2,)), tol)
+    def to_subgroup(self) -> DiscreteSubgroup:
+        return self._group
 
 
 def lattice1_from_subgroup(G: DiscreteSubgroup) -> Lattice1:

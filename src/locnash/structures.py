@@ -184,7 +184,7 @@ def _fixed(*pairs):
 
 def _wp_real_periods(d: StructureDescriptor):
     lat = d.lattice
-    forms = ("1", "i*a") if lat == _rectangular(d) else ("omega1", "omega2")
+    forms = ("1", "i*a") if (lat.omega1, lat.omega2) == (1, d.a.real * 1j) else ("omega1", "omega2")
     return ((lat.omega1,), forms[0]), ((lat.omega2,), forms[1])
 
 
@@ -333,7 +333,7 @@ def is_real_structure(d: StructureDescriptor, tol: float = DEFAULT_TOL) -> bool:
     if np.max(np.abs(A.imag)) > tol * np.max(np.abs(A)):
         return False
     for lat in (d.lattice, d.lattice2):
-        if lat is not None and not is_real(lat.to_subgroup(tol)):
+        if lat is not None and not is_real(lat.to_subgroup()):
             return False
     if d.a is not None and abs(d.a.imag) > tol * abs(d.a):
         return False

@@ -1,10 +1,11 @@
 """Numerical evaluation of the Weierstrass sigma, zeta, wp, wp' functions.
 
-Method (DLMF 20.2, 23.6): Gauss-reduce the basis to (r1, r2), flipping r2 so
-that tau = r2/r1 has Im tau > 0.  Then tau lies in the fundamental domain and
-the nome q = exp(i pi tau) has |q| <= exp(-pi sqrt(3)/2) ~ 0.066 for every
-lattice, whatever basis it was given in.  Arguments are reduced into the
-centered cell, u = u_red + m r1 + n r2, and with v = pi u_red / r1:
+Method (DLMF 20.2, 23.6): read the lattice's Gauss-reduced basis (r1, r2),
+made once by its group, flipping r2 so that tau = r2/r1 has Im tau > 0.
+Then tau lies in the fundamental domain and the nome q = exp(i pi tau) has
+|q| <= exp(-pi sqrt(3)/2) ~ 0.066 for every lattice, whatever basis it was
+given in.  Arguments are reduced into the centered cell,
+u = u_red + m r1 + n r2, and with v = pi u_red / r1:
 
     zeta(u)  = eta1 u / r1 + (pi/r1) (log theta1)'(v)
     wp(u)    = -eta1 / r1 - (pi/r1)^2 (log theta1)''(v)
@@ -51,7 +52,6 @@ from .lattices import (
     DiscreteSubgroup,
     Lattice1,
     coset_representatives,
-    gauss_reduced_basis,
     lattice1_from_subgroup,
 )
 
@@ -101,7 +101,7 @@ class WeierstrassContext:
 
     def __init__(self, lattice: Lattice1):
         self.lattice = lattice
-        r1, r2, U = gauss_reduced_basis(lattice.omega1, lattice.omega2)
+        r1, r2, U = lattice.to_subgroup().reduced_basis
         (a, b), (c, d) = U.tolist()
         if (r2 / r1).imag < 0:
             r2, c, d = -r2, -c, -d
@@ -381,7 +381,7 @@ def sample_reduced(
     min_dist: float = 0.05,
 ) -> np.ndarray:
     """Random points in the centered fundamental cell, away from the origin pole."""
-    r1, r2, _ = gauss_reduced_basis(lattice.omega1, lattice.omega2)
+    r1, r2, _ = lattice.to_subgroup().reduced_basis
     floor = min_dist * min(abs(r1), abs(r2))
     out = []
     while len(out) < count:

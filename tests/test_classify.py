@@ -94,6 +94,21 @@ def test_classify_wp_skew_basis(k):
     assert form.kind == "wp" and form.a == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("a", [3e-9, 1e-8, 1.0, 3e8, 5e8, 9e8])
+def test_classify_wp_exact_parameter_at_any_elongation(a):
+    # each axis candidate is gated against its own length, so the short
+    # generator of <1, ia> is found however long the other one is
+    form = classify_1d(wp_real(a))
+    assert form.kind == "wp" and form.a == a
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e200])
+def test_classify_wp_at_extreme_scale(s):
+    d = StructureDescriptor(1, "wp_real", a=1.0, lattice=Lattice1(s, s * 1j))
+    form = classify_1d(d)
+    assert form.kind == "wp" and form.a == 1.0
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
 def test_complex_a_not_real_at_any_scale(scale):
     # a's imaginary part is measured against |a|, as alpha's against alpha

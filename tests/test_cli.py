@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +19,7 @@ WP1 = "dim = 1\nfamily = wp_real\na = 1\n"
 WP2 = "dim = 1\nfamily = wp_real\na = 2\n"
 P4 = "dim = 2\nfamily = p4\na = 1\nlattice = lattice(1, 1i)\n"
 P5 = "dim = 2\nfamily = p5\na = 0.3\nlattice = lattice(1, 2i)\n"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def desc(tmp_path, name, text):
@@ -148,8 +153,11 @@ def test_eval_descriptor_dim2_needs_out(tmp_path, capsys):
     ["eval", "--lattice", "lattice((1, 0), (0, 1))", "--grid", "0:1:1"],
     ["classify", "desc:lattice(1, 2)"],
     ["classify", "desc:lattice(1)"],
+    ["eval", "--lattice", "lattice(1e400, 1i)", "--grid", "0:1:1"],
+    ["classify", "desc:lattice(1e400, 1i)"],
 ], ids=["eval-degenerate", "check-identities-degenerate", "check-identities-rank-1",
-        "eval-dim-2", "descriptor-degenerate", "descriptor-rank-1"])
+        "eval-dim-2", "descriptor-degenerate", "descriptor-rank-1", "eval-non-finite",
+        "descriptor-non-finite"])
 def test_bad_lattice_literal_exits_2(tmp_path, capsys, argv):
     # "desc:L" stands for a p4 descriptor file whose lattice field is L
     argv = [desc(tmp_path, "bad.desc", P4.replace("lattice(1, 1i)", a[5:]))
@@ -362,6 +370,21 @@ def test_unused_descriptor_field_exits_2(tmp_path, capsys, text):
     assert "does not use" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("s", ["1e-160", "1e-200"])
+def test_eval_past_double_range_exits_3(tmp_path, s):
+    """wp's bounds on lattice(s, si) overflow a Python float: a numeric
+    failure (exit 3), not a traceback.  Run as a process, as a user would:
+    numpy's overflow warnings come first and are no error there."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "locnash", "eval", "--lattice", f"lattice({s}, {s}i)",
+         "--grid", "0.1:0.2:0.1", "--out", str(tmp_path / "g.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert "locnash: OverflowError" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_periods_overflowing_alpha_inverse_exits_3(tmp_path, capsys):
     d = desc(tmp_path, "e.desc", EXP + "alpha = 5e-324\n")
     assert main(["periods", d]) == 3
@@ -369,12 +392,13 @@ def test_periods_overflowing_alpha_inverse_exits_3(tmp_path, capsys):
 
 
 def test_classify_skew_lattice_report(tmp_path, capsys):
-    # <1, 100000 + i> is the square lattice: its given basis has condition
-    # number about 1e10, its reduced basis 1
-    wp = desc(tmp_path, "wp.desc", WP2 + "lattice = lattice(1, 100000+1i)\n")
-    assert main(["classify", wp]) == 0
-    out = capsys.readouterr().out
-    assert "canonical_form = wp" in out and "\na = 1\n" in out
+    # <1, k + i> is the square lattice: its given basis has condition
+    # number about k^2, its reduced basis 1
+    for w2 in ("100000+1i", "1e12+1i"):
+        wp = desc(tmp_path, "wp.desc", WP2 + f"lattice = lattice(1, {w2})\n")
+        assert main(["classify", wp]) == 0
+        out = capsys.readouterr().out
+        assert "canonical_form = wp" in out and "\na = 1\n" in out
 
 
 def test_wp_real_explicit_lattice_report(tmp_path, capsys):

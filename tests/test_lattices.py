@@ -64,6 +64,12 @@ def test_dependent_pair_rejected():
         subgroup([1 + 1j, 2 + 2j])
 
 
+def test_pair_reducing_past_int64_rejected():
+    # the reduction's first step is round(1e28): no int64 change of basis
+    with pytest.raises(DegenerateGenerators):
+        subgroup([1, 1e-28 * (1 + 1e-8j)])
+
+
 def test_dependent_pair_cancelling_in_the_reduction_rejected():
     # 3 * w rounds, so the pair's area is not 0, but w2 - 3 w1 cancels exactly
     w = 0.1 + 0.3j
@@ -206,6 +212,20 @@ def test_index_chain_multiplicative():
     assert index(quad, DBL) == 4
     assert index(DBL, SQ) == 4
     assert index(quad, SQ) == 16
+
+
+def test_index_is_exact_past_int64():
+    # the transition matrix has entries int(1e30) > 2^63
+    assert index(subgroup([1e30, 1e30j]), SQ) == int(1e30) ** 2
+
+
+def test_coset_enumeration_refused_past_the_limit(monkeypatch):
+    def product(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("locnash.lattices.itertools.product", product)
+    with pytest.raises(ValueError, match="index 10000000000 exceeds"):
+        coset_representatives(subgroup([1e5, 1e5j]), SQ)
 
 
 def test_mutual_sublattices_have_index_one():
@@ -527,3 +547,82 @@ def test_lattice1_orientation():
     assert (L.omega1.conjugate() * L.omega2).imag > 0
     with pytest.raises(DegenerateGenerators):
         Lattice1(1.0, 2.0)
+
+
+@st.composite
+def _generator_pairs(draw):
+    """Pairs of C: a basis of elongation 10^U(-12, 12) at any rotation, scale
+    and shear, sometimes sheared further by an integer up to 1e6, or a pair
+    within a relative 1e-18..1e-8 of a real multiple."""
+    w1 = 10 ** draw(st.floats(-3, 3)) * complex(
+        math.cos(t := draw(st.floats(0, 2 * math.pi))), math.sin(t))
+    c = draw(st.floats(-3, 3))
+    if draw(st.booleans()):
+        return w1, w1 * c * (1 + 1j * 10 ** draw(st.floats(-18, -8)))
+    w2 = w1 * complex(c, 10 ** draw(st.floats(-12, 12)))
+    k, which = draw(st.integers(-10**6, 10**6)), draw(st.integers(0, 2))
+    if which == 1:
+        w2 += k * w1
+    elif which == 2:
+        w1 += k * w2
+    return w1, w2
+
+
+@given(_generator_pairs())
+@settings(max_examples=300, deadline=None)
+def test_lattice1_valid_iff_its_group_is(pair):
+    """A Lattice1 has no validity rule of its own: it builds exactly when the
+    group of its pair does, whatever basis the pair is."""
+    try:
+        subgroup(list(pair))
+    except DegenerateGenerators:
+        with pytest.raises(DegenerateGenerators):
+            Lattice1(*pair)
+    else:
+        L = Lattice1(*pair)
+        assert L.to_subgroup().generators == ((L.omega1,), (L.omega2,))
+
+
+@pytest.mark.parametrize("w2", [1e12 + 1j, 1e13 + 0.5j])
+def test_lattice1_skew_basis_of_a_valid_lattice_builds(w2):
+    # <1, 1e12 + i> is the square lattice and <1, 1e13 + 0.5i> is <1, 0.5i>
+    r1, r2, _ = Lattice1(1, w2).to_subgroup().reduced_basis
+    assert sorted((abs(r1), abs(r2))) == [abs(w2.imag), 1.0]
+
+
+@pytest.mark.parametrize("w2", [2e9j, 5e-10j, 3 + 1e-13j])
+def test_lattice1_too_elongated_lattice_raises(w2):
+    # reduced basis (1, 2e9 i), (5e-10 i, 1) and (1e-13 i, 1): condition
+    # number past 1 / DEFAULT_TOL, whatever basis they are written in
+    with pytest.raises(DegenerateGenerators):
+        Lattice1(1, w2)
+    with pytest.raises(DegenerateGenerators):
+        subgroup([1, w2])
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e300])
+def test_lattice_builds_at_any_scale(s):
+    G = subgroup([s, s * (5 + 1j)])
+    r1, r2, U = G.reduced_basis
+    assert (r1, r2) == (s, s * 1j) and U.tolist() == [[1, 0], [-5, 1]]
+    assert contains(G, s * (2 - 3j)) and not contains(G, s * (0.5 + 0j))
+    L = Lattice1(s, s * 1j)
+    assert L.to_subgroup().reduced_basis[:2] == (s * 1j, s + 0j)
+
+
+_dyadic = st.builds(lambda x, y: complex(x, y) / 2**20, *[st.integers(-2**30, 2**30)] * 2)
+
+
+@given(_dyadic, _dyadic, st.integers(-900, 900))
+@settings(max_examples=200, deadline=None)
+def test_gauss_reduction_commutes_with_powers_of_two(w1, w2, k):
+    """Scaling the pair by 2^k scales the reduced basis by 2^k, bit for bit
+    (dyadic input, so every scaled number is exact)."""
+    try:
+        r1, r2, U = gauss_reduced_basis(w1, w2)
+    except DegenerateGenerators:
+        with pytest.raises(DegenerateGenerators):
+            gauss_reduced_basis(w1 * 2.0**k, w2 * 2.0**k)
+        return
+    s1, s2, V = gauss_reduced_basis(w1 * 2.0**k, w2 * 2.0**k)
+    assert (s1, s2) == (r1 * 2.0**k, r2 * 2.0**k) and (U == V).all()
