@@ -4,14 +4,15 @@ Generators are double-precision complex vectors; a rank-2 group of C is
 Gauss-reduced once, at construction, and validated on its reduced basis,
 which every consumer reads (`reduced_basis`); a `Lattice1` is one such group.
 Every integrality verdict passes one gate (`_integral`), a backward-error
-bound with no tolerance.  Membership rounds the coefficients from the
-pseudo-inverse of the given basis, built on a group's first membership
-test.  Index and cosets come from the integer transition matrix onto the
-second group's reduced basis, triangularised over Z (Hermite normal form,
-Cohen, A Course in Computational Algebraic Number Theory, section 2.4): the
-index is the product of its diagonal H_ii, and the integer points c with
-0 <= c_i < H_ii are one per coset.  The common real sublattice reads its
-multiplier off the rational approximations of the transition matrix.
+bound with no tolerance, on coefficients rounded from the pseudo-inverse of
+the group's reduced basis (built on its first such test), whose vectors the
+reduction forms exactly and rounds once.  Index and cosets come from the
+integer transition matrix onto the second group's reduced basis,
+triangularised over Z (Hermite normal form, Cohen, A Course in
+Computational Algebraic Number Theory, section 2.4): the index is the
+product of its diagonal H_ii, and the integer points c with 0 <= c_i < H_ii
+are one per coset.  The common real sublattice reads its multiplier off the
+rational approximations of the transition matrix.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ DEFAULT_TOL = 1e-9
 GATE_K = 16.0
 #: the most cosets `coset_representatives` enumerates
 MAX_COSETS = 2**20
+#: the largest multiplier `common_real_sublattice` looks for
+MAX_MULTIPLIER = 10_000
 _EPS = float(np.finfo(float).eps)
 _column_norms = functools.partial(np.hypot.reduce, axis=0)
 _IDENTITY = tuple(np.eye(r, dtype=np.int64) for r in range(5))  # U of a basis kept as given
@@ -122,11 +125,10 @@ class DiscreteSubgroup:
 
     @functools.cached_property
     def _solver(self) -> tuple[np.ndarray, np.ndarray]:
-        """The basis matrix and its pseudo-inverse V S^-1 U^T, built on the
-        first membership test; groups that test none never pay for them.
-        Construction bounds the reduced basis's singular values, not these:
-        the integer gate, not the conditioning, decides membership."""
-        mat = self.basis_matrix
+        """The reduced basis matrix and its pseudo-inverse V S^-1 U^T, built
+        on the first integrality test; groups that test none never pay for
+        them."""
+        mat = self._reduction[0]
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
         return mat, (vt.T / s) @ u.T
 
@@ -142,35 +144,59 @@ def subgroup(gens: Iterable, dim: int | None = None, tol: float = DEFAULT_TOL) -
     return DiscreteSubgroup(dim, tuple(as_vector(g, dim) for g in gens), tol)
 
 
-def _integral(B: np.ndarray, X: np.ndarray, T: np.ndarray) -> bool:
-    """True when each column x of X is B t, t the same column of the
+def _integral(B: np.ndarray, X: np.ndarray, T: np.ndarray, cap: float | None = None) -> np.ndarray:
+    """Per column x of X, whether x is B t, t the same column of the
     integer-valued T, up to rounding: |B t - x| <= K eps (sum |t_i| |b_i| +
-    |x|), K = GATE_K.  A point off the group misses by a lattice distance."""
+    |x|), K = GATE_K, and that bound is at most cap.  A point off the group
+    misses by a lattice distance."""
     gap = _column_norms(B @ T - X)
-    scale = np.abs(T).T @ _column_norms(B) + _column_norms(X)
-    return bool((gap <= GATE_K * _EPS * scale).all())
+    bound = GATE_K * _EPS * (np.abs(T).T @ _column_norms(B) + _column_norms(X))
+    return gap <= bound if cap is None else (gap <= bound) & (bound <= cap)
 
 
 def _coefficients(G: DiscreteSubgroup, X: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Coefficients over G's generators of the columns of the real 2n x k X
-    (or of one point), from G's pseudo-inverse and rounded, and whether they
-    pass the integer gate.  The trivial group holds 0 alone."""
+    """Rounded coefficients T over G's reduced basis of the columns of the
+    real 2n x k X (or of one point), and whether they pass the integer gate.
+
+    The gate is on the reduced basis, which holds each vector to half an
+    ulp.  A point formed from the given generators carries their rounding
+    too, so a point that fails there is gated on them as well, with m =
+    U^T T, while that bound stays GATE_K times below the shortest vector:
+    on a skew basis it grows past any lattice distance.  The trivial group
+    holds 0 alone."""
     if G.rank == 0:
         return np.zeros((0,) + X.shape[1:]), not X.any()
     mat, pinv = G._solver
     T = np.round(pinv @ X)
-    return T, _integral(mat, X, T)
+    ok = _integral(mat, X, T)
+    if ok.all():
+        return T, True
+    if (U := G._reduction[1]) is not _IDENTITY[G.rank]:
+        ok |= _integral(G.basis_matrix, X, U.T @ T, _column_norms(mat).min() / GATE_K)
+    return T, bool(ok.all())
+
+
+def _point(G: DiscreteSubgroup, x) -> np.ndarray:
+    """A point of C^n as a real 2n-vector."""
+    return np.array(as_vector(x, G.dim), dtype=complex).view(float)
 
 
 def integer_coefficients(G: DiscreteSubgroup, x) -> tuple[np.ndarray, bool]:
-    """Solve x = sum m_i * g_i for integer m_i: (m, True when m passes the gate)."""
-    ints, ok = _coefficients(G, np.array(as_vector(x, G.dim), dtype=complex).view(float))
-    return ints.astype(np.int64), ok
+    """Solve x = sum m_i * g_i for integer m_i: (m, True when m passes the gate).
+
+    A member's m is U^T T; a non-member's is rounded in the given
+    coordinates, since rounding does not commute with U."""
+    X = _point(G, x)
+    T, ok = _coefficients(G, X)
+    U = G._reduction[1]
+    if not (ok or G.rank == 0):
+        T = G._solver[1] @ X  # unrounded, over the reduced basis
+    return np.round(U.T @ T).astype(np.int64), ok
 
 
 def contains(G: DiscreteSubgroup, x) -> bool:
     """Membership of x in G, decided via integer coefficient recovery."""
-    return integer_coefficients(G, x)[1]
+    return _coefficients(G, _point(G, x))[1]
 
 
 def is_real(G: DiscreteSubgroup) -> bool:
@@ -192,13 +218,13 @@ def gauss_reduced_basis(w1: complex, w2: complex) -> tuple[complex, complex, np.
     matrix such that r_i = U[i,0]*w1 + U[i,1]*w2, det U = +-1.  The pair is
     reduced as a copy scaled by a power of two, which is exact, so that its
     largest component lies in [1/2, 1): |b|^2 neither overflows nor
-    underflows at any scale, and at ordinary scales every bit is as if
-    unscaled.
+    underflows at any scale.  A step a - t b is formed exactly from the
+    scaled pair and its row of U, and rounded once, so however much it
+    cancels (on a skew pair) the basis holds no rounding of earlier steps.
     """
     w1, w2 = complex(w1), complex(w2)
-    k = -math.frexp(max(abs(w1.real), abs(w1.imag), abs(w2.real), abs(w2.imag)))[1]
-    a, b = _ldexp(w1, k), _ldexp(w2, k)
-    ua, ub = (1, 0), (0, 1)
+    a0, b0, k = _scaled_pair(w1, w2)
+    a, b, ua, ub = a0, b0, (1, 0), (0, 1)
     if abs(a) < abs(b):
         a, b, ua, ub = b, a, ub, ua
     for _ in range(256):
@@ -207,7 +233,9 @@ def gauss_reduced_basis(w1: complex, w2: complex) -> tuple[complex, complex, np.
             # so short against the other that its square underflows
             raise DegenerateGenerators(f"generators {w1}, {w2} are R-dependent")
         t = round((a * b.conjugate()).real / nb)
-        a, ua = a - t * b, (ua[0] - t * ub[0], ua[1] - t * ub[1])
+        if t:
+            ua = (ua[0] - t * ub[0], ua[1] - t * ub[1])
+            a = _combination(ua, a0, b0)
         if abs(a) >= abs(b):
             break
         a, b, ua, ub = b, a, ub, ua
@@ -220,9 +248,25 @@ def gauss_reduced_basis(w1: complex, w2: complex) -> tuple[complex, complex, np.
     return _ldexp(b, -k), _ldexp(a, -k), np.array([ub, ua], dtype=np.int64)
 
 
+def _combination(u: tuple[int, int], w1: complex, w2: complex) -> complex:
+    """u[0] w1 + u[1] w2 rounded once: a double is a dyadic rational n / d,
+    so the sum is exact in Python integers, and their true division rounds it."""
+    parts = []
+    for x, y in ((w1.real, w2.real), (w1.imag, w2.imag)):
+        (nx, dx), (ny, dy) = x.as_integer_ratio(), y.as_integer_ratio()
+        parts.append((u[0] * nx * dy + u[1] * ny * dx) / (dx * dy))
+    return complex(*parts)
+
+
 def _ldexp(z: complex, k: int) -> complex:
     """z 2^k, exact inside the double range."""
     return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
+def _scaled_pair(w1: complex, w2: complex) -> tuple[complex, complex, int]:
+    """(w1 2^k, w2 2^k, k), k such that the largest component lies in [1/2, 1)."""
+    k = -math.frexp(max(abs(w1.real), abs(w1.imag), abs(w2.real), abs(w2.imag)))[1]
+    return _ldexp(w1, k), _ldexp(w2, k), k
 
 
 def _transition(
@@ -232,26 +276,22 @@ def _transition(
     ints, so no entry wraps) whose column j holds the coefficients over B of
     generator j of G1's reduced basis.
 
-    T is rounded from a solve over B.  The integer gate checks G1's
-    generators as given against G2's generators as given, with T carried
-    there by G2's U: the reduced bases carry the rounding of their
-    reduction, the given ones do not.  It is the sublattice test and raises
-    NonIntegerTransition, a NotASublattice.  G1's U then moves T to G1's
-    reduced basis, in integers.
+    T and its gate are `is_sublattice`'s (`_coefficients`), so the two
+    cannot disagree; a failure raises NonIntegerTransition, a
+    NotASublattice.  G1's U then moves T to G1's reduced basis, in integers.
     """
     if G1.dim != G2.dim:
         raise ValueError("dimension mismatch")
     full = 2 * G1.dim
     if G1.rank != full or G2.rank != full:
         raise ValueError("index requires full lattices on both sides")
-    (B, U), X = G2._reduction, G1.basis_matrix
-    T = np.round(np.linalg.solve(B, X))
-    if not _integral(G2.basis_matrix, X, U.T @ T):
+    T, ok = _coefficients(G2, G1.basis_matrix)
+    if not ok:
         raise NonIntegerTransition(
             "first group is not contained in the second: its generators are "
             "no integer combinations of the second's basis"
         )
-    return B, np.frompyfunc(int, 1, 1)(T) @ G1._reduction[1].T.astype(object)
+    return G2._reduction[0], np.frompyfunc(int, 1, 1)(T) @ G1._reduction[1].T.astype(object)
 
 
 def _hermite_diagonal(T: np.ndarray) -> list[int]:
@@ -333,14 +373,14 @@ def transform(G: DiscreteSubgroup, alpha_inv) -> DiscreteSubgroup:
 
 
 def common_real_sublattice(
-    G1: DiscreteSubgroup, G2: DiscreteSubgroup, a_max: int = 10_000
+    G1: DiscreteSubgroup, G2: DiscreteSubgroup
 ) -> tuple[DiscreteSubgroup, int] | None:
-    """Smallest positive integer a with a*G1 <= G2, as (a*G1, a); None if none <= a_max.
+    """Smallest a >= 1 with a*G1 <= G2, as (a*G1, a); None if none <= MAX_MULTIPLIER.
 
     Each entry of the transition matrix C (G1's generators over G2's reduced
-    basis) is read as its nearest fraction with denominator <= a_max, and a
-    is the lcm of those denominators; round(a*C) must then pass the integer
-    gate as in `_transition`.  Existence of the multiplier is a theorem, its
+    basis, unrounded) is read as its nearest fraction with denominator <=
+    MAX_MULTIPLIER, and a is the lcm of those denominators; a*G1 must then
+    pass `_coefficients`' gate.  Existence of the multiplier is a theorem, its
     size is not, so the operation is totalized with an explicit not-found value.
     """
     for G in (G1, G2):
@@ -348,12 +388,10 @@ def common_real_sublattice(
             raise ValueError("requires full lattices of C")
         if not is_real(G):
             raise ValueError("requires real lattices")
-    (B, U), X = G2._reduction, G1.basis_matrix
-    C = np.linalg.solve(B, X)
-    a = math.lcm(
-        *(Fraction(c).limit_denominator(a_max).denominator for c in C.flat)
-    )
-    if a > a_max or not _integral(G2.basis_matrix, a * X, U.T @ np.round(a * C)):
+    X = G1.basis_matrix
+    C = G2._solver[1] @ X
+    a = math.lcm(*(Fraction(c).limit_denominator(MAX_MULTIPLIER).denominator for c in C.flat))
+    if a > MAX_MULTIPLIER or not _coefficients(G2, a * X)[1]:
         return None
     scaled_group = DiscreteSubgroup(
         1, tuple(tuple(a * c for c in g) for g in G1.generators), G1.tol
@@ -397,7 +435,8 @@ class Lattice1:
 
     def __post_init__(self):
         w1, w2 = complex(self.omega1), complex(self.omega2)
-        if (w1.conjugate() * w2).imag < 0:
+        a, b, _ = _scaled_pair(w1, w2)  # so the sign neither underflows nor overflows
+        if (a.conjugate() * b).imag < 0:
             w2 = -w2
         object.__setattr__(self, "omega1", w1)
         object.__setattr__(self, "omega2", w2)

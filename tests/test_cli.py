@@ -392,10 +392,10 @@ def test_periods_overflowing_alpha_inverse_exits_3(tmp_path, capsys):
 
 
 def test_classify_skew_lattice_report(tmp_path, capsys):
-    # <1, k + i> is the square lattice: its given basis has condition
-    # number about k^2, its reduced basis 1
-    for w2 in ("100000+1i", "1e12+1i"):
-        wp = desc(tmp_path, "wp.desc", WP2 + f"lattice = lattice(1, {w2})\n")
+    # <1, k + i> and <1 + k^2 + ki, k + i> are the square lattice: their
+    # given bases have condition numbers about k^2 and k^4, the reduced one 1
+    for pair in ("1, 100000+1i", "1, 1e12+1i", "9000001+3000i, 3000+1i"):
+        wp = desc(tmp_path, "wp.desc", WP2 + f"lattice = lattice({pair})\n")
         assert main(["classify", wp]) == 0
         out = capsys.readouterr().out
         assert "canonical_form = wp" in out and "\na = 1\n" in out

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from locnash.errors import (
     SingularMatrix,
 )
 from locnash.lattices import (
+    MAX_MULTIPLIER,
     DiscreteSubgroup,
     Lattice1,
     as_vector,
@@ -90,14 +92,38 @@ def test_reduction_kept_at_construction():
     assert subgroup([(1, 0.5j), (1j, 2)])._reduction[1].tolist() == np.eye(2).tolist()
 
 
-@pytest.mark.parametrize("k", [1e2, 1e4, 1e5, 1e6])
-@pytest.mark.parametrize("c", [0.5, 1.3, 2.0])
-def test_skew_basis_builds_and_is_real(k, c):
-    # <1, k + ci> is <1, ci>; the given basis has condition number about k^2
-    G = subgroup([1, k + c * 1j])
+@pytest.mark.parametrize(
+    "gens, c",
+    [pytest.param([1, k + c * 1j], c, id=f"{c}-{k}")
+     for c in (0.5, 1.3, 2.0) for k in (1e2, 1e4, 1e5, 1e6)]
+    + [pytest.param([1 + k * k + k * 1j, k + 1j], 1.0, id=f"shear-{k}")
+       for k in (3000, 1e5, 1e7)],
+)
+def test_skew_basis_builds_and_is_real(gens, c):
+    # <1, k + ci> is <1, ci>, and <1 + k^2 + ki, k + i> is <1, i>; the given
+    # bases have condition numbers about k^2 and k^4, and only the first is
+    # triangular
+    G, H = subgroup(gens), subgroup([1, c * 1j])
     assert is_real(G)
     assert contains(G, c * 1j) and not contains(G, c * 0.5j)
-    assert index(G, subgroup([1, c * 1j])) == 1
+    # off points whose reduced coefficients round away from 0
+    assert not contains(G, c * 0.7j) and not contains(G, 0.3 + c * 1j)
+    assert not contains(G, 12345.6 + c * 0.7j)
+    assert is_sublattice(G, H) and is_sublattice(H, G)
+    assert index(G, H) == 1 and index(H, G) == 1
+
+
+@pytest.mark.parametrize("k", [3000, 1e5, 1e7])
+def test_skew_basis_of_a_non_real_lattice(k):
+    # <(1 + k^2) + k(0.3 + i), k + 0.3 + i> is <1, 0.3 + i> up to the
+    # rounding of its generators; conj(0.3 + i) misses that lattice by 0.4
+    G = subgroup([(1 + k * k) + k * (0.3 + 1j), k + 0.3 + 1j])
+    assert not is_real(G)
+    (g1,), (g2,) = G.generators
+    r1, r2, _ = G.reduced_basis
+    assert all(contains(G, x) for x in (g1, g2, g1 - 3 * g2, r1, r2, r1 - r2))
+    assert not contains(G, r2 + 0.3 * r1) and not contains(G, 0.7 * r2)
+    assert is_sublattice(G, G) and index(G, G) == 1
 
 
 # -- contains -------------------------------------------------------------------
@@ -162,10 +188,11 @@ def test_is_real_swapped_conjugates():
     assert is_real(subgroup([1 + 1j, 1 - 1j]))
 
 
-@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 1))
+@given(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4), st.integers(0, 1))
 @settings(max_examples=30, deadline=None)
 def test_is_real_invariant_under_unimodular_change(s1, s2, swap):
-    # recombine the basis by an integer shear (and optional swap): same group
+    # recombine the basis by an integer shear (and optional swap): same group;
+    # the products of two shears are skew on both sides
     U = np.array([[1, s1], [0, 1]], dtype=np.int64) @ np.array(
         [[1, 0], [s2, 1]], dtype=np.int64
     )
@@ -173,8 +200,11 @@ def test_is_real_invariant_under_unimodular_change(s1, s2, swap):
         U = U[::-1]
     for gens, expected in (([1, 1j], True), ([1 + 1j, 1 - 1j], True), ([1, 0.3 + 1j], False)):
         g = np.array(gens, dtype=complex)
-        new = U @ g
-        assert is_real(subgroup(list(new))) == expected
+        assert is_real(subgroup(list(U @ g))) == expected
+    G = subgroup(list(U @ np.array([1, 1j])))
+    assert contains(G, 1j)
+    assert is_sublattice(G, SQ) and is_sublattice(SQ, G)
+    assert index(G, SQ) == 1 and index(SQ, G) == 1
 
 
 # -- sublattices / index / cosets -------------------------------------------------
@@ -408,14 +438,31 @@ def test_membership_from_pseudo_inverse(case):
         assert got[0].tolist() == want[0].tolist() and got[1] == want[1]
 
 
+def test_non_member_coefficients_rounded_over_the_given_generators():
+    # the reduction shears the basis by 2: over it 0.45 g1 has coefficients
+    # (0.9, 0.45), which would carry back to (0, 1)
+    G = subgroup([1.4 + 0.4j, 0.4 + 0.6j])
+    x = 0.45 * (1.4 + 0.4j)
+    ints, ok = integer_coefficients(G, x)
+    assert not ok and ints.tolist() == [0, 0] == _lstsq_coefficients(G, x)[0].tolist()
+
+
 def test_pseudo_inverse_only_on_membership():
     """A group that tests no membership builds no pseudo-inverse, and the
-    one it builds is not a field: equality and hashing ignore it."""
+    one it builds is not a field: equality and hashing ignore it.  It
+    inverts the reduced basis, and every integrality verdict reads it."""
     G = subgroup([1, 1j])
     assert "_solver" not in vars(G)
     assert contains(G, 2 - 3j)
     assert "_solver" in vars(G)
     assert G == SQ and hash(G) == hash(SQ) and repr(G) == repr(SQ)
+    skew = subgroup([1, 1000 + 1j])  # <1, i>: the given basis has condition 1e6
+    assert index(DBL, skew) == 4
+    solver = vars(skew)["_solver"]
+    assert np.allclose(solver[1], np.eye(2))  # the pseudo-inverse of (1, i)
+    assert common_real_sublattice(RECT, skew)[1] == 1
+    assert contains(skew, 1j) and is_real(skew) and is_sublattice(SQ, skew)
+    assert vars(skew)["_solver"] is solver
 
 
 def test_cosets_c2_index_81():
@@ -495,9 +542,10 @@ def test_common_real_sublattice_combines_denominators():
 
 
 def test_common_real_sublattice_multiplier_above_a_max():
-    G = subgroup([1 / 97, 1j / 89])
-    assert common_real_sublattice(G, SQ, a_max=1000) is None
-    assert common_real_sublattice(G, SQ)[1] == 97 * 89
+    assert common_real_sublattice(subgroup([1 / 97, 1j / 89]), SQ)[1] == 97 * 89
+    # the multiplier lcm(101, 103) = 10403 is past the cap
+    assert 97 * 89 <= MAX_MULTIPLIER < 101 * 103
+    assert common_real_sublattice(subgroup([1 / 101, 1j / 103]), SQ) is None
 
 
 def test_common_real_sublattice_not_found_for_pi():
@@ -547,6 +595,12 @@ def test_lattice1_orientation():
     assert (L.omega1.conjugate() * L.omega2).imag > 0
     with pytest.raises(DegenerateGenerators):
         Lattice1(1.0, 2.0)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-150, 1.0, 1e200, 1e300])
+def test_lattice1_orientation_at_any_scale(s):
+    # at 1e-200 the product conj(omega1) omega2 underflows to -0.0
+    assert Lattice1(s, -s * 1j).omega2 == s * 1j
 
 
 @st.composite
@@ -608,6 +662,18 @@ def test_lattice_builds_at_any_scale(s):
     assert contains(G, s * (2 - 3j)) and not contains(G, s * (0.5 + 0j))
     L = Lattice1(s, s * 1j)
     assert L.to_subgroup().reduced_basis[:2] == (s * 1j, s + 0j)
+
+
+def test_gauss_reduction_rounds_each_vector_once():
+    # on a skew pair the steps cancel up to ten digits; each reduced vector is
+    # still U g formed exactly and rounded once, so it lies in the group
+    k = 1e5
+    w1, w2 = (1 + k * k) + k * (0.3 + 1j), k + 0.3 + 1j
+    r1, r2, U = gauss_reduced_basis(w1, w2)
+    for r, (u1, u2) in zip((r1, r2), U.tolist()):
+        parts = [(w1.real, w2.real), (w1.imag, w2.imag)]
+        assert r == complex(*(float(u1 * Fraction(a) + u2 * Fraction(b)) for a, b in parts))
+    assert abs(r1) <= abs(r2) <= min(abs(r2 + r1), abs(r2 - r1))
 
 
 _dyadic = st.builds(lambda x, y: complex(x, y) / 2**20, *[st.integers(-2**30, 2**30)] * 2)
