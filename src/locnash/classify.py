@@ -53,7 +53,7 @@ class CanonicalForm1D:
 
 
 def rational_detect(
-    x: float, max_denominator: int = 10**6, tol: float = 1e-9
+    x: float, max_denominator: int = 10**6, tol: float = DEFAULT_TOL
 ) -> Fraction | None:
     """First continued-fraction convergent p/q of x with |x - p/q| < tol/q^2.
 
@@ -84,7 +84,7 @@ def rational_detect(
         rem = 1 / frac_part
 
 
-def _canonical_wp_parameter(group, tol: float) -> float:
+def _canonical_wp_parameter(group) -> float:
     """Normalize a real rank-2 lattice of C to <1, ia>: returns a > 0.
 
     Finds the smallest positive real and smallest positive purely-imaginary
@@ -94,14 +94,15 @@ def _canonical_wp_parameter(group, tol: float) -> float:
     Gauss-reduced basis (r1, r2), which the group keeps, both elements are
     among r_i, r1 +- r2 and 2 r_i - r_j: a +-2 coefficient box holds them,
     however the generators were written.  Each candidate v counts as real
-    when its imaginary part is within tol |v| and its real part is positive
-    (and as imaginary likewise), so the gate holds at any elongation.
+    when its imaginary part is within DEFAULT_TOL |v| and its real part is
+    positive (and as imaginary likewise), so the gate holds at any
+    elongation.
     """
     r1, r2, _ = group.reduced_basis
     m = np.arange(-2, 3)
     M, N = np.meshgrid(m, m, indexing="ij")
     vals = M * r1 + N * r2
-    re, im, thr = vals.real, vals.imag, tol * np.abs(vals)
+    re, im, thr = vals.real, vals.imag, DEFAULT_TOL * np.abs(vals)
     real_mask = (np.abs(im) <= thr) & (re > 0)
     imag_mask = (np.abs(re) <= thr) & (im > 0)
     if not real_mask.any() or not imag_mask.any():
@@ -113,10 +114,7 @@ def _canonical_wp_parameter(group, tol: float) -> float:
     return s0 / r0
 
 
-def classify_1d(
-    d: StructureDescriptor,
-    tol: float = DEFAULT_TOL,
-) -> CanonicalForm1D:
+def classify_1d(d: StructureDescriptor) -> CanonicalForm1D:
     """Canonical form of a real dim-1 structure: id, exp, sin or wp(<1, ia>).
 
     Branches on the rank of the period group; rank 1 splits on the period
@@ -125,9 +123,9 @@ def classify_1d(
     """
     if d.dim != 1:
         raise ValueError("classify_1d requires a dim-1 descriptor")
-    if not is_real_structure(d, tol):
+    if not is_real_structure(d):
         raise NotRealStructure(f"{d.family} structure with non-real data")
-    report = period_group(d, tol)
+    report = period_group(d)
     r = report.rank
     if r == 0:
         return CanonicalForm1D("id", r)
@@ -141,7 +139,7 @@ def classify_1d(
             "rank-1 period group of a real structure must lie on an axis"
         )
     if r == 2:
-        a = _canonical_wp_parameter(report.group, tol)
+        a = _canonical_wp_parameter(report.group)
         a_exact = None
         if d.a_exact is not None and abs(a - d.a.real) <= 1e-9 * (1.0 + a):
             a_exact = d.a_exact
@@ -150,10 +148,7 @@ def classify_1d(
 
 
 def _wp_ratio_verdict(
-    c1: CanonicalForm1D,
-    c2: CanonicalForm1D,
-    max_denominator: int,
-    ratio_tol: float,
+    c1: CanonicalForm1D, c2: CanonicalForm1D, max_denominator: int
 ) -> Verdict:
     reasons = [
         "period rank: 2 vs 2",
@@ -173,7 +168,7 @@ def _wp_ratio_verdict(
             f"rationality of {c1.a_exact}/{c2.a_exact} is not decidable from the tags"
         )
     ratio = c1.a / c2.a
-    found = rational_detect(ratio, max_denominator, ratio_tol)
+    found = rational_detect(ratio, max_denominator)
     if found is not None:
         reasons.append(
             f"ratio a/b = {found} detected rational (continued-fraction gate tol/q^2)"
@@ -181,7 +176,7 @@ def _wp_ratio_verdict(
         return Verdict(ISOMORPHIC, tuple(reasons))
     reasons.append(
         f"no convergent with denominator <= {max_denominator} passed the "
-        f"{ratio_tol:g}/q^2 gate; floating point cannot certify irrationality"
+        f"{DEFAULT_TOL:g}/q^2 gate; floating point cannot certify irrationality"
     )
     return Verdict(UNDETERMINED, tuple(reasons))
 
@@ -190,12 +185,10 @@ def isomorphic_1d(
     d1: StructureDescriptor,
     d2: StructureDescriptor,
     max_denominator: int = 10**6,
-    ratio_tol: float = 1e-9,
-    tol: float = DEFAULT_TOL,
 ) -> Verdict:
     """Isomorphism verdict for two real dim-1 structures."""
-    c1 = classify_1d(d1, tol)
-    c2 = classify_1d(d2, tol)
+    c1 = classify_1d(d1)
+    c2 = classify_1d(d2)
     if c1.rank != c2.rank:
         return Verdict(
             NOT_ISOMORPHIC,
@@ -218,7 +211,7 @@ def isomorphic_1d(
         return Verdict(
             ISOMORPHIC, (f"identical canonical form: {c1.kind}",)
         )
-    return _wp_ratio_verdict(c1, c2, max_denominator, ratio_tol)
+    return _wp_ratio_verdict(c1, c2, max_denominator)
 
 
 @dataclass(frozen=True)
@@ -227,22 +220,15 @@ class Family2D:
     rank: int
 
 
-def classify_2d(
-    d: StructureDescriptor,
-    tol: float = DEFAULT_TOL,
-) -> Family2D:
+def classify_2d(d: StructureDescriptor) -> Family2D:
     """Family index with its rank witness, cross-validated against the table
     by z_rank."""
     if d.dim != 2:
         raise ValueError("classify_2d requires a dim-2 descriptor")
-    return Family2D(FAMILIES[d.family].index, z_rank(d, tol))
+    return Family2D(FAMILIES[d.family].index, z_rank(d))
 
 
-def compare_2d(
-    d1: StructureDescriptor,
-    d2: StructureDescriptor,
-    tol: float = DEFAULT_TOL,
-) -> Verdict:
+def compare_2d(d1: StructureDescriptor, d2: StructureDescriptor) -> Verdict:
     """Family-separation verdict for two real dim-2 structures.
 
     Different families are never isomorphic (rank invariant, plus a
@@ -252,10 +238,10 @@ def compare_2d(
     for d in (d1, d2):
         if d.dim != 2:
             raise ValueError("compare_2d requires dim-2 descriptors")
-        if not is_real_structure(d, tol):
+        if not is_real_structure(d):
             raise NotRealStructure(f"{d.family} structure with non-real data")
-    f1 = classify_2d(d1, tol)
-    f2 = classify_2d(d2, tol)
+    f1 = classify_2d(d1)
+    f2 = classify_2d(d2)
     lo, hi = sorted((f1, f2), key=lambda f: f.index)
     if f1.index == f2.index:
         return Verdict(

@@ -157,7 +157,7 @@ def _group_lines(G: DiscreteSubgroup) -> list[str]:
 
 def cmd_periods(args, cfg: RunConfig) -> int:
     d = load_descriptor(args.descriptor)
-    rep = period_group(d, cfg.tol)
+    rep = period_group(d)
     lines = _report_head("periods", cfg)
     lines.append("[descriptor]")
     lines.extend(serialize_descriptor(d).rstrip().splitlines())
@@ -176,7 +176,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     lines.extend(serialize_descriptor(d).rstrip().splitlines())
     lines.append("[result]")
     if d.dim == 1:
-        form = classify_1d(d, cfg.tol)
+        form = classify_1d(d)
         lines.append(f"canonical_form = {form.kind}")
         if form.a is not None:
             lines.append(f"a = {fmt(form.a)}")
@@ -184,7 +184,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
             lines.append(f"a_exact = {form.a_exact}")
         lines.append(f"rank = {form.rank}")
     else:
-        fam = classify_2d(d, cfg.tol)
+        fam = classify_2d(d)
         lines.append(f"family = {fam.index}")
         lines.append(f"rank = {fam.rank}")
     _write("\n".join(lines) + "\n", cfg.output_path)
@@ -197,9 +197,9 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     if d1.dim != d2.dim:
         raise ParseError("descriptors have different dimensions")
     if d1.dim == 1:
-        verdict = isomorphic_1d(d1, d2, cfg.max_denominator, cfg.tol, cfg.tol)
+        verdict = isomorphic_1d(d1, d2, cfg.max_denominator)
     else:
-        verdict = compare_2d(d1, d2, cfg.tol)
+        verdict = compare_2d(d1, d2)
     lines = _report_head("compare", cfg)
     for tag, d in (("descriptor_1", d1), ("descriptor_2", d2)):
         lines.append(f"[{tag}]")
@@ -275,7 +275,6 @@ def cmd_check_identities(args, cfg: RunConfig) -> int:
 
     checks.append(("conjugation", conjugate_lattice_check(ctx, zs), 1e-8))
 
-    # judged at the default tol, as the literal was when it was read
     doubled = subgroup([2 * lat.omega1, 2 * lat.omega2])
     checks.append(
         ("coset_sum_doubled_sublattice", coset_sum_check(doubled, lat.to_subgroup(), zs), 1e-6)
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     (parse_args leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file (or set LOCNASH_CONFIG)")
-    common.add_argument("--tol", type=float)
     common.add_argument("--seed", type=int)
     common.add_argument("--max-degree", type=int, dest="max_degree")
     common.add_argument("--max-denominator", type=int, dest="max_denominator")

@@ -6,7 +6,6 @@ names; the environment variable LOCNASH_CONFIG supplies a default path.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -21,7 +20,6 @@ FLOAT_SPEC = ".17g"
 
 @dataclass(frozen=True)
 class RunConfig:
-    tol: float = 1e-9
     max_degree: int = 8
     n_samples: int = 64
     seed: int = 0
@@ -29,8 +27,6 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be finite and positive")
         for name in ("max_degree", "n_samples", "max_denominator"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -40,8 +36,8 @@ class RunConfig:
 
 #: the config file's keys with the type of their values
 _TYPES = {
-    "tol": float, "max_degree": int, "n_samples": int, "seed": int,
-    "max_denominator": int, "output_path": str,
+    "max_degree": int, "n_samples": int, "seed": int, "max_denominator": int,
+    "output_path": str,
 }
 
 
@@ -101,6 +97,5 @@ def config_block(cfg: RunConfig) -> list[str]:
     for f in fields(RunConfig):
         if f.name == "output_path":
             continue
-        v = getattr(cfg, f.name)
-        lines.append(f"{f.name} = {fmt(v) if isinstance(v, float) else v}")
+        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
     return lines

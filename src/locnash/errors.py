@@ -10,7 +10,7 @@ class ParseError(LocNashError):
 
 
 class DegenerateGenerators(LocNashError):
-    """Generator list is linearly dependent over the reals at the working tolerance."""
+    """Generator list is linearly dependent over the reals, up to DEFAULT_TOL."""
 
 
 class NotASublattice(LocNashError):

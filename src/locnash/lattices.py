@@ -3,16 +3,19 @@
 Generators are double-precision complex vectors; a rank-2 group of C is
 Gauss-reduced once, at construction, and validated on its reduced basis,
 which every consumer reads (`reduced_basis`); a `Lattice1` is one such group.
-Every integrality verdict passes one gate (`_integral`), a backward-error
-bound with no tolerance, on coefficients rounded from the pseudo-inverse of
-the group's reduced basis (built on its first such test), whose vectors the
-reduction forms exactly and rounds once.  Index and cosets come from the
-integer transition matrix onto the second group's reduced basis,
-triangularised over Z (Hermite normal form, Cohen, A Course in
-Computational Algebraic Number Theory, section 2.4): the index is the
-product of its diagonal H_ii, and the integer points c with 0 <= c_i < H_ii
-are one per coset.  The common real sublattice reads its multiplier off the
-rational approximations of the transition matrix.
+One fixed tolerance, DEFAULT_TOL, bounds the condition number of the
+generators at construction and of a matrix `transform` applies, and decides
+the axis of a rank-1 group; nothing sets another.  Every integrality verdict
+passes one gate (`_integral`), a backward-error bound with no tolerance, on
+coefficients rounded from the pseudo-inverse of the group's reduced basis
+(built on its first such test), whose vectors the reduction forms exactly
+and rounds once.  Index and cosets come from the integer transition matrix
+onto the second group's reduced basis, triangularised over Z (Hermite
+normal form, Cohen, A Course in Computational Algebraic Number Theory,
+section 2.4): the index is the product of its diagonal H_ii, and the integer
+points c with 0 <= c_i < H_ii are one per coset.  The common real sublattice
+reads its multiplier off the rational approximations of the transition
+matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import (
     SingularMatrix,
 )
 
+#: the relative tolerance of every test that is not an integrality verdict
 DEFAULT_TOL = 1e-9
 #: `_integral`'s K.  A sum of k <= 4 terms t_i b_i formed in double is off by
 #: at most gamma_k sum |t_i| |b_i| in each real coordinate, gamma_k = k u / (1 -
@@ -80,13 +84,10 @@ class DiscreteSubgroup:
 
     dim: int
     generators: tuple[Vector, ...]
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         gens = tuple(as_vector(g, self.dim) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         r = len(gens)
@@ -102,9 +103,9 @@ class DiscreteSubgroup:
         mat = _embed(reduced, self.dim)
         if r:
             sv = np.linalg.svd(mat, compute_uv=False)
-            if sv[-1] <= self.tol * sv[0] or sv[0] == 0.0:
+            if sv[-1] <= DEFAULT_TOL * sv[0] or sv[0] == 0.0:
                 raise DegenerateGenerators(
-                    f"generators are R-dependent at tol={self.tol:g}"
+                    f"generators are R-dependent at DEFAULT_TOL = {DEFAULT_TOL:g}"
                 )
         # not a field, like _solver: eq, hash and repr read the generators
         object.__setattr__(self, "_reduction", (mat, U))  # rows of U: over gens
@@ -133,7 +134,7 @@ class DiscreteSubgroup:
         return mat, (vt.T / s) @ u.T
 
 
-def subgroup(gens: Iterable, dim: int | None = None, tol: float = DEFAULT_TOL) -> DiscreteSubgroup:
+def subgroup(gens: Iterable, dim: int | None = None) -> DiscreteSubgroup:
     """Convenience constructor; infers the dimension from the first generator."""
     gens = list(gens)
     if dim is None:
@@ -141,7 +142,7 @@ def subgroup(gens: Iterable, dim: int | None = None, tol: float = DEFAULT_TOL) -
             raise ValueError("cannot infer dimension of the trivial subgroup")
         first = gens[0]
         dim = 1 if (np.isscalar(first) or isinstance(first, complex)) else len(first)
-    return DiscreteSubgroup(dim, tuple(as_vector(g, dim) for g in gens), tol)
+    return DiscreteSubgroup(dim, tuple(as_vector(g, dim) for g in gens))
 
 
 def _integral(B: np.ndarray, X: np.ndarray, T: np.ndarray, cap: float | None = None) -> np.ndarray:
@@ -366,10 +367,10 @@ def transform(G: DiscreteSubgroup, alpha_inv) -> DiscreteSubgroup:
     if M.shape != (G.dim, G.dim):
         raise ValueError(f"matrix shape {M.shape} does not match dim {G.dim}")
     cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1.0 / G.tol:
-        raise SingularMatrix(f"condition number {cond:.3e} exceeds 1/tol")
+    if not np.isfinite(cond) or cond > 1.0 / DEFAULT_TOL:
+        raise SingularMatrix(f"condition number {cond:.3e} exceeds 1/DEFAULT_TOL")
     gens = tuple(tuple(M @ np.asarray(g, dtype=complex)) for g in G.generators)
-    return DiscreteSubgroup(G.dim, gens, G.tol)
+    return DiscreteSubgroup(G.dim, gens)
 
 
 def common_real_sublattice(
@@ -393,10 +394,7 @@ def common_real_sublattice(
     a = math.lcm(*(Fraction(c).limit_denominator(MAX_MULTIPLIER).denominator for c in C.flat))
     if a > MAX_MULTIPLIER or not _coefficients(G2, a * X)[1]:
         return None
-    scaled_group = DiscreteSubgroup(
-        1, tuple(tuple(a * c for c in g) for g in G1.generators), G1.tol
-    )
-    return scaled_group, a
+    return DiscreteSubgroup(1, tuple(tuple(a * c for c in g) for g in G1.generators)), a
 
 
 @dataclass(frozen=True)
@@ -414,9 +412,9 @@ def real_rank1_form(G: DiscreteSubgroup) -> Rank1Axis:
         raise ValueError("requires a rank-1 subgroup of C")
     g = G.generators[0][0]
     mag = abs(g)
-    if abs(g.imag) <= G.tol * mag:
+    if abs(g.imag) <= DEFAULT_TOL * mag:
         return Rank1Axis("real", abs(g.real))
-    if abs(g.real) <= G.tol * mag:
+    if abs(g.real) <= DEFAULT_TOL * mag:
         return Rank1Axis("imag", abs(g.imag))
     return Rank1Axis("none", None)
 
@@ -427,7 +425,7 @@ class Lattice1:
 
     Orientation is normalized so that Im(omega2/omega1) > 0.  The oriented
     pair is kept as a `DiscreteSubgroup` (`to_subgroup`), which alone judges
-    it, at DEFAULT_TOL whatever tolerance a caller works at.
+    it.
     """
 
     omega1: complex

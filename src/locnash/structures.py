@@ -8,7 +8,8 @@ product lattices realized as wp x wp.
 
 Every descriptor owns an invertible matrix ``alpha`` precomposed with the
 model map: the descriptor's map is u -> model(alpha u), so its period group
-is alpha^{-1} applied to the model's closed-form period group.
+is alpha^{-1} applied to the model's closed-form period group.  Construction
+refuses an alpha whose inverse that pull-back could not apply.
 
 Each family's facts sit in one record of the table ``FAMILIES`` at the end
 of this module; validation, period groups, evaluation, serialization and
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InternalInconsistency, SingularMatrix
+from .errors import InternalInconsistency
 from .lattices import (
     DEFAULT_TOL,
     DiscreteSubgroup,
@@ -95,6 +96,8 @@ class StructureDescriptor:
         if len(alpha) != self.dim or any(len(r) != self.dim for r in alpha):
             raise ValueError("alpha must be a dim x dim matrix")
         object.__setattr__(self, "alpha", alpha)
+        if not self.alpha_is_identity:
+            _check_invertible(self.alpha_matrix)
 
         for name in PARAMETERS:
             if getattr(self, name) is None:
@@ -163,6 +166,20 @@ def _as_alpha(alpha, dim: int):
     return tuple(tuple(complex(x) for x in row) for row in arr)
 
 
+def _check_invertible(alpha: np.ndarray) -> None:
+    """ValueError unless `period_group` can pull back by alpha: its inverse
+    exists, is finite and passes `transform`'s condition gate."""
+    try:
+        inv = np.linalg.inv(alpha)
+    except np.linalg.LinAlgError:
+        raise ValueError("alpha is singular") from None
+    if not np.all(np.isfinite(inv)):
+        raise ValueError("the inverse of alpha is not finite")
+    cond = np.linalg.cond(inv)
+    if not cond <= 1.0 / DEFAULT_TOL:
+        raise ValueError(f"alpha's condition number {cond:.3e} exceeds 1/DEFAULT_TOL")
+
+
 def _rectangular(d: StructureDescriptor) -> Lattice1:
     """wp_real's default lattice <1, ia>."""
     return Lattice1(1.0, d.a.real * 1j)
@@ -213,32 +230,20 @@ def _p6_periods(d: StructureDescriptor):
     )
 
 
-def period_group(
-    d: StructureDescriptor,
-    tol: float = DEFAULT_TOL,
-) -> PeriodGroupReport:
+def period_group(d: StructureDescriptor) -> PeriodGroupReport:
     """Closed-form period group of the descriptor's map, pulled back by alpha."""
     pairs = FAMILIES[d.family].periods(d)
     forms = [form for _, form in pairs]
-    group = DiscreteSubgroup(d.dim, tuple(gen for gen, _ in pairs), tol)
+    group = DiscreteSubgroup(d.dim, tuple(gen for gen, _ in pairs))
     if not d.alpha_is_identity:
-        try:
-            inv = np.linalg.inv(d.alpha_matrix)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(f"alpha is singular: {exc}") from exc
-        if not np.all(np.isfinite(inv)):
-            raise SingularMatrix("the inverse of alpha overflows")
-        group = transform(group, inv)
+        group = transform(group, np.linalg.inv(d.alpha_matrix))
         forms = [f"alpha^-1 {f}" for f in forms]
     return PeriodGroupReport(group, group.rank, tuple(forms))
 
 
-def z_rank(
-    d: StructureDescriptor,
-    tol: float = DEFAULT_TOL,
-) -> int:
+def z_rank(d: StructureDescriptor) -> int:
     """Rank of the period group; cross-checked against the family table."""
-    r = period_group(d, tol).rank
+    r = period_group(d).rank
     want = FAMILIES[d.family].rank
     if r != want:
         raise InternalInconsistency(f"computed rank {r} for family {d.family}, expected {want}")
@@ -323,19 +328,19 @@ def evaluate_map(
     )
 
 
-def is_real_structure(d: StructureDescriptor, tol: float = DEFAULT_TOL) -> bool:
+def is_real_structure(d: StructureDescriptor) -> bool:
     """True iff alpha is real and every embedded lattice/parameter is conjugation-stable.
 
     Alpha's imaginary part is measured against its largest entry, and a's
     against |a|, so the test depends on neither scale.
     """
     A = d.alpha_matrix
-    if np.max(np.abs(A.imag)) > tol * np.max(np.abs(A)):
+    if np.max(np.abs(A.imag)) > DEFAULT_TOL * np.max(np.abs(A)):
         return False
     for lat in (d.lattice, d.lattice2):
         if lat is not None and not is_real(lat.to_subgroup()):
             return False
-    if d.a is not None and abs(d.a.imag) > tol * abs(d.a):
+    if d.a is not None and abs(d.a.imag) > DEFAULT_TOL * abs(d.a):
         return False
     return True
 

@@ -126,7 +126,7 @@ def test_criterion_04_period_table_fixes_maps():
     rng = np.random.default_rng(CFG.seed)
     worst = 0.0
     for fam, d in {**FIXTURES_2D, **FIXTURES_1D}.items():
-        rep = period_group(d, CFG.tol)
+        rep = period_group(d)
         n = d.dim
         pts = [rng.uniform(-0.45, 0.45, 50) + 1j * rng.uniform(-0.45, 0.45, 50)
                for _ in range(n)]
@@ -163,7 +163,7 @@ def test_criterion_05_rank_table():
         }
         for fam, d in draws.items():
             total += 1
-            if z_rank(d, CFG.tol) != FAMILY_RANK[fam]:
+            if z_rank(d) != FAMILY_RANK[fam]:
                 failures += 1
     ok = failures == 0
     _report(5, "Z-rank table", ok, f"{failures} failures in {total} draws")
@@ -209,7 +209,7 @@ def test_criterion_07_rank_invariance_under_alpha():
                 d.dim, d.family, a=d.a, lattice=d.lattice, lattice2=d.lattice2,
                 alpha=tuple(tuple(x for x in row) for row in A),
             )
-            if z_rank(d2, CFG.tol) != base:
+            if z_rank(d2) != base:
                 failures += 1
     ok = failures == 0
     _report(7, "rank invariance under alpha", ok,

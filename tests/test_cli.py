@@ -1,17 +1,19 @@
+import dataclasses
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from locnash import cli
 from locnash.cli import _csv_rows, _parse_grid, build_parser, main
 from locnash.config import fmt
+from locnash.descriptors import parse_descriptor
 from locnash.errors import ParseError
-from locnash.structures import map_batch, wp_real
+from locnash.structures import FAMILIES, map_batch, wp_real
 
 EXP = "dim = 1\nfamily = exp\n"
 SIN = "dim = 1\nfamily = sin\n"
@@ -343,9 +345,9 @@ def test_bad_descriptor_field_exits_2(tmp_path):
     (["--max-denominator", "0"], None),
     (["--max-degree", "0"], None),
     (["--seed", "-5"], None),
-    (["--tol", "nan"], None),
-    (["--tol", "inf"], None),
-    ([], "tol = -1\n"),
+    (["--config", "no-such-run.cfg"], None),
+    (["--n-samples", "-64"], None),
+    ([], "tol = -1\n"),  # tol is no setting: an unknown key, whatever its value
     ([], "tol = nan\n"),
     ([], "seed = 1\nseed = 2\n"),
     ([], "output_path =\n"),
@@ -357,6 +359,35 @@ def test_invalid_run_config_exits_2(tmp_path, capsys, flags, config):
         argv += ["--config", desc(tmp_path, "run.cfg", config)]
     assert main(argv) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_tol_flag_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-aat", desc(tmp_path, "e.desc", EXP), "--tol", "1e-9"])
+    assert exc.value.code == 2
+
+
+def test_tol_config_key_is_unknown(tmp_path, capsys):
+    argv = ["classify", desc(tmp_path, "e.desc", EXP),
+            "--config", desc(tmp_path, "run.cfg", "tol = 1e-9\n")]
+    assert main(argv) == 2
+    assert "unknown key 'tol'" in capsys.readouterr().err
+
+
+def test_config_block_fields(tmp_path, capsys):
+    assert main(["classify", desc(tmp_path, "e.desc", EXP)]) == 0
+    out = capsys.readouterr().out
+    block = out.split("[config]\n", 1)[1].split("\n[", 1)[0].splitlines()
+    assert [line.split(" = ")[0] for line in block] == [
+        "max_degree", "n_samples", "seed", "max_denominator"]
+
+
+def test_classify_elongated_wp_real(tmp_path, capsys):
+    # <1, 2000i> is far from R-dependent at the fixed tolerance 1e-9
+    wp = desc(tmp_path, "wp.desc", "dim = 1\nfamily = wp_real\na = 2000\n")
+    assert main(["classify", wp]) == 0
+    out = capsys.readouterr().out
+    assert "canonical_form = wp" in out and "\na = 2000\n" in out
 
 
 @pytest.mark.parametrize("text", [
@@ -385,10 +416,54 @@ def test_eval_past_double_range_exits_3(tmp_path, s):
     assert "locnash: OverflowError" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_periods_overflowing_alpha_inverse_exits_3(tmp_path, capsys):
+def test_periods_overflowing_alpha_inverse_exits_2(tmp_path, capsys):
     d = desc(tmp_path, "e.desc", EXP + "alpha = 5e-324\n")
-    assert main(["periods", d]) == 3
-    assert "SingularMatrix" in capsys.readouterr().err
+    assert main(["periods", d]) == 2
+    assert "parse error: the inverse of alpha is not finite" in capsys.readouterr().err
+
+
+#: a document of each family, less its alpha
+DOCUMENTS = {
+    "id": "dim = 1\nfamily = id\n", "exp": EXP, "sin": SIN, "wp_real": WP1,
+    "p1": "dim = 2\nfamily = p1\n", "p2": "dim = 2\nfamily = p2\n",
+    "p3": "dim = 2\nfamily = p3\n", "p4": P4, "p5": P5,
+    "p6_product": "dim = 2\nfamily = p6_product\nlattice = lattice(1, 1i)\n"
+                  "lattice2 = lattice(1, 2i)\n",
+}
+
+
+@st.composite
+def singular_alphas(draw):
+    """A family with a singular real alpha: 0 in dim 1, an outer product
+    u v^T in dim 2."""
+    family = draw(st.sampled_from(sorted(DOCUMENTS)))
+    if FAMILIES[family].dim == 1:
+        return family, ((draw(st.sampled_from([0.0, -0.0])),),)
+    u, v = (draw(st.tuples(st.floats(-4, 4), st.floats(-4, 4))) for _ in range(2))
+    return family, tuple(tuple(x * y for y in v) for x in u)
+
+
+@given(singular_alphas())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_singular_alpha_refused_at_construction_and_parse(tmp_path, capsys, case):
+    family, alpha = case
+    base = parse_descriptor(DOCUMENTS[family])
+    with pytest.raises(ValueError):
+        dataclasses.replace(base, alpha=alpha)
+    flat = ", ".join(fmt(x) for row in alpha for x in row)
+    d = desc(tmp_path, "singular.desc", DOCUMENTS[family] + f"alpha = {flat}\n")
+    assert main(["verify-aat", d, "--max-degree", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "success = 1" not in out and "parse error" in err
+
+
+def test_rank1_p3_alpha_exits_2(tmp_path, capsys):
+    d = desc(tmp_path, "p3.desc", DOCUMENTS["p3"] + "alpha = 1, 0, 1, 0\n")
+    for cmd in ("verify-aat", "periods", "classify"):
+        assert main([cmd, d]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "parse error: alpha is singular" in err
 
 
 def test_classify_skew_lattice_report(tmp_path, capsys):

@@ -14,6 +14,7 @@ from locnash.errors import (
     SingularMatrix,
 )
 from locnash.lattices import (
+    DEFAULT_TOL,
     MAX_MULTIPLIER,
     DiscreteSubgroup,
     Lattice1,
@@ -402,9 +403,9 @@ def _lstsq_coefficients(G, x):
     mat = G.basis_matrix
     coeff, *_ = np.linalg.lstsq(mat, target, rcond=None)
     ints = np.round(coeff)
-    coeff_ok = np.all(np.abs(coeff - ints) <= G.tol * (1.0 + np.abs(ints)))
+    coeff_ok = np.all(np.abs(coeff - ints) <= DEFAULT_TOL * (1.0 + np.abs(ints)))
     resid = float(np.linalg.norm(mat @ ints - target))
-    ok = bool(coeff_ok) and resid <= G.tol * (1.0 + float(np.linalg.norm(target)))
+    ok = bool(coeff_ok) and resid <= DEFAULT_TOL * (1.0 + float(np.linalg.norm(target)))
     return ints.astype(np.int64), ok
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from locnash.errors import SingularMatrix
 from locnash.lattices import Lattice1
 from locnash.structures import (
     FAMILY_RANK,
@@ -118,17 +117,25 @@ def test_rank_invariant_under_alpha(rng):
 
 
 def test_singular_alpha_rejected():
-    d = StructureDescriptor(1, "exp", alpha=((0j,),))
-    with pytest.raises(SingularMatrix):
-        pg(d)
+    with pytest.raises(ValueError, match="alpha is singular"):
+        StructureDescriptor(1, "exp", alpha=((0j,),))
+    with pytest.raises(ValueError, match="alpha is singular"):
+        painleve("p3", alpha=[[1, 0], [1, 0]])
 
 
-@pytest.mark.parametrize("d", [exp_map(5e-324), painleve("p2", alpha=[[5e-324, 0], [0, 1]])],
+@pytest.mark.parametrize("build", [lambda: exp_map(5e-324),
+                                   lambda: painleve("p2", alpha=[[5e-324, 0], [0, 1]])],
                          ids=["exp", "p2"])
-def test_alpha_with_overflowing_inverse_rejected(d):
+def test_alpha_with_overflowing_inverse_rejected(build):
     """alpha is invertible in floating point but 1 / 5e-324 is inf."""
-    with pytest.raises(SingularMatrix, match="overflows"):
-        pg(d)
+    with pytest.raises(ValueError, match="not finite"):
+        build()
+
+
+def test_ill_conditioned_alpha_rejected():
+    with pytest.raises(ValueError, match="condition number"):
+        painleve("p2", alpha=[[1, 0], [0, 1e-10]])
+    assert pg(painleve("p2", alpha=[[1, 0], [0, 1e-8]])).rank == 1
 
 
 # -- map evaluation ------------------------------------------------------------------
