@@ -197,7 +197,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     if d1.dim != d2.dim:
         raise ParseError("descriptors have different dimensions")
     if d1.dim == 1:
-        verdict = isomorphic_1d(d1, d2, cfg.max_denominator)
+        verdict = isomorphic_1d(d1, d2)
     else:
         verdict = compare_2d(d1, d2)
     lines = _report_head("compare", cfg)
@@ -314,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="config file (or set LOCNASH_CONFIG)")
     common.add_argument("--seed", type=int)
     common.add_argument("--max-degree", type=int, dest="max_degree")
-    common.add_argument("--max-denominator", type=int, dest="max_denominator")
     common.add_argument("--n-samples", type=int, dest="n_samples")
     common.add_argument("--out", dest="output_path", help="output path (default stdout)")
 

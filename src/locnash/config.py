@@ -23,11 +23,10 @@ class RunConfig:
     max_degree: int = 8
     n_samples: int = 64
     seed: int = 0
-    max_denominator: int = 10**6
     output_path: str | None = None
 
     def __post_init__(self):
-        for name in ("max_degree", "n_samples", "max_denominator"):
+        for name in ("max_degree", "n_samples"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.seed < 0:
@@ -35,10 +34,7 @@ class RunConfig:
 
 
 #: the config file's keys with the type of their values
-_TYPES = {
-    "max_degree": int, "n_samples": int, "seed": int, "max_denominator": int,
-    "output_path": str,
-}
+_TYPES = {"max_degree": int, "n_samples": int, "seed": int, "output_path": str}
 
 
 def read_fields(text: str, keys, kind: str) -> dict[str, str]:

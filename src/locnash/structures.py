@@ -77,7 +77,11 @@ class Family:
 
 @dataclass(frozen=True)
 class StructureDescriptor:
-    """Family tag plus parameters; immutable and hashable."""
+    """Family tag plus parameters; immutable and hashable.
+
+    ``alpha`` is anything numpy reads as a dim x dim complex matrix (a
+    scalar in dimension 1, None for the identity); it is stored as a tuple
+    of tuples of complex."""
 
     dim: int
     family: str
@@ -91,11 +95,12 @@ class StructureDescriptor:
         fam = FAMILIES.get(self.family)
         if fam is None or fam.dim != self.dim:
             raise ValueError(f"unknown dim-{self.dim} family {self.family!r}")
-        alpha = self.alpha if self.alpha is not None else _identity(self.dim)
-        alpha = tuple(tuple(complex(x) for x in row) for row in alpha)
-        if len(alpha) != self.dim or any(len(r) != self.dim for r in alpha):
-            raise ValueError("alpha must be a dim x dim matrix")
-        object.__setattr__(self, "alpha", alpha)
+        alpha = np.atleast_2d(np.asarray(
+            self.alpha if self.alpha is not None else _identity(self.dim), dtype=complex
+        ))
+        if alpha.shape != (self.dim, self.dim):
+            raise ValueError(f"alpha must be {self.dim}x{self.dim}")
+        object.__setattr__(self, "alpha", tuple(map(tuple, alpha.tolist())))
         if not self.alpha_is_identity:
             _check_invertible(self.alpha_matrix)
 
@@ -128,19 +133,19 @@ class StructureDescriptor:
 # -- constructors -----------------------------------------------------------
 
 def identity_map(alpha=None) -> StructureDescriptor:
-    return StructureDescriptor(1, "id", alpha=_as_alpha(alpha, 1))
+    return StructureDescriptor(1, "id", alpha=alpha)
 
 
 def exp_map(alpha=None) -> StructureDescriptor:
-    return StructureDescriptor(1, "exp", alpha=_as_alpha(alpha, 1))
+    return StructureDescriptor(1, "exp", alpha=alpha)
 
 
 def sin_map(alpha=None) -> StructureDescriptor:
-    return StructureDescriptor(1, "sin", alpha=_as_alpha(alpha, 1))
+    return StructureDescriptor(1, "sin", alpha=alpha)
 
 
 def wp_real(a: float, alpha=None, a_exact: ExactReal | None = None) -> StructureDescriptor:
-    return StructureDescriptor(1, "wp_real", a=a, alpha=_as_alpha(alpha, 1), a_exact=a_exact)
+    return StructureDescriptor(1, "wp_real", a=a, alpha=alpha, a_exact=a_exact)
 
 
 def painleve(
@@ -150,20 +155,7 @@ def painleve(
     lattice2: Lattice1 | None = None,
     alpha=None,
 ) -> StructureDescriptor:
-    return StructureDescriptor(
-        2, family, a=a, lattice=lattice, lattice2=lattice2, alpha=_as_alpha(alpha, 2)
-    )
-
-
-def _as_alpha(alpha, dim: int):
-    if alpha is None:
-        return None
-    arr = np.atleast_2d(np.asarray(alpha, dtype=complex))
-    if arr.shape == (1, 1) and dim == 1:
-        return ((complex(arr[0, 0]),),)
-    if arr.shape != (dim, dim):
-        raise ValueError(f"alpha must be {dim}x{dim}")
-    return tuple(tuple(complex(x) for x in row) for row in arr)
+    return StructureDescriptor(2, family, a=a, lattice=lattice, lattice2=lattice2, alpha=alpha)
 
 
 def _check_invertible(alpha: np.ndarray) -> None:

@@ -250,7 +250,9 @@ class WeierstrassContext:
         mag = np.abs(lead) + abs(self._k) * (np.abs(cot) + 2.0 * S_mag)
         return val, mag
 
-    def _wp_red(self, ur: np.ndarray):
+    # -- one method per function: (values, est_error) at points off the lattice --
+
+    def _wp(self, u, ur, m, n):
         v = self._k * ur
         _, w, omw = _half_angle(v)
         csc2 = -4.0 * w / (omw * omw)
@@ -258,9 +260,9 @@ class WeierstrassContext:
         k2 = self._k * self._k
         val = k2 * (csc2 - 4.0 * S) - self._eta1 / self._r1
         mag = abs(k2) * (np.abs(csc2) + 4.0 * S_mag) + abs(self._eta1 / self._r1)
-        return val, mag
+        return val, self._tail_wp + mag * self._rounding(u, ur, 2)
 
-    def _wp_prime_red(self, ur: np.ndarray):
+    def _wp_prime(self, u, ur, m, n):
         v = self._k * ur
         s, w, omw = _half_angle(v)
         csc2_cot = 4j * s * w * (1.0 + w) / omw**3
@@ -268,10 +270,17 @@ class WeierstrassContext:
         k3 = self._k**3
         val = -k3 * (2.0 * csc2_cot + 8j * S)
         mag = abs(k3) * (2.0 * np.abs(csc2_cot) + 8.0 * S_mag)
-        return val, mag
+        return val, self._tail_wp_prime + mag * self._rounding(u, ur, 3)
 
-    def _log_sigma_red(self, ur: np.ndarray):
-        """log sigma(u_red) up to a multiple of 2 pi i, and the magnitude summed."""
+    def _zeta(self, u, ur, m, n):
+        val, mag = self._zeta_red(ur)
+        shift = m * self._eta_red[0] + n * self._eta_red[1]
+        e = (self._zeta_tail(ur) + (mag + np.abs(shift)) * self._rounding(u, ur, 1)
+             + (np.abs(m) + np.abs(n)) * self._eta_est)
+        return val + shift, e
+
+    def _sigma(self, u, ur, m, n):
+        # log sigma(u_red) up to a multiple of 2 pi i, and the magnitude summed
         v = self._k * ur
         s, _, omw = _half_angle(v)
         # q^2n exp(+-2iv) as exp(2i(pi tau +- v)) q^(2n - 2): no factor overflows
@@ -280,19 +289,35 @@ class WeierstrassContext:
         prod = np.prod(terms[:, 0] * terms[:, 1], axis=1)
         gauss = self._eta1 * ur * ur / (2.0 * self._r1)
         log_sin = np.log(0.5j * s * omw) - 1j * s * v
-        val = self._log_norm + gauss + log_sin + np.log(prod)
+        log_s = self._log_norm + gauss + log_sin + np.log(prod)
         mag = 1.0 + np.abs(self._log_norm) + np.abs(gauss) + np.abs(log_sin)
-        return val, mag
+        # quasi-periodicity carries sigma(u_red) back to u
+        eta_shift = m * self._eta_red[0] + n * self._eta_red[1]
+        omega = m * self._r1 + n * self._r2
+        expo = eta_shift * (ur + 0.5 * omega)
+        # the sign (-1)^(m + n + mn), folded into the exponent
+        odd = (m + n + m * n) % 2
+        log_v = log_s + expo + 1j * np.pi * odd
+        fits = log_v.real <= _LOG_DBL_MAX  # else inf, with an infinite error
+        val = np.exp(np.where(fits, log_v, np.inf))
+        log_err = (
+            self._tail_logsigma
+            + np.abs(ur) ** 2 * self._eta1_tail / (2.0 * abs(self._r1))
+            + (np.abs(m) + np.abs(n)) * self._eta_est * np.abs(ur + 0.5 * omega)
+            + (mag + np.abs(expo)) * self._rounding(u, ur, 1)
+        )
+        return val, np.abs(val) * np.where(fits, log_err, np.inf)
 
     # -- public batch evaluators --------------------------------------------
 
-    def _eval_batch(self, u, kind: str):
+    def _eval_batch(self, u, fn, entire: bool = False):
+        """fn at each point of u; poles (NaN values and bounds) within pole_tol
+        of the lattice, or zeros on it when the function is entire (sigma)."""
         u = np.asarray(u, dtype=complex)
         scalar_in = u.ndim == 0
         u = np.atleast_1d(u)
         u_red, m, n = self.reduce_point(u)
-        if kind == "sigma":
-            # sigma is entire and vanishes exactly on the lattice
+        if entire:
             poles = np.zeros(u.shape, bool)
             ok = u_red != 0
             values = np.zeros(u.shape, dtype=complex)
@@ -303,68 +328,35 @@ class WeierstrassContext:
             values = np.full(u.shape, np.nan, dtype=complex)
             est = np.full(u.shape, np.nan)
         if np.any(ok):
-            uk, ur, mk, nk = u[ok], u_red[ok], m[ok], n[ok]
-            if kind == "wp":
-                v, mag = self._wp_red(ur)
-                e = self._tail_wp + mag * self._rounding(uk, ur, 2)
-            elif kind == "wp_prime":
-                v, mag = self._wp_prime_red(ur)
-                e = self._tail_wp_prime + mag * self._rounding(uk, ur, 3)
-            elif kind == "zeta":
-                v, mag = self._zeta_red(ur)
-                shift = mk * self._eta_red[0] + nk * self._eta_red[1]
-                v = v + shift
-                e = (self._zeta_tail(ur) + (mag + np.abs(shift)) * self._rounding(uk, ur, 1)
-                     + (np.abs(mk) + np.abs(nk)) * self._eta_est)
-            elif kind == "sigma":
-                log_s, mag = self._log_sigma_red(ur)
-                eta_shift = mk * self._eta_red[0] + nk * self._eta_red[1]
-                omega = mk * self._r1 + nk * self._r2
-                expo = eta_shift * (ur + 0.5 * omega)
-                # the sign (-1)^(m + n + mn), folded into the exponent
-                odd = (mk + nk + mk * nk) % 2
-                log_v = log_s + expo + 1j * np.pi * odd
-                fits = log_v.real <= _LOG_DBL_MAX  # else inf, with an infinite error
-                v = np.exp(np.where(fits, log_v, np.inf))
-                log_err = (
-                    self._tail_logsigma
-                    + np.abs(ur) ** 2 * self._eta1_tail / (2.0 * abs(self._r1))
-                    + (np.abs(mk) + np.abs(nk)) * self._eta_est * np.abs(ur + 0.5 * omega)
-                    + (mag + np.abs(expo)) * self._rounding(uk, ur, 1)
-                )
-                e = np.abs(v) * np.where(fits, log_err, np.inf)
-            else:  # pragma: no cover
-                raise ValueError(kind)
-            values[ok] = v
-            est[ok] = e
+            values[ok], est[ok] = fn(u[ok], u_red[ok], m[ok], n[ok])
         if scalar_in:
             return values[0], float(est[0]), bool(poles[0])
         return values, est, poles
 
     def wp_many(self, u):
-        return self._eval_batch(u, "wp")
+        return self._eval_batch(u, self._wp)
 
     def wp_prime_many(self, u):
-        return self._eval_batch(u, "wp_prime")
+        return self._eval_batch(u, self._wp_prime)
 
     def zeta_many(self, u):
-        return self._eval_batch(u, "zeta")
+        return self._eval_batch(u, self._zeta)
 
     def sigma_many(self, u):
-        return self._eval_batch(u, "sigma")
+        return self._eval_batch(u, self._sigma, entire=True)
 
     def wp(self, u: complex) -> EvalResult:
-        return EvalResult(*self._eval_batch(complex(u), "wp"))
+        return EvalResult(*self._eval_batch(complex(u), self._wp))
 
     def wp_prime(self, u: complex) -> EvalResult:
-        return EvalResult(*self._eval_batch(complex(u), "wp_prime"))
+        return EvalResult(*self._eval_batch(complex(u), self._wp_prime))
 
     def zeta(self, u: complex) -> EvalResult:
-        return EvalResult(*self._eval_batch(complex(u), "zeta"))
+        return EvalResult(*self._eval_batch(complex(u), self._zeta))
 
     def sigma(self, u: complex) -> EvalResult:
         """sigma is entire; the pole flag is always False."""
-        return EvalResult(*self._eval_batch(complex(u), "sigma"))
+        return EvalResult(*self._eval_batch(complex(u), self._sigma, entire=True))
 
 
 @functools.lru_cache(maxsize=64)

@@ -17,7 +17,7 @@ from locnash.classify import (
     rational_detect,
 )
 from locnash.errors import NotRealStructure
-from locnash.lattices import Lattice1
+from locnash.lattices import DEFAULT_TOL, Lattice1
 from locnash.scalars import ExactReal
 from locnash.structures import (
     StructureDescriptor,
@@ -36,16 +36,16 @@ RECT = Lattice1(1, 2j)
 # -- rational detection -------------------------------------------------------------
 
 def test_rational_detect_half():
-    assert rational_detect(0.5, 10**6, 1e-12) == Fraction(1, 2)
+    assert rational_detect(0.5) == Fraction(1, 2)
 
 
 def test_rational_detect_rejects_pi():
-    # best convergent 355/113 misses the tol/q^2 gate by many orders
-    assert rational_detect(np.pi, 10**6, 1e-12) is None
+    # best convergent 355/113 misses the 1e-9/q^2 gate by many orders
+    assert rational_detect(np.pi) is None
 
 
 def test_rational_detect_near_miss_accepted():
-    assert rational_detect(2 / 7 + 1e-15, 10**6, 1e-12) == Fraction(2, 7)
+    assert rational_detect(2 / 7 + 1e-15) == Fraction(2, 7)
 
 
 def test_rational_detect_zero_and_negative():
@@ -56,6 +56,15 @@ def test_rational_detect_zero_and_negative():
 @given(st.integers(-100, 100), st.integers(1, 100))
 @settings(max_examples=300, deadline=None)
 def test_rational_detect_exact_small_rationals(p, q):
+    assert rational_detect(p / q) == Fraction(p, q)
+
+
+@given(st.integers(1, 3000), st.data())
+@settings(max_examples=300, deadline=None)
+def test_rational_detect_certain_inside_rounding(q, data):
+    # p/q rounds by at most 2^-53 |p/q|, inside the 1e-9/q^2 gate while |p| q < 9e6
+    bound = (9 * 10**6 - 1) // q
+    p = data.draw(st.integers(-bound, bound))
     assert rational_detect(p / q) == Fraction(p, q)
 
 
@@ -142,7 +151,7 @@ def test_classify_centered_real_lattice():
     d = StructureDescriptor(1, "wp_real", a=1.5, lattice=Lattice1(1, (1 + 1.5j) / 2))
     form = classify_1d(d)
     assert form.kind == "wp"
-    assert rational_detect(form.a / 1.5, 10**4, 1e-9) is not None
+    assert rational_detect(form.a / 1.5) is not None
 
 
 # -- 1-D isomorphism ------------------------------------------------------------------------
@@ -180,6 +189,13 @@ def test_wp_pi_without_tags_undetermined():
     v = isomorphic_1d(wp_real(1.0), wp_real(np.pi))
     assert v.outcome == UNDETERMINED
     assert any("denominator" in r for r in v.reasons)
+
+
+def test_wp_ratio_reasons_name_one_gate():
+    gate = f"{DEFAULT_TOL:g}/q^2"
+    found = isomorphic_1d(wp_real(1.0), wp_real(2.0)).reasons[-1]
+    missed = isomorphic_1d(wp_real(1.0), wp_real(np.pi)).reasons[-1]
+    assert gate == "1e-09/q^2" and gate in found and gate in missed
 
 
 def test_same_exact_constant_cancels():

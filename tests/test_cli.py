@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 import subprocess
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from locnash import cli
 from locnash.cli import _csv_rows, _parse_grid, build_parser, main
-from locnash.config import fmt
+from locnash.config import RunConfig, fmt
 from locnash.descriptors import parse_descriptor
 from locnash.errors import ParseError
 from locnash.structures import FAMILIES, map_batch, wp_real
@@ -342,7 +343,7 @@ def test_bad_descriptor_field_exits_2(tmp_path):
 
 @pytest.mark.parametrize("flags, config", [
     (["--n-samples", "0"], None),
-    (["--max-denominator", "0"], None),
+    (["--max-degree", "-3"], None),
     (["--max-degree", "0"], None),
     (["--seed", "-5"], None),
     (["--config", "no-such-run.cfg"], None),
@@ -361,17 +362,28 @@ def test_invalid_run_config_exits_2(tmp_path, capsys, flags, config):
     assert "parse error" in capsys.readouterr().err
 
 
-def test_tol_flag_is_a_usage_error(tmp_path):
+@pytest.mark.parametrize("flag, value", [("--tol", "1e-9"), ("--max-denominator", "1000000")])
+def test_tol_flag_is_a_usage_error(tmp_path, flag, value):
+    # the tolerance and the denominator cap are constants, not settings
     with pytest.raises(SystemExit) as exc:
-        main(["verify-aat", desc(tmp_path, "e.desc", EXP), "--tol", "1e-9"])
+        main(["verify-aat", desc(tmp_path, "e.desc", EXP), flag, value])
     assert exc.value.code == 2
 
 
-def test_tol_config_key_is_unknown(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("tol", "1e-9"), ("max_denominator", "1000000")])
+def test_tol_config_key_is_unknown(tmp_path, capsys, key, value):
     argv = ["classify", desc(tmp_path, "e.desc", EXP),
-            "--config", desc(tmp_path, "run.cfg", "tol = 1e-9\n")]
+            "--config", desc(tmp_path, "run.cfg", f"{key} = {value}\n")]
     assert main(argv) == 2
-    assert "unknown key 'tol'" in capsys.readouterr().err
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_shared_flags_match_run_config_fields():
+    """main builds its overrides from the RunConfig fields, so a shared flag
+    without a field would parse and then be ignored."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    shared = set.intersection(*({a.dest for a in p._actions} for p in sub.choices.values()))
+    assert shared - {"help"} == {f.name for f in dataclasses.fields(RunConfig)} | {"config"}
 
 
 def test_config_block_fields(tmp_path, capsys):
@@ -379,7 +391,7 @@ def test_config_block_fields(tmp_path, capsys):
     out = capsys.readouterr().out
     block = out.split("[config]\n", 1)[1].split("\n[", 1)[0].splitlines()
     assert [line.split(" = ")[0] for line in block] == [
-        "max_degree", "n_samples", "seed", "max_denominator"]
+        "max_degree", "n_samples", "seed"]
 
 
 def test_classify_elongated_wp_real(tmp_path, capsys):
