@@ -172,9 +172,17 @@ def _wp_ratio_verdict(c1: CanonicalForm1D, c2: CanonicalForm1D) -> Verdict:
             f"rationality of {c1.a_exact}/{c2.a_exact} is not decidable from the tags"
         )
     gate = f"{DEFAULT_TOL:g}/q^2"
-    found = rational_detect(c1.a / c2.a)
+    # the gate reads the ratio as min/max whatever the argument order: above
+    # the range where recovery is certain, rounding decides x and 1/x apart.
+    # A ratio within the gate of 0 recovers as 0; max/min is read instead.
+    lo, hi = sorted((c1.a, c2.a))
+    found = rational_detect(lo / hi)
+    if found == 0:
+        inverse = rational_detect(hi / lo)
+        found = None if inverse is None else 1 / inverse
     if found is not None:
-        reasons.append(f"ratio a/b = {found} detected rational (continued-fraction gate {gate})")
+        ratio = found if c1.a <= c2.a else 1 / found
+        reasons.append(f"ratio a/b = {ratio} detected rational (continued-fraction gate {gate})")
         return Verdict(ISOMORPHIC, tuple(reasons))
     reasons.append(
         f"no convergent with denominator <= {MAX_DENOMINATOR} passed the "

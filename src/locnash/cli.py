@@ -34,7 +34,7 @@ from .descriptors import load_descriptor, parse_lattice1, serialize_descriptor
 from .errors import LocNashError, ParseError
 from .lattices import DiscreteSubgroup, subgroup
 from .relations import format_polynomial, verify_aat
-from .structures import map_batch, period_group
+from .structures import FAMILIES, map_batch, period_group
 from .weierstrass import (
     LEGENDRE_TOL,
     coset_sum_check,
@@ -229,9 +229,11 @@ def cmd_verify_aat(args, cfg: RunConfig) -> int:
         + [f"f{j + 1}(v)" for j in range(d.dim)]
         + ["f(u+v)"]
     )
+    cap = FAMILIES[d.family].aat_total_degree
+    box = f"degree {report.max_degree}" + ("" if cap is None else f", total degree <= {cap}")
     for i, cert in enumerate(report.certificates, start=1):
         if cert is None:
-            lines.append(f"coordinate_{i} = no relation found at degree {report.max_degree}")
+            lines.append(f"coordinate_{i} = no relation found at {box}")
             continue
         names[-1] = f"f{i}(u+v)"
         lines.append(f"coordinate_{i} = degree {cert.max_degree}, "

@@ -15,7 +15,11 @@ conquer SVD of the full matrix takes the same QR first: the singular
 values and right singular vectors match it bit for bit.
 
 Degrees are bounded PER VARIABLE: the basis at degree d is
-{X^e : max_i e_i <= d}, ordered graded-lexicographically.  Certificates are
+{X^e : max_i e_i <= d}, ordered graded-lexicographically.  verify_aat cuts
+every box to {X^e : sum_i e_i <= t} when the family's record sets
+aat_total_degree = t, the total degree of its minimal addition relation:
+monomials above it appear in no relation and only cost the SVD.  The cut
+keeps the graded-lex order, and the certificate records t.  Certificates are
 unit-norm coefficient vectors with the phase of the largest coefficient
 normalized to be real positive.  When the nullspace at the found degree has
 dimension > 1 (monomial multiples of the minimal relation fit the same
@@ -38,7 +42,7 @@ import numpy as np
 
 from .config import fmt
 from .errors import InsufficientSamples
-from .structures import StructureDescriptor, map_batch
+from .structures import FAMILIES, StructureDescriptor, map_batch
 from .weierstrass import get_context
 
 DEFAULT_GAP_THRESHOLD = 1e6  # least accepted ratio of consecutive singular values
@@ -56,9 +60,12 @@ Sampler = Callable[..., np.ndarray]
 
 
 @functools.cache
-def _exponent_table(arity: int, degree: int) -> np.ndarray:
-    """monomial_exponents as a read-only (monomials, arity) integer array."""
+def _exponent_table(arity: int, degree: int, total: int | None = None) -> np.ndarray:
+    """monomial_exponents as a read-only (monomials, arity) integer array,
+    keeping only the rows with sum <= total when a total cap is given."""
     exps = itertools.product(range(degree + 1), repeat=arity)
+    if total is not None:
+        exps = (e for e in exps if sum(e) <= total)
     table = np.array(sorted(exps, key=lambda e: (sum(e), tuple(-x for x in e))),
                      dtype=np.intp)
     table.flags.writeable = False
@@ -80,6 +87,7 @@ class RelationCertificate:
     coefficients: tuple[complex, ...]
     residual: float
     singular_gap: float
+    max_total_degree: int | None = None
 
     def coefficient_of(self, expo: Sequence[int]) -> complex:
         key = tuple(expo)
@@ -102,6 +110,10 @@ class RelationCertificate:
             "relation_certificate",
             f"arity = {self.variable_arity}",
             f"degree = {self.max_degree}",
+        ]
+        if self.max_total_degree is not None:
+            lines.append(f"total_degree = {self.max_total_degree}")
+        lines += [
             f"residual = {fmt(self.residual)}",
             f"singular_gap = {fmt(self.singular_gap)}",
         ]
@@ -243,13 +255,25 @@ def find_relation(
                    domain_dim)
 
 
-def _search(rows, arity, max_degree, n_samples, rng, domain_dim) -> RelationCertificate | None:
-    """find_relation's degree loop over the rows of a row sampler."""
+def _box_size(arity: int, degree: int, total: int | None) -> int:
+    """len(_exponent_table(arity, degree, total)), counted without the table."""
+    cap = arity * degree if total is None else min(total, arity * degree)
+    counts = [1] + [0] * cap  # counts[s]: exponent prefixes with sum s
+    for _ in range(arity):
+        counts = [sum(counts[max(0, s - degree) : s + 1]) for s in range(cap + 1)]
+    return sum(counts)
+
+
+def _search(rows, arity, max_degree, n_samples, rng, domain_dim,
+            total=None) -> RelationCertificate | None:
+    """find_relation's degree loop over the rows of a row sampler; with a
+    total cap, every degree's box keeps only the monomials of total degree
+    <= total."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     if arity < 1:
         raise ValueError("need at least one sampler")
-    m = (max_degree + 1) ** arity
+    m = _box_size(arity, max_degree, total)
     n_rows = max(n_samples, 2 * m)  # the largest training matrix is n_rows x m
     if 16 * n_rows * m > _MAX_MATRIX_BYTES:
         raise ValueError(f"{m} monomials at degree {max_degree} over {n_rows} rows exceed "
@@ -257,7 +281,7 @@ def _search(rows, arity, max_degree, n_samples, rng, domain_dim) -> RelationCert
     pool_src = _SamplePool(rows, arity, domain_dim, rng)
 
     for degree in range(1, max_degree + 1):
-        E = _exponent_table(arity, degree)
+        E = _exponent_table(arity, degree, total)
         m = len(E)
         n_train = max(n_samples, 2 * m)
         pool = pool_src.ensure(2 * n_train)
@@ -283,10 +307,11 @@ def _search(rows, arity, max_degree, n_samples, rng, domain_dim) -> RelationCert
         return RelationCertificate(
             variable_arity=arity,
             max_degree=degree,
-            exponents=tuple(monomial_exponents(arity, degree)),
+            exponents=tuple(map(tuple, E.tolist())),
             coefficients=tuple(complex(x) for x in c_orig),
             residual=residual,
             singular_gap=gap,
+            max_total_degree=total,
         )
     return None
 
@@ -364,12 +389,15 @@ def verify_aat(
 
     For each map coordinate i, searches for a relation among
     f_1(u)...f_n(u), f_1(v)...f_n(v), f_i(u+v).  Success on every
-    coordinate constitutes the certificate.
+    coordinate constitutes the certificate.  A family whose record sets
+    ``aat_total_degree`` searches only monomials of at most that total
+    degree.
     """
     n = d.dim
+    total = FAMILIES[d.family].aat_total_degree
     certs = [
         _search(_aat_rows(d, coord), 2 * n + 1, max_degree, n_samples,
-                np.random.default_rng(seed + coord), 2 * n)
+                np.random.default_rng(seed + coord), 2 * n, total)
         for coord in range(n)
     ]
     return AATReport(all(c is not None for c in certs), tuple(certs), max_degree)

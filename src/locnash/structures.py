@@ -53,6 +53,9 @@ class Family:
     the descriptor (None: absent).  ``a_range`` describes and tests a.
     ``periods(d)`` gives (generator, closed form) pairs of the model's period
     group; ``map(d, *w)`` gives (values, poles) of the model at w = alpha u.
+    ``aat_total_degree`` is the total degree of the map's minimal addition
+    relation when it is below what the per-variable box admits; the AAT
+    search then keeps only monomials up to it (None: no cap).
     """
 
     name: str
@@ -64,6 +67,7 @@ class Family:
     required: tuple[str, ...] = ()
     defaults: tuple[tuple[str, Callable | None], ...] = ()
     a_range: tuple[str, Callable[[complex], bool]] | None = None
+    aat_total_degree: int | None = None
 
     @property
     def allowed(self) -> tuple[str, ...]:
@@ -340,11 +344,15 @@ def is_real_structure(d: StructureDescriptor) -> bool:
 # -- the family table -----------------------------------------------------------
 
 #: one record per family: name, dim, period rank, 2-D index, closed-form period
-#: generators, model map, then the fields it requires or allows
+#: generators, model map, then the fields it requires or allows and the total
+#: degree of its addition relation where that caps the AAT search
 FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family("id", 1, 0, None, _fixed(), _entire(None)),
     Family("exp", 1, 1, None, _fixed(((_TWO_PI_I,), "2*pi*i")), _entire(np.exp)),
-    Family("sin", 1, 1, None, _fixed(((2.0 * np.pi + 0j,), "2*pi")), _entire(np.sin)),
+    # X, Y, Z = sin u, sin v, sin(u+v) satisfy (Z^2 + X^2 - Y^2)^2 = 4 X^2 Z^2 (1 - Y^2),
+    # of per-variable degree 4 and total degree 6
+    Family("sin", 1, 1, None, _fixed(((2.0 * np.pi + 0j,), "2*pi")), _entire(np.sin),
+           aat_total_degree=6),
     Family("wp_real", 1, 2, None, _wp_real_periods, _wp_on("lattice"), required=("a",),
            defaults=(("a_exact", None), ("lattice", _rectangular)),
            a_range=("a real parameter a > 0", lambda a: a.imag == 0 and a.real > 0)),

@@ -198,6 +198,43 @@ def test_wp_ratio_reasons_name_one_gate():
     assert gate == "1e-09/q^2" and gate in found and gate in missed
 
 
+def _assert_symmetric(a1, a2):
+    """Both argument orders give one outcome, and an isomorphic verdict
+    names reciprocal ratios."""
+    v12 = isomorphic_1d(wp_real(a1), wp_real(a2))
+    v21 = isomorphic_1d(wp_real(a2), wp_real(a1))
+    assert v12.outcome == v21.outcome
+    if v12.outcome == ISOMORPHIC:
+        r12, r21 = (Fraction(v.reasons[-1].split()[3]) for v in (v12, v21))
+        assert r12 * r21 == 1
+    return v12
+
+
+@given(st.integers(300, 2999), st.data(), st.floats(0.5, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_wp_ratio_verdict_symmetric(q, data, b):
+    # above the certain range (p q >= 9e6 for p/q) rounding decides recovery
+    # of x and 1/x apart; the verdict must not follow the argument order
+    p = data.draw(st.integers(1, 3 * q - 1))
+    _assert_symmetric(b * p / q, b)
+
+
+@pytest.mark.parametrize("a1, a2, outcome, ratio", [
+    # ratio 2697/4181: isomorphic one way and undetermined the other when
+    # the ratio was read in argument order
+    (1.4626956551182801, 2.267530787560078, ISOMORPHIC, "2697/4181"),
+    # 1e-8/20 recovers as 0 inside the gate; 20/1e-8 is the integer 2e9
+    (1e-8, 20.0, ISOMORPHIC, "1/2000000000"),
+    (1.0, 2.0, ISOMORPHIC, "1/2"),
+    (1.0, np.pi, UNDETERMINED, None),
+])
+def test_wp_ratio_verdict_symmetric_fixed_pairs(a1, a2, outcome, ratio):
+    v = _assert_symmetric(a1, a2)
+    assert v.outcome == outcome
+    if ratio is not None:
+        assert v.reasons[-1].startswith(f"ratio a/b = {ratio} detected rational")
+
+
 def test_same_exact_constant_cancels():
     d1 = wp_real(np.pi, a_exact=ExactReal(Fraction(1), "pi"))
     d2 = wp_real(2 * np.pi, a_exact=ExactReal(Fraction(2), "pi"))

@@ -281,6 +281,16 @@ def test_verify_aat_exit_codes(tmp_path):
     assert main(["verify-aat", s, "--max-degree", "2", "--out", null]) == 1
 
 
+@pytest.mark.parametrize("text, degree, line", [
+    (SIN, 3, "coordinate_1 = no relation found at degree 3, total degree <= 6"),
+    (WP1, 1, "coordinate_1 = no relation found at degree 1"),
+], ids=["sin-capped", "wp_real-uncapped"])
+def test_verify_aat_negative_report_names_the_box(tmp_path, capsys, text, degree, line):
+    d = desc(tmp_path, "d.desc", text)
+    assert main(["verify-aat", d, "--max-degree", str(degree)]) == 1
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_verify_aat_report_shows_relation(tmp_path, capsys):
     e = desc(tmp_path, "e.desc", EXP)
     assert main(["verify-aat", e, "--max-degree", "2"]) == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from locnash import relations
@@ -8,8 +10,12 @@ from locnash.lattices import Lattice1
 from locnash.relations import (
     DEFAULT_VALUE_CAP,
     AATReport,
+    _aat_rows,
+    _box_size,
+    _exponent_table,
     _monomial_matrix,
     _SamplePool,
+    _search,
     _singular_spectrum,
     dependent,
     find_relation,
@@ -19,7 +25,15 @@ from locnash.relations import (
     verify_aat,
     wp_sampler,
 )
-from locnash.structures import exp_map, identity_map, map_batch, painleve, sin_map, wp_real
+from locnash.structures import (
+    FAMILIES,
+    exp_map,
+    identity_map,
+    map_batch,
+    painleve,
+    sin_map,
+    wp_real,
+)
 from locnash.weierstrass import get_context
 
 
@@ -47,6 +61,17 @@ def test_monomial_order_graded_lex():
     assert monos[1:3] == [(1, 0), (0, 1)]
     assert len(monos) == 9  # per-variable bound: (d+1)^arity
     assert monos.index((2, 0)) < monos.index((1, 1)) < monos.index((0, 2))
+
+
+@pytest.mark.parametrize("arity, degree, total", [
+    (1, 3, 2), (2, 2, 3), (3, 4, 6), (3, 4, 12), (3, 2, 0), (5, 8, 6), (7, 2, 4),
+])
+def test_capped_exponent_table_filters_the_box(arity, degree, total):
+    full = _exponent_table(arity, degree).tolist()
+    capped = _exponent_table(arity, degree, total).tolist()
+    assert capped == [e for e in full if sum(e) <= total]  # same graded-lex order
+    assert _box_size(arity, degree, total) == len(capped)
+    assert _box_size(arity, degree, None) == len(full) == (degree + 1) ** arity
 
 
 def _monomial_matrix_by_columns(values, exponents):
@@ -152,6 +177,23 @@ def test_certificates_match_full_svd_reference(monkeypatch, search):
     ref = CERTIFICATE_SEARCHES[search]()
     assert None not in got
     assert got == ref  # dataclass equality: exact coefficients, residual and gap
+
+
+def test_matrix_budget_guard_counts_the_capped_box(monkeypatch):
+    """Arity 5 at degree 8 has 59049 monomials (3.3 GB), 462 of them of total
+    degree <= 6: the capped search passes the guard and reaches sampling."""
+    def boom(*args):
+        raise _Allocated
+
+    monkeypatch.setattr(_SamplePool, "ensure", boom)
+
+    def search(total):
+        return _search(lambda *w: None, 5, 8, 64, np.random.default_rng(0), 4, total)
+
+    with pytest.raises(_Allocated):
+        search(6)
+    with pytest.raises(ValueError, match="MiB"):
+        search(None)
 
 
 def test_monomial_budget_guard():
@@ -301,6 +343,60 @@ def test_verify_aat_sin_degree_four():
     assert abs(cert.coefficient_of((2, 2, 0)) / c + 2) < 1e-6
 
 
+@given(st.floats(0.25, 4.0), st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_sin_capped_search_certifies_at_degree_four(scale, seed):
+    # at scales below about 0.5 the sampled values crowd together and the full
+    # 125-monomial box can miss the gap (1.4e6 at the least over 200 draws,
+    # 4 of them uncertified); the 72-monomial box keeps gaps above 1e7 there
+    cert = verify_aat(sin_map(scale), 4, seed=seed).certificates[0]
+    assert cert is not None and cert.max_degree == 4 and cert.max_total_degree == 6
+    assert cert.residual < 1e-6
+
+
+@given(st.floats(0.5, 4.0), st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_sin_capped_search_matches_full_box(scale, seed):
+    """The degree-4 sin relation found among the 72 monomials of total degree
+    <= 6 is the one the full 125-monomial box finds: the full box's other 53
+    coefficients vanish and the shared ones agree."""
+    d = sin_map(scale)
+    cert = verify_aat(d, 4, seed=seed).certificates[0]
+    assert cert is not None and cert.max_degree == 4
+    assert cert.singular_gap >= 1e9
+    ref = _search(_aat_rows(d, 0), 3, 4, 64, np.random.default_rng(seed), 2, None)
+    assert ref is not None and ref.max_degree == 4 and len(ref.exponents) == 125
+    got = dict(zip(cert.exponents, cert.coefficients))
+    full = dict(zip(ref.exponents, ref.coefficients))
+    top = max(got, key=lambda e: abs(got[e]))
+    align = got[top] / full[top]
+    assert max(abs(c - align * full[e]) for e, c in got.items()) < 1e-9 * abs(got[top])
+    extra = [abs(c) for e, c in full.items() if e not in got]
+    assert len(extra) == 53
+    assert max(extra) < 1e-8 * max(abs(c) for c in full.values())
+
+
+#: a descriptor and per-variable degree for every family whose record caps
+#: the total degree of its AAT search
+CAPPED_AAT_FIXTURES = {
+    "sin": (sin_map(0.7), 4),
+}
+
+
+@pytest.mark.parametrize(
+    "family", sorted(n for n, f in FAMILIES.items() if f.aat_total_degree is not None)
+)
+def test_family_aat_total_degree_is_the_relation_degree(family):
+    """The table's cap is the total degree of the certified relation: a cap
+    below it loses the certificate and one above it wastes monomials."""
+    d, degree = CAPPED_AAT_FIXTURES[family]
+    rep = verify_aat(d, degree, seed=3)
+    assert rep.success
+    for cert in rep.certificates:
+        assert cert.max_total_degree == FAMILIES[family].aat_total_degree
+        assert max(sum(e) for e, _ in cert.support()) == cert.max_total_degree
+
+
 def test_verify_aat_wp():
     rep = verify_aat(wp_real(1.0), 6, seed=3)
     cert = rep.certificates[0]
@@ -435,8 +531,9 @@ def test_verify_aat_degree_and_budget_guards():
 def test_verify_aat_reports_failure():
     # u and e^u are independent: no relation for the exp coordinate at degree 1
     # over a map whose sum coordinate breaks the box; use a degree too low for sin
-    rep = verify_aat(sin_map(), 2, seed=3)
-    assert not rep.success and rep.certificates[0] is None
+    for degree in (2, 3):  # sin's relation has per-variable degree 4
+        rep = verify_aat(sin_map(), degree, seed=3)
+        assert not rep.success and rep.certificates == (None,)
 
 
 # -- map_sampler -------------------------------------------------------------------------------
@@ -511,6 +608,16 @@ def test_certificate_serialization():
         max_degree=1, seed=7, domain_dim=2,
     )
     text = cert.serialize()
-    assert text.startswith("relation_certificate\narity = 3\ndegree = 1\n")
+    assert text.startswith("relation_certificate\narity = 3\ndegree = 1\nresidual = ")
     assert "residual = " in text and "singular_gap = " in text
     assert text.count("term (") == len(cert.exponents)
+    assert "total_degree" not in text
+
+
+def test_capped_certificate_names_its_box():
+    cert = verify_aat(sin_map(), 4, seed=3).certificates[0]
+    text = cert.serialize()
+    assert text.startswith(
+        "relation_certificate\narity = 3\ndegree = 4\ntotal_degree = 6\nresidual = ")
+    assert text.count("term (") == len(cert.exponents) == 72
+    assert all(sum(e) <= 6 for e in cert.exponents)
