@@ -14,7 +14,6 @@ from .classify import (
     isomorphic_1d,
     rational_detect,
 )
-from .config import RunConfig, load_config
 from .descriptors import load_descriptor, parse_descriptor, serialize_descriptor
 from .errors import (
     DegenerateGenerators,

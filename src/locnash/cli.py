@@ -5,8 +5,10 @@ Exit codes: 0 success / positive result; 1 negative result (not isomorphic,
 no relation found, identity residual above threshold); 2 parse error;
 3 numeric failure; 4 undetermined verdict.
 
-Reports are deterministic for a fixed configuration and seed: every report
-embeds the configuration block, floats print with 17 significant digits, and
+The shared flags --max-degree, --seed and --out are the whole run
+configuration; there is no config file or environment variable.  Reports
+are deterministic for fixed flags: every report embeds the result-affecting
+flags as its [config] block, floats print with 17 significant digits, and
 nothing time- or path-dependent is emitted.
 """
 
@@ -16,7 +18,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +31,12 @@ from .classify import (
     compare_2d,
     isomorphic_1d,
 )
-from .config import FLOAT_SPEC, RunConfig, config_block, fmt, load_config
 from .descriptors import load_descriptor, parse_lattice1, serialize_descriptor
 from .errors import LocNashError, ParseError
 from .lattices import DiscreteSubgroup, subgroup
 from .relations import format_polynomial, verify_aat
-from .structures import FAMILIES, map_batch, period_group
+from .scalars import FLOAT_SPEC, fmt
+from .structures import map_batch, period_group
 from .weierstrass import (
     LEGENDRE_TOL,
     coset_sum_check,
@@ -49,6 +51,21 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_UNDETERMINED = 4
 _MAX_GRID_AXIS = 512  # eval holds the square of this in points, about 0.7 kB each
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The run settings, one field per shared flag."""
+
+    max_degree: int = 8
+    seed: int = 0
+    output_path: str | None = None
+
+    def __post_init__(self):
+        if self.max_degree <= 0:
+            raise ParseError("bad run configuration: max_degree must be positive")
+        if self.seed < 0:
+            raise ParseError("bad run configuration: seed must be >= 0")
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -75,7 +92,10 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _report_head(name: str, cfg: RunConfig) -> list[str]:
-    return [f"locnash {name} report"] + config_block(cfg)
+    """The title and the [config] block: the result-affecting fields only,
+    since the output path would break byte-for-byte reproducibility."""
+    return [f"locnash {name} report", "[config]",
+            f"max_degree = {cfg.max_degree}", f"seed = {cfg.seed}"]
 
 
 # -- eval ---------------------------------------------------------------------
@@ -218,7 +238,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
 
 def cmd_verify_aat(args, cfg: RunConfig) -> int:
     d = load_descriptor(args.descriptor)
-    report = verify_aat(d, cfg.max_degree, cfg.n_samples, cfg.seed)
+    report = verify_aat(d, cfg.max_degree, seed=cfg.seed)
     lines = _report_head("verify-aat", cfg)
     lines.append("[descriptor]")
     lines.extend(serialize_descriptor(d).rstrip().splitlines())
@@ -229,7 +249,7 @@ def cmd_verify_aat(args, cfg: RunConfig) -> int:
         + [f"f{j + 1}(v)" for j in range(d.dim)]
         + ["f(u+v)"]
     )
-    cap = FAMILIES[d.family].aat_total_degree
+    cap = report.total_degree
     box = f"degree {report.max_degree}" + ("" if cap is None else f", total degree <= {cap}")
     for i, cert in enumerate(report.certificates, start=1):
         if cert is None:
@@ -313,10 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first call and shared by later ones
     (parse_args leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="config file (or set LOCNASH_CONFIG)")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--max-degree", type=int, dest="max_degree")
-    common.add_argument("--n-samples", type=int, dest="n_samples")
+    common.add_argument("--seed", type=int, default=RunConfig.seed)
+    common.add_argument("--max-degree", type=int, dest="max_degree",
+                        default=RunConfig.max_degree)
     common.add_argument("--out", dest="output_path", help="output path (default stdout)")
 
     p = argparse.ArgumentParser(prog="locnash", description=__doc__)
@@ -376,8 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_dash_values(list(argv if argv is not None else sys.argv[1:])))
     try:
-        overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-        cfg = load_config(getattr(args, "config", None), overrides)
+        cfg = RunConfig(args.max_degree, args.seed, args.output_path)
         return args.func(args, cfg)
     except ParseError as exc:
         print(f"locnash: parse error: {exc}", file=sys.stderr)

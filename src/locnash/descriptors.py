@@ -11,10 +11,9 @@ a descriptor survives serialize -> parse unchanged.
 
 from __future__ import annotations
 
-from .config import fmt, read_fields
 from .errors import DegenerateGenerators, ParseError
 from .lattices import Lattice1
-from .scalars import parse_complex, parse_exact_real, parse_lattice_literal
+from .scalars import fmt, parse_complex, parse_exact_real, parse_lattice_literal
 from .structures import FAMILIES, PARAMETERS, StructureDescriptor
 
 
@@ -29,6 +28,33 @@ def parse_lattice1(text: str) -> Lattice1:
         raise ParseError(f"literal does not define a lattice: {exc}") from exc
 
 
+_KEYS = ("dim", "family", "alpha") + PARAMETERS
+
+
+def _read_fields(text: str) -> dict[str, str]:
+    """The ``key = value`` lines of a document as strings (``#`` starts a
+    comment); a line without ``=``, an unknown key, a repeated key and an
+    empty value are ParseErrors naming the line."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        where = f"descriptor line {lineno}"
+        if not eq:
+            raise ParseError(f"{where}: expected 'key = value', got {raw!r}")
+        if key not in _KEYS:
+            raise ParseError(f"{where}: unknown key {key!r}")
+        if key in out:
+            raise ParseError(f"{where}: duplicate key {key!r}")
+        if not value:
+            raise ParseError(f"{where}: empty value for {key!r}")
+        out[key] = value
+    return out
+
+
 _PARSE = {
     "a": parse_complex, "a_exact": parse_exact_real,
     "lattice": parse_lattice1, "lattice2": parse_lattice1,
@@ -37,7 +63,7 @@ _PARSE = {
 
 def parse_descriptor(text: str) -> StructureDescriptor:
     """Parse one descriptor document."""
-    fields = read_fields(text, ("dim", "family", "alpha") + PARAMETERS, "descriptor")
+    fields = _read_fields(text)
     for required in ("dim", "family"):
         if required not in fields:
             raise ParseError(f"missing required field {required!r}")

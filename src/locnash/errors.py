@@ -6,7 +6,7 @@ class LocNashError(Exception):
 
 
 class ParseError(LocNashError):
-    """Malformed literal, descriptor or config input."""
+    """Malformed literal, descriptor or flag value."""
 
 
 class DegenerateGenerators(LocNashError):

@@ -40,8 +40,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import fmt
 from .errors import InsufficientSamples
+from .scalars import fmt
 from .structures import FAMILIES, StructureDescriptor, map_batch
 from .weierstrass import get_context
 
@@ -368,11 +368,13 @@ def _aat_rows(d: StructureDescriptor, coord: int):
 
 @dataclass(frozen=True)
 class AATReport:
-    """Per-coordinate addition-theorem certificates for one descriptor."""
+    """Per-coordinate addition-theorem certificates for one descriptor, and
+    the box searched: per-variable degree and total degree (None: no cap)."""
 
     success: bool
     certificates: tuple[RelationCertificate | None, ...]
     max_degree: int
+    total_degree: int | None = None
 
     @property
     def found_degrees(self) -> tuple[int | None, ...]:
@@ -400,7 +402,7 @@ def verify_aat(
                 np.random.default_rng(seed + coord), 2 * n, total)
         for coord in range(n)
     ]
-    return AATReport(all(c is not None for c in certs), tuple(certs), max_degree)
+    return AATReport(all(c is not None for c in certs), tuple(certs), max_degree, total)
 
 
 def dependent(

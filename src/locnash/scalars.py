@@ -8,7 +8,7 @@ Scalar grammar (used by the CLI and descriptor files):
 so ``1``, ``-2.5``, ``2i``, ``1+2i``, ``pi``, ``2pi``, ``2pi*i`` and ``1e-3``
 are all accepted.  A lattice literal is ``lattice(g, ...)`` where each
 generator ``g`` is either a scalar (dimension 1) or a tuple ``(x, y)`` of
-scalars (dimension 2).
+scalars (dimension 2).  Floats are written back with ``fmt``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,15 @@ _TERM = re.compile(
 
 #: Named irrational constants accepted in exact parameters.
 CONSTANTS = {"pi": math.pi, "sqrt2": math.sqrt(2.0), "e": math.e}
+#: format spec of the full-precision floats in reports, CSVs, certificates and
+#: descriptors: 17 significant digits, lowercase exponent, so each value
+#: round-trips exactly
+FLOAT_SPEC = ".17g"
+
+
+def fmt(x: float) -> str:
+    """x as a decimal string in FLOAT_SPEC."""
+    return format(x, FLOAT_SPEC)
 
 
 def parse_complex(text: str) -> complex:

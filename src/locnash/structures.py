@@ -366,6 +366,3 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family("p6_product", 2, 4, 6, _p6_periods, _wp_on("lattice", "lattice2"),
            required=("lattice", "lattice2")),
 )}
-
-#: closed-form period-group ranks per family
-FAMILY_RANK = {name: f.rank for name, f in FAMILIES.items()}

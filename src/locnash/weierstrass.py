@@ -38,7 +38,10 @@ and the gate; it evaluates no theta series.  The argument reduction matrix,
 the series weights n c_n and n^2 c_n, the sigma product's shifted powers and
 normalisation, and every error bound (the tail bounds of zeta, wp, wp', log
 sigma and eta1, and the bound on the eta shift) are built on first use, so a
-period group, which reads only eta, pays for none of them.
+period group, which reads only eta, pays for none of them.  Evaluation on a
+lattice whose shortest vector is below _MIN_SCALE (about 5.6e-103) is
+refused, since the scale (pi/|r1|)^3 of wp' would leave the double range;
+such a lattice still gets its context, its eta constants and period groups.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ _TAIL_TARGET = 1e-17
 LEGENDRE_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 _LOG_DBL_MAX = float(np.log(np.finfo(float).max))
+#: about the least |r1| at which (pi/|r1|)^3 stays inside the double range
+_MIN_SCALE = float(np.pi / np.cbrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,12 @@ class WeierstrassContext:
 
     @functools.cached_property
     def _binv(self) -> np.ndarray:
+        """The argument reduction's inverse basis, read first by every
+        evaluation, so a lattice too small to evaluate is refused here."""
         r1, r2 = self._r1, self._r2
+        if abs(r1) < _MIN_SCALE:
+            raise ValueError(f"lattice too small to evaluate: shortest vector {abs(r1):.3g} "
+                             f"is below {_MIN_SCALE:.2g}, where (pi/|r1|)^3 leaves the double range")
         det = r1.real * r2.imag - r2.real * r1.imag
         return np.array([[r2.imag, -r2.real], [-r1.imag, r1.real]]) / det
 

@@ -12,14 +12,13 @@ stated rather than weakened.
 import numpy as np
 
 import helpers
-from locnash.cli import main
 from locnash.classify import ISOMORPHIC, NOT_ISOMORPHIC, isomorphic_1d
-from locnash.config import RunConfig
+from locnash.cli import RunConfig, main
 from locnash.lattices import Lattice1, subgroup
 from locnash.relations import dependent, find_relation, verify_aat, wp_sampler
 from locnash.scalars import ExactReal
 from locnash.structures import (
-    FAMILY_RANK,
+    FAMILIES,
     StructureDescriptor,
     exp_map,
     identity_map,
@@ -163,7 +162,7 @@ def test_criterion_05_rank_table():
         }
         for fam, d in draws.items():
             total += 1
-            if z_rank(d) != FAMILY_RANK[fam]:
+            if z_rank(d) != FAMILIES[fam].rank:
                 failures += 1
     ok = failures == 0
     _report(5, "Z-rank table", ok, f"{failures} failures in {total} draws")
@@ -202,7 +201,7 @@ def test_criterion_07_rank_invariance_under_alpha():
     rng = np.random.default_rng(CFG.seed)
     failures = 0
     for fam, d in {**FIXTURES_2D, **FIXTURES_1D}.items():
-        base = FAMILY_RANK[fam]
+        base = FAMILIES[fam].rank
         for _ in range(20):
             A = helpers.random_real_invertible(rng, d.dim)
             d2 = StructureDescriptor(
@@ -220,18 +219,18 @@ def test_criterion_07_rank_invariance_under_alpha():
 def test_criterion_08_aat_certificates():
     checks = []
 
-    rep = verify_aat(identity_map(), 1, CFG.n_samples, CFG.seed)
+    rep = verify_aat(identity_map(), 1, seed=CFG.seed)
     c = rep.certificates[0]
     checks.append((f"id deg {c.max_degree} resid {c.residual:.1e}",
                    rep.success and c.max_degree == 1 and c.residual < 1e-12))
-    rep = verify_aat(exp_map(), 2, CFG.n_samples, CFG.seed)
+    rep = verify_aat(exp_map(), 2, seed=CFG.seed)
     c = rep.certificates[0]
     checks.append((f"exp deg {c.max_degree} resid {c.residual:.1e}",
                    rep.success and c.residual < 1e-10))
-    rep = verify_aat(sin_map(), 4, CFG.n_samples, CFG.seed)
+    rep = verify_aat(sin_map(), 4, seed=CFG.seed)
     c = rep.certificates[0]
     checks.append((f"sin deg {c.max_degree}", rep.success and c.max_degree <= 4))
-    rep = verify_aat(wp_real(1.0), 6, CFG.n_samples, CFG.seed)
+    rep = verify_aat(wp_real(1.0), 6, seed=CFG.seed)
     c = rep.certificates[0]
     checks.append((f"wp deg {c.max_degree} resid {c.residual:.1e}",
                    rep.success and c.max_degree <= 6 and c.residual < 1e-6))
@@ -248,7 +247,7 @@ def test_criterion_08_aat_certificates():
 
     cert = find_relation(
         [wp_sampler(lat), wpp],
-        3, CFG.n_samples, CFG.seed, domain_dim=1,
+        3, seed=CFG.seed, domain_dim=1,
     )
     g2o, g3o = helpers.eisenstein_oracle(lat)
     de_ok = cert is not None and cert.residual < 1e-6
@@ -270,10 +269,10 @@ def test_criterion_08_aat_certificates():
 
 def test_criterion_09_dependence_detection():
     pos, _ = dependent(wp_sampler(SQ), wp_sampler(Lattice1(2, 2j)),
-                       CFG.max_degree, CFG.n_samples, CFG.seed)
+                       CFG.max_degree, seed=CFG.seed)
     neg1, _ = dependent(wp_sampler(SQ), wp_sampler(Lattice1(1, np.pi * 1j)),
-                        8, CFG.n_samples, CFG.seed)
-    neg2, _ = dependent(lambda u: u, lambda u: np.exp(u), 8, CFG.n_samples, CFG.seed)
+                        8, seed=CFG.seed)
+    neg2, _ = dependent(lambda u: u, lambda u: np.exp(u), 8, seed=CFG.seed)
     ok = pos and not neg1 and not neg2
     _report(9, "dependence detection", ok,
             f"sublattice pair {pos}, incommensurable {neg1}, (u, e^u) {neg2}")

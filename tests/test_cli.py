@@ -10,10 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from locnash import cli
-from locnash.cli import _csv_rows, _parse_grid, build_parser, main
-from locnash.config import RunConfig, fmt
+from locnash.cli import RunConfig, _csv_rows, _parse_grid, build_parser, main
 from locnash.descriptors import parse_descriptor
 from locnash.errors import ParseError
+from locnash.scalars import fmt
 from locnash.structures import FAMILIES, map_batch, wp_real
 
 EXP = "dim = 1\nfamily = exp\n"
@@ -318,28 +318,16 @@ def test_reports_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_config_file_and_flag_precedence(tmp_path, capsys, monkeypatch):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("seed = 42\nmax_degree = 3\n")
+def test_config_file_is_not_read(tmp_path, monkeypatch):
+    """The flags are the whole run configuration: a file named by
+    LOCNASH_CONFIG, once a source of settings, changes no byte of a report."""
     e = desc(tmp_path, "e.desc", EXP)
-    assert main(["verify-aat", e, "--config", str(cfgfile)]) == 0
-    out = capsys.readouterr().out
-    assert "seed = 42" in out and "max_degree = 3" in out
-    # flags override the file
-    assert main(["verify-aat", e, "--config", str(cfgfile), "--seed", "7"]) == 0
-    out = capsys.readouterr().out
-    assert "seed = 7" in out
-    # environment variable supplies the default config path
-    monkeypatch.setenv("LOCNASH_CONFIG", str(cfgfile))
-    assert main(["verify-aat", e]) == 0
-    out = capsys.readouterr().out
-    assert "seed = 42" in out
-
-
-def test_unknown_config_key_exits_2(tmp_path):
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("wibble = 3\n")
-    assert main(["classify", "whatever.desc", "--config", str(cfgfile)]) == 2
+    plain, with_env = tmp_path / "plain.txt", tmp_path / "env.txt"
+    assert main(["verify-aat", e, "--max-degree", "2", "--out", str(plain)]) == 0
+    monkeypatch.setenv("LOCNASH_CONFIG", desc(tmp_path, "run.cfg", "seed = 7\n"))
+    assert main(["verify-aat", e, "--max-degree", "2", "--out", str(with_env)]) == 0
+    assert with_env.read_bytes() == plain.read_bytes()
+    assert "\nseed = 0\n" in plain.read_text()
 
 
 def test_missing_descriptor_exits_2(tmp_path):
@@ -351,49 +339,35 @@ def test_bad_descriptor_field_exits_2(tmp_path):
     assert main(["classify", bad]) == 2
 
 
-@pytest.mark.parametrize("flags, config", [
-    (["--n-samples", "0"], None),
-    (["--max-degree", "-3"], None),
-    (["--max-degree", "0"], None),
-    (["--seed", "-5"], None),
-    (["--config", "no-such-run.cfg"], None),
-    (["--n-samples", "-64"], None),
-    ([], "tol = -1\n"),  # tol is no setting: an unknown key, whatever its value
-    ([], "tol = nan\n"),
-    ([], "seed = 1\nseed = 2\n"),
-    ([], "output_path =\n"),
-    ([], "n_samples = 2.5\n"),
+@pytest.mark.parametrize("flags", [
+    ["--max-degree", "-3"],
+    ["--max-degree", "0"],
+    ["--seed", "-5"],
 ])
-def test_invalid_run_config_exits_2(tmp_path, capsys, flags, config):
+def test_invalid_run_config_exits_2(tmp_path, capsys, flags):
     argv = ["verify-aat", desc(tmp_path, "e.desc", EXP)] + flags
-    if config is not None:
-        argv += ["--config", desc(tmp_path, "run.cfg", config)]
     assert main(argv) == 2
-    assert "parse error" in capsys.readouterr().err
+    assert "parse error: bad run configuration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--tol", "1e-9"), ("--max-denominator", "1000000")])
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "1e-9"), ("--max-denominator", "1000000"),
+    ("--config", "run.cfg"), ("--n-samples", "64"),
+])
 def test_tol_flag_is_a_usage_error(tmp_path, flag, value):
-    # the tolerance and the denominator cap are constants, not settings
+    # the tolerance, the denominator cap and the sample floor are constants,
+    # not settings, and there is no config file
     with pytest.raises(SystemExit) as exc:
         main(["verify-aat", desc(tmp_path, "e.desc", EXP), flag, value])
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("key, value", [("tol", "1e-9"), ("max_denominator", "1000000")])
-def test_tol_config_key_is_unknown(tmp_path, capsys, key, value):
-    argv = ["classify", desc(tmp_path, "e.desc", EXP),
-            "--config", desc(tmp_path, "run.cfg", f"{key} = {value}\n")]
-    assert main(argv) == 2
-    assert f"unknown key '{key}'" in capsys.readouterr().err
-
-
 def test_shared_flags_match_run_config_fields():
-    """main builds its overrides from the RunConfig fields, so a shared flag
-    without a field would parse and then be ignored."""
+    """main builds RunConfig from the shared flags, so a shared flag without
+    a field would parse and then be ignored."""
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     shared = set.intersection(*({a.dest for a in p._actions} for p in sub.choices.values()))
-    assert shared - {"help"} == {f.name for f in dataclasses.fields(RunConfig)} | {"config"}
+    assert shared - {"help"} == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_config_block_fields(tmp_path, capsys):
@@ -401,7 +375,7 @@ def test_config_block_fields(tmp_path, capsys):
     out = capsys.readouterr().out
     block = out.split("[config]\n", 1)[1].split("\n[", 1)[0].splitlines()
     assert [line.split(" = ")[0] for line in block] == [
-        "max_degree", "n_samples", "seed"]
+        "max_degree", "seed"]
 
 
 def test_classify_elongated_wp_real(tmp_path, capsys):
@@ -425,9 +399,9 @@ def test_unused_descriptor_field_exits_2(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("s", ["1e-160", "1e-200"])
 def test_eval_past_double_range_exits_3(tmp_path, s):
-    """wp's bounds on lattice(s, si) overflow a Python float: a numeric
-    failure (exit 3), not a traceback.  Run as a process, as a user would:
-    numpy's overflow warnings come first and are no error there."""
+    """(pi/|r1|)^3 on lattice(s, si) leaves the double range: evaluation
+    refuses the lattice, a numeric failure (exit 3) named once, with no
+    traceback and no numpy warning.  Run as a process, as a user would."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run(
@@ -435,7 +409,9 @@ def test_eval_past_double_range_exits_3(tmp_path, s):
          "--grid", "0.1:0.2:0.1", "--out", str(tmp_path / "g.csv")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3
-    assert "locnash: OverflowError" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr == (f"locnash: lattice too small to evaluate: shortest vector {s} "
+                           "is below 5.6e-103, where (pi/|r1|)^3 leaves the double range\n")
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_periods_overflowing_alpha_inverse_exits_2(tmp_path, capsys):

@@ -159,6 +159,18 @@ def test_reader_rejects_malformed_lines(line):
         parse_descriptor(f"dim = 1\nfamily = exp\n{line}\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("a =", "descriptor line 3: empty value for 'a'"),
+    ("dim 1", "descriptor line 3: expected 'key = value', got 'dim 1'"),
+    ("colour = blue", "descriptor line 3: unknown key 'colour'"),
+    ("family = sin", "descriptor line 3: duplicate key 'family'"),
+], ids=["empty-value", "no-equals", "unknown-key", "duplicate-key"])
+def test_reader_names_the_rule_and_line(line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_descriptor(f"dim = 1\nfamily = exp\n{line}\n")
+    assert str(exc.value) == message
+
+
 # -- serialize -> parse over the whole table -------------------------------------------
 
 #: integer basis changes of determinant 1, from none to long skew generators

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import helpers
 from locnash.lattices import Lattice1
 from locnash.structures import (
-    FAMILY_RANK,
+    FAMILIES,
     StructureDescriptor,
     evaluate_map,
     exp_map,
@@ -94,7 +94,7 @@ def test_z_rank_table_random_draws(rng):
             "p6_product": painleve("p6_product", lattice=lat, lattice2=lat2),
         }
         for fam, d in cases.items():
-            assert zr(d) == FAMILY_RANK[fam], fam
+            assert zr(d) == FAMILIES[fam].rank, fam
 
 
 def test_rank_invariant_under_alpha(rng):
@@ -260,7 +260,7 @@ def test_period_group_oracle(case):
     d, seed = case
     u = _points_off_poles(d, np.random.default_rng(seed))
     gens = np.array(period_group(d).group.generators)
-    assert len(gens) == FAMILY_RANK[d.family]
+    assert len(gens) == FAMILIES[d.family].rank
     for g in gens:
         assert _shift_defect(d, u, g) <= 1e-10
     for p in (2, 3):

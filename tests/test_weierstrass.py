@@ -75,6 +75,24 @@ def test_sigma_past_double_range_is_flagged_without_warning():
     assert not over.pole_flag
 
 
+@pytest.mark.parametrize("s", [1e-200, 1e-160, 5e-103])
+def test_tiny_lattice_refuses_evaluation_but_keeps_eta(s):
+    """Below the scale floor (pi/|r1|)^3 leaves the double range: every
+    evaluation raises one ValueError naming the scale, with no numpy warning,
+    while the context and p4's period group, which read only eta, still work."""
+    lat = Lattice1(s, s * 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctx = WeierstrassContext(lat)
+        assert all(np.isfinite(e) for e in ctx.eta_half)
+        assert period_group(painleve("p4", a=1, lattice=lat)).group.rank == 2
+        for fn in (ctx.wp, ctx.wp_prime, ctx.zeta, ctx.sigma, ctx.wp_many):
+            with pytest.raises(ValueError, match=f"too small to evaluate: shortest vector {s:.3g} "):
+                fn(0.1 * s + 0.2j * s)
+    ctx = WeierstrassContext(Lattice1(6e-103, 6e-103j))
+    assert np.isfinite(ctx.wp(1e-103 + 2e-103j).value)
+
+
 # -- quasi-periodicity -------------------------------------------------------------
 
 def test_zeta_quasi_periodicity(lattices, rng):
