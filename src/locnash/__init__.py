@@ -30,14 +30,13 @@ from .errors import (
 from .lattices import (
     DiscreteSubgroup,
     Lattice1,
-    Rank1Axis,
     common_real_sublattice,
+    conjugation,
     contains,
     coset_representatives,
     index,
     is_real,
     is_sublattice,
-    real_rank1_form,
     subgroup,
     transform,
 )

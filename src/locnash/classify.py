@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import InternalInconsistency, NotRealStructure, RankOutOfRange
-from .lattices import DEFAULT_TOL, real_rank1_form
+from .errors import NotRealStructure, RankOutOfRange
+from .lattices import DEFAULT_TOL, conjugation
 from .scalars import ExactReal, ratio_rationality
 from .structures import (
     FAMILIES,
@@ -90,42 +88,42 @@ def rational_detect(x: float) -> Fraction | None:
         rem = 1 / frac_part
 
 
+def _kernel(*rows: tuple[int, int]) -> tuple[int, int]:
+    """Primitive integer kernel vector of the rank-1 integer 2 x 2 matrix
+    with these rows: orthogonal to its larger row."""
+    a, b = max(rows, key=lambda row: abs(row[0]) + abs(row[1]))
+    g = math.gcd(a, b)
+    return b // g, -a // g
+
+
 def _canonical_wp_parameter(group) -> float:
     """Normalize a real rank-2 lattice of C to <1, ia>: returns a > 0.
 
-    Finds the smallest positive real and smallest positive purely-imaginary
-    lattice elements; passing to that rectangular finite-index sublattice
-    changes the parameter by a rational factor only, which the rational-ratio
-    criterion absorbs.  A real lattice is rectangular or rhombic, so on its
-    Gauss-reduced basis (r1, r2), which the group keeps, both elements are
-    among r_i, r1 +- r2 and 2 r_i - r_j: a +-2 coefficient box holds them,
-    however the generators were written.  Each candidate v counts as real
-    when its imaginary part is within DEFAULT_TOL |v| and its real part is
-    positive (and as imaginary likewise), so the gate holds at any
-    elongation.
+    Conjugation acts on the group's reduced basis (r1, r2) as the integer
+    involution S (`conjugation`), with eigenvalues +1 and -1.  The primitive
+    kernel vectors x of S - I and y of S + I give the smallest real element
+    x1 r1 + x2 r2 and the smallest purely imaginary one y1 r1 + y2 r2, up to
+    sign: they span the rectangular sublattice of finite index, and passing
+    to it changes the parameter by a rational factor only, which the
+    rational-ratio criterion absorbs.  Exact integers, so no gate decides
+    which vector is real, at any elongation or skew.
     """
     r1, r2, _ = group.reduced_basis
-    m = np.arange(-2, 3)
-    M, N = np.meshgrid(m, m, indexing="ij")
-    vals = M * r1 + N * r2
-    re, im, thr = vals.real, vals.imag, DEFAULT_TOL * np.abs(vals)
-    real_mask = (np.abs(im) <= thr) & (re > 0)
-    imag_mask = (np.abs(re) <= thr) & (im > 0)
-    if not real_mask.any() or not imag_mask.any():
-        raise InternalInconsistency(
-            "no axis-aligned sublattice found; period group is not real"
-        )
-    r0 = float(re[real_mask].min())
-    s0 = float(im[imag_mask].min())
-    return s0 / r0
+    (p, q), (r, s) = conjugation(group)[0].tolist()
+    x1, x2 = _kernel((p - 1, q), (r, s - 1))
+    y1, y2 = _kernel((p + 1, q), (r, s + 1))
+    return abs((y1 * r1 + y2 * r2).imag) / abs((x1 * r1 + x2 * r2).real)
 
 
 def classify_1d(d: StructureDescriptor) -> CanonicalForm1D:
     """Canonical form of a real dim-1 structure: id, exp, sin or wp(<1, ia>).
 
-    Branches on the rank of the period group; rank 1 splits on the period
-    axis (imaginary -> exp, real -> sin); rank 2 rescales the lattice by its
-    smallest positive real element to the normal form <1, ia>, a > 0.
+    Branches on the rank of the period group.  Conjugation acts on the group
+    as an integer matrix S with S^2 = I (`conjugation`), read whatever its
+    gate says, since `is_real_structure` has judged realness: at rank 1 S is
+    [1] on a real period (sin) or [-1] on an imaginary one (exp); rank 2
+    rescales the lattice by its smallest positive real element to the normal
+    form <1, ia>, a > 0, with both elements read off S.
     """
     if d.dim != 1:
         raise ValueError("classify_1d requires a dim-1 descriptor")
@@ -136,18 +134,11 @@ def classify_1d(d: StructureDescriptor) -> CanonicalForm1D:
     if r == 0:
         return CanonicalForm1D("id", r)
     if r == 1:
-        axis = real_rank1_form(report.group)
-        if axis.kind == "imag":
-            return CanonicalForm1D("exp", r)
-        if axis.kind == "real":
-            return CanonicalForm1D("sin", r)
-        raise InternalInconsistency(
-            "rank-1 period group of a real structure must lie on an axis"
-        )
+        return CanonicalForm1D("sin" if conjugation(report.group)[0][0, 0] > 0 else "exp", r)
     if r == 2:
         a = _canonical_wp_parameter(report.group)
         a_exact = None
-        if d.a_exact is not None and abs(a - d.a.real) <= 1e-9 * (1.0 + a):
+        if d.a_exact is not None and abs(a - d.a.real) <= DEFAULT_TOL * a:
             a_exact = d.a_exact
         return CanonicalForm1D("wp", r, a=a, a_exact=a_exact)
     raise RankOutOfRange(f"period rank {r} impossible in dimension 1")

@@ -4,12 +4,15 @@ Generators are double-precision complex vectors; a rank-2 group of C is
 Gauss-reduced once, at construction, and validated on its reduced basis,
 which every consumer reads (`reduced_basis`); a `Lattice1` is one such group.
 One fixed tolerance, DEFAULT_TOL, bounds the condition number of the
-generators at construction and of a matrix `transform` applies, and decides
-the axis of a rank-1 group; nothing sets another.  Every integrality verdict
-passes one gate (`_integral`), a backward-error bound with no tolerance, on
-coefficients rounded from the pseudo-inverse of the group's reduced basis
-(built on its first such test), whose vectors the reduction forms exactly
-and rounds once.  Index and cosets come from the integer transition matrix
+generators at construction and of a matrix `transform` applies; nothing
+sets another.  Every integrality verdict passes one gate (`_integral`), a
+backward-error bound with no tolerance, on coefficients rounded from the
+pseudo-inverse of the group's reduced basis (built on its first such test),
+whose vectors the reduction forms exactly and rounds once.  Complex
+conjugation acts on a real group as an integer matrix S on that basis,
+conj(R) = R S with S^2 = I (`conjugation`); the realness test is its gate,
+and its kernels ker(S - I), ker(S + I) hold the real and the purely
+imaginary points.  Index and cosets come from the integer transition matrix
 onto the second group's reduced basis, triangularised over Z (Hermite
 normal form, Cohen, A Course in Computational Algebraic Number Theory,
 section 2.4): the index is the product of its diagonal H_ii, and the integer
@@ -200,9 +203,22 @@ def contains(G: DiscreteSubgroup, x) -> bool:
     return _coefficients(G, _point(G, x))[1]
 
 
+def conjugation(G: DiscreteSubgroup) -> tuple[np.ndarray, bool]:
+    """Componentwise complex conjugation on G, as (S, ok): S is the integer
+    matrix with conj(R) = R S, R the columns of G's reduced basis, and ok
+    whether the conjugates pass the integer gate, that is whether G is real.
+
+    The conjugates of the generators have rounded coefficients T over R, and
+    R = (generators) U^T, so conj(R) = R T U^T and S = T U^T.  When G is
+    real, S^2 = I, and ker(S - I), ker(S + I) hold the coefficients of G's
+    real and purely imaginary points."""
+    T, ok = _coefficients(G, _embed([[c.conjugate() for c in g] for g in G.generators], G.dim))
+    return T.astype(np.int64) @ G._reduction[1].T, ok
+
+
 def is_real(G: DiscreteSubgroup) -> bool:
     """True iff G is closed under componentwise complex conjugation."""
-    return _coefficients(G, _embed([[c.conjugate() for c in g] for g in G.generators], G.dim))[1]
+    return conjugation(G)[1]
 
 
 def is_sublattice(G1: DiscreteSubgroup, G2: DiscreteSubgroup) -> bool:
@@ -395,28 +411,6 @@ def common_real_sublattice(
     if a > MAX_MULTIPLIER or not _coefficients(G2, a * X)[1]:
         return None
     return DiscreteSubgroup(1, tuple(tuple(a * c for c in g) for g in G1.generators)), a
-
-
-@dataclass(frozen=True)
-class Rank1Axis:
-    """Axis classification of a rank-1 subgroup of C: its generator is real,
-    purely imaginary, or neither."""
-
-    kind: str  # "real" | "imag" | "none"
-    value: float | None = None
-
-
-def real_rank1_form(G: DiscreteSubgroup) -> Rank1Axis:
-    """Classify a rank-1 subgroup of C as <a>_Z, <ia>_Z or neither."""
-    if G.dim != 1 or G.rank != 1:
-        raise ValueError("requires a rank-1 subgroup of C")
-    g = G.generators[0][0]
-    mag = abs(g)
-    if abs(g.imag) <= DEFAULT_TOL * mag:
-        return Rank1Axis("real", abs(g.real))
-    if abs(g.real) <= DEFAULT_TOL * mag:
-        return Rank1Axis("imag", abs(g.imag))
-    return Rank1Axis("none", None)
 
 
 @dataclass(frozen=True)

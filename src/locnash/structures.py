@@ -122,7 +122,7 @@ class StructureDescriptor:
             if default is not None and getattr(self, name) is None:
                 object.__setattr__(self, name, default(self))
         if self.a_exact is not None:
-            if abs(self.a_exact.value() - self.a.real) > 1e-9 * (1 + abs(self.a)):
+            if abs(self.a_exact.value() - self.a.real) > DEFAULT_TOL * abs(self.a):
                 raise ValueError("a_exact disagrees with the numeric parameter a")
 
     @property

@@ -218,10 +218,17 @@ class WeierstrassContext:
     # -- argument reduction ------------------------------------------------
 
     def reduce_point(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reduce into the centered cell of the reduced basis: u = u_red + m r1 + n r2."""
+        """Reduce into the centered cell of the reduced basis: u = u_red + m r1 + n r2.
+
+        A point whose coefficient over the basis reaches 2^52 is refused: a
+        double that large holds no fraction to round, so u_red is lost."""
         u = np.asarray(u, dtype=complex)
         c1 = self._binv[0, 0] * u.real + self._binv[0, 1] * u.imag
         c2 = self._binv[1, 0] * u.real + self._binv[1, 1] * u.imag
+        far = np.maximum(np.abs(c1), np.abs(c2)) >= 2.0**52
+        if far.any():
+            raise ValueError(f"cannot reduce u = {complex(u[far][0])}: its coefficient over the "
+                             "lattice's reduced basis is 2^52 or more, where a double keeps no fraction")
         m = np.round(c1)
         n = np.round(c2)
         u_red = u - m * self._r1 - n * self._r2

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from locnash.classify import (
@@ -17,7 +17,7 @@ from locnash.classify import (
     rational_detect,
 )
 from locnash.errors import NotRealStructure
-from locnash.lattices import DEFAULT_TOL, Lattice1
+from locnash.lattices import DEFAULT_TOL, Lattice1, is_real
 from locnash.scalars import ExactReal
 from locnash.structures import (
     StructureDescriptor,
@@ -25,6 +25,7 @@ from locnash.structures import (
     identity_map,
     painleve,
     is_real_structure,
+    period_group,
     sin_map,
     wp_real,
 )
@@ -154,6 +155,56 @@ def test_classify_centered_real_lattice():
     assert rational_detect(form.a / 1.5) is not None
 
 
+def _rounded_once(u, w1, w2):
+    """u[0] w1 + u[1] w2, exact in rationals and rounded once."""
+    return complex(*(float(u[0] * Fraction(x) + u[1] * Fraction(y))
+                     for x, y in ((w1.real, w2.real), (w1.imag, w2.imag))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-100.0, 100.0), st.booleans(),
+       st.lists(st.tuples(st.booleans(), st.integers(-4, 4)), max_size=8))
+@example(2.5, -74.0, True,
+         [(False, -2), (True, -3), (False, 2), (True, 2), (False, -4), (True, -3), (False, -4)])
+@example(2.197, -98.0, False,
+         [(False, 3), (True, 4), (False, 3), (False, -1), (True, -4), (False, -4), (True, -1),
+          (True, 4)])
+def test_classify_wp_in_any_basis(log_a, log_s, centred, shears):
+    """A rectangular <1, ia> or centred <1, (1 + ia)/2> lattice, scaled by s
+    and written through random shears, classifies to wp with its a: no axis
+    gate can miss on a skew basis.  Each sheared generator is one exact
+    integer combination, rounded once; a draw that rounding leaves off the
+    realness gate is skipped."""
+    a, s = 10.0**log_a, 10.0**log_s
+    w1, w2 = complex(s), (complex(s / 2, s * a / 2) if centred else complex(0, s * a))
+    U = np.eye(2, dtype=np.int64)
+    for first, t in shears:
+        U[int(first)] += t * U[1 - int(first)]
+    gens = [_rounded_once(row.tolist(), w1, w2) for row in U]
+    d = StructureDescriptor(1, "wp_real", a=a, lattice=Lattice1(*gens))
+    assume(is_real_structure(d))
+    form = classify_1d(d)
+    assert form.kind == "wp" and form.a == pytest.approx(a, rel=1e-8, abs=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["exp", "sin"]), st.floats(-100.0, 100.0), st.floats(0.1, 1.0),
+       st.booleans())
+def test_classify_rank1_under_real_alpha_at_any_scale(family, log_c, mantissa, negative):
+    c = (-1.0 if negative else 1.0) * mantissa * 10.0**log_c
+    d = StructureDescriptor(1, family, alpha=((complex(c),),))
+    assert classify_1d(d).kind == family
+
+
+def test_classify_wp_under_tolerance_real_alpha():
+    """An alpha real to DEFAULT_TOL leaves a period group that fails the
+    exact realness gate; its conjugation matrix still reads the parameter."""
+    d = wp_real(2.0, alpha=1.3 + 1e-12j)
+    assert not is_real(period_group(d).group)
+    form = classify_1d(d)
+    assert form.kind == "wp" and form.a == pytest.approx(2.0, rel=1e-12)
+
+
 # -- 1-D isomorphism ------------------------------------------------------------------------
 
 def test_wp_rational_ratio_isomorphic():
@@ -196,6 +247,19 @@ def test_wp_ratio_reasons_name_one_gate():
     found = isomorphic_1d(wp_real(1.0), wp_real(2.0)).reasons[-1]
     missed = isomorphic_1d(wp_real(1.0), wp_real(np.pi)).reasons[-1]
     assert gate == "1e-09/q^2" and gate in found and gate in missed
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0])
+def test_exact_tags_attach_only_to_their_parameter(scale):
+    """A tag names the descriptor's a; on a lattice whose canonical parameter
+    is sqrt(2) times a it is dropped, at any scale, and the verdict is read
+    in floating point."""
+    tag = ExactReal(Fraction(scale).limit_denominator(10**9))
+    d1 = StructureDescriptor(1, "wp_real", a=scale, a_exact=tag,
+                             lattice=Lattice1(1, 1.41421356j * scale))
+    assert classify_1d(d1).a_exact is None
+    v = isomorphic_1d(d1, wp_real(scale, a_exact=tag))
+    assert v.outcome == UNDETERMINED and not any("exact tags" in r for r in v.reasons)
 
 
 def _assert_symmetric(a1, a2):

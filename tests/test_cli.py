@@ -414,6 +414,25 @@ def test_eval_past_double_range_exits_3(tmp_path, s):
     assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("s", ["1e-19", "1e-100"])
+def test_eval_point_past_reduction_limit_exits_3(tmp_path, s):
+    """0.1 + 0.1i lies more than 2^52 periods out on lattice(s, si): the
+    argument reduction refuses it, exit 3 with one line, no traceback and no
+    numpy warning, and no CSV is written."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = tmp_path / "g.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "locnash", "eval", "--lattice", f"lattice({s}, {s}i)",
+         "--fn", "wp", "--grid", "0.1:0.2:0.1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == ("locnash: cannot reduce u = (0.1+0.1j): its coefficient over the "
+                           "lattice's reduced basis is 2^52 or more, where a double keeps no "
+                           "fraction\n")
+    assert not out.exists()
+
+
 def test_periods_overflowing_alpha_inverse_exits_2(tmp_path, capsys):
     d = desc(tmp_path, "e.desc", EXP + "alpha = 5e-324\n")
     assert main(["periods", d]) == 2
@@ -472,6 +491,19 @@ def test_classify_skew_lattice_report(tmp_path, capsys):
         assert main(["classify", wp]) == 0
         out = capsys.readouterr().out
         assert "canonical_form = wp" in out and "\na = 1\n" in out
+
+
+def test_classify_skew_real_lattice_at_large_a(tmp_path, capsys):
+    """A rectangular lattice written in a skew basis whose reduced vectors
+    carry rounding off either axis: conjugation's integer matrix still reads
+    its parameter."""
+    wp = desc(tmp_path, "wp.desc", "dim = 1\nfamily = wp_real\na = 835.045271913747\n"
+              "lattice = lattice(39-106050.74953304586i, -35+95195.160998167165i)\n")
+    assert main(["classify", wp]) == 0
+    fields = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+                  if " = " in line)
+    assert fields["canonical_form"] == "wp"
+    assert float(fields["a"]) == pytest.approx(835.045271913747, rel=1e-9)
 
 
 def test_wp_real_explicit_lattice_report(tmp_path, capsys):

@@ -20,6 +20,7 @@ from locnash.lattices import (
     Lattice1,
     as_vector,
     common_real_sublattice,
+    conjugation,
     contains,
     coset_representatives,
     gauss_reduced_basis,
@@ -27,7 +28,6 @@ from locnash.lattices import (
     integer_coefficients,
     is_real,
     is_sublattice,
-    real_rank1_form,
     subgroup,
     transform,
 )
@@ -553,14 +553,33 @@ def test_common_real_sublattice_not_found_for_pi():
     assert common_real_sublattice(subgroup([1, math.pi * 1j]), SQ) is None
 
 
-# -- rank-1 axis classification --------------------------------------------------------
+# -- conjugation as an integer matrix ----------------------------------------------------
 
-def test_real_rank1_forms():
-    assert real_rank1_form(subgroup([2 * math.pi])).kind == "real"
-    assert real_rank1_form(subgroup([2 * math.pi])).value == pytest.approx(2 * math.pi)
-    got = real_rank1_form(subgroup([2j * math.pi]))
-    assert got.kind == "imag" and got.value == pytest.approx(2 * math.pi)
-    assert real_rank1_form(subgroup([1 + 1j])).kind == "none"
+def test_conjugation_rank1():
+    for g, want in ((2 * math.pi, 1), (2j * math.pi, -1)):
+        S, ok = conjugation(subgroup([g]))
+        assert ok and S.dtype == np.int64 and S.tolist() == [[want]]
+    assert not conjugation(subgroup([1 + 1j]))[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-300, 300), st.integers(1, 20000), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(-4, 4)), min_size=1, max_size=6))
+def test_conjugation_on_skew_bases(k, n, centred, shears):
+    """On <1, ai> and <1, (1 + ai)/2>, a = n / 2^10, scaled by 2^k and
+    written through random shears, every generator is exact, so the lattice
+    is exactly real: S is an involution of trace 0 that maps the reduced
+    basis exactly onto its conjugate."""
+    s, a = math.ldexp(1.0, k), n / 1024
+    w1, w2 = complex(s), (complex(s / 2, s * a / 2) if centred else complex(0, s * a))
+    for first, t in shears:
+        w1, w2 = (w1 + t * w2, w2) if first else (w1, w2 + t * w1)
+    G = subgroup([w1, w2])
+    S, ok = conjugation(G)
+    r1, r2, _ = G.reduced_basis
+    assert ok and (S @ S == np.eye(2)).all() and np.trace(S) == 0
+    for j, r in enumerate((r1, r2)):
+        assert S[0, j] * r1 + S[1, j] * r2 == r.conjugate()
 
 
 # -- Gauss reduction ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from locnash.lattices import Lattice1
+from locnash.lattices import Lattice1, conjugation
+from locnash.scalars import ExactReal
 from locnash.structures import (
     FAMILIES,
     StructureDescriptor,
@@ -289,6 +291,33 @@ def test_is_real_structure_scale_free_in_alpha(scale):
     assert is_real_structure(exp_map(alpha=scale))
 
 
+#: tr S of each family's period group: +1 per real period, -1 per imaginary one
+CONJUGATION_TRACE = {"id": 0, "exp": -1, "sin": 1, "wp_real": 0, "p1": 0, "p2": -1,
+                     "p3": -2, "p4": 0, "p5": -1, "p6_product": 0}
+
+
+def test_conjugation_is_an_involution_on_every_period_group(rng):
+    """Conjugation acts on each family's period group as an integer S with
+    S^2 = I, with and without a random real alpha, which leaves tr S fixed."""
+    fixtures = [
+        identity_map(), exp_map(), sin_map(), wp_real(1.5), wp_real(0.01),
+        painleve("p1"), painleve("p2"), painleve("p3"),
+        painleve("p4", a=1, lattice=HEX), painleve("p4", a=0, lattice=RECT),
+        painleve("p5", a=0.3, lattice=SQ),
+        painleve("p6_product", lattice=SQ, lattice2=Lattice1(1, (1 + 3j) / 2)),
+    ]
+    for d in fixtures:
+        for k in range(6):
+            A = np.eye(d.dim) if k == 0 else helpers.random_real_invertible(rng, d.dim)
+            d2 = StructureDescriptor(
+                d.dim, d.family, a=d.a, lattice=d.lattice, lattice2=d.lattice2,
+                alpha=tuple(tuple(x for x in row) for row in A),
+            )
+            S = conjugation(pg(d2).group)[0]
+            assert (S @ S == np.eye(len(S))).all(), (d.family, A)
+            assert np.trace(S) == CONJUGATION_TRACE[d.family], (d.family, A)
+
+
 # -- descriptor validation ----------------------------------------------------------------
 
 def test_wp_real_builds_its_lattice():
@@ -306,6 +335,16 @@ def test_wp_real_needs_positive_a():
         wp_real(-1.0)
     with pytest.raises(ValueError):
         StructureDescriptor(1, "wp_real", a=1j)
+
+
+@pytest.mark.parametrize("a, coeff", [(1e-9, Fraction(1, 10**9)), (1.0, Fraction(1)),
+                                      (1e8, Fraction(10**8))])
+def test_exact_tag_gate_is_relative(a, coeff):
+    """a_exact must agree with a relative to |a|: a's own value is accepted
+    and 2a is refused at every scale."""
+    assert wp_real(a, a_exact=ExactReal(coeff)).a_exact == ExactReal(coeff)
+    with pytest.raises(ValueError, match="a_exact disagrees"):
+        wp_real(a, a_exact=ExactReal(2 * coeff))
 
 
 def test_family_dim_mismatch():

@@ -93,6 +93,22 @@ def test_tiny_lattice_refuses_evaluation_but_keeps_eta(s):
     assert np.isfinite(ctx.wp(1e-103 + 2e-103j).value)
 
 
+def test_reduction_refuses_coefficients_past_2_52():
+    """A point 2^52 or more periods out has no fraction left to reduce: every
+    evaluator raises one ValueError naming it, with no numpy warning.  Just
+    inside the limit wp is finite and its error bound says how little is
+    left."""
+    ctx = WeierstrassContext(Lattice1(1e-19, 1e-19j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (ctx.wp, ctx.wp_prime, ctx.zeta, ctx.sigma, ctx.wp_many):
+            with pytest.raises(ValueError, match=r"cannot reduce u = \(0.1\+0.1j\): .* 2\^52"):
+                fn(0.1 + 0.1j)
+        near = WeierstrassContext(Lattice1(3.14159e-17, 3.14159e-17j)).wp(0.1 + 0.1j)
+    assert np.isfinite(near.value) and np.isfinite(near.est_error) and not near.pole_flag
+    assert near.est_error > abs(near.value)
+
+
 # -- quasi-periodicity -------------------------------------------------------------
 
 def test_zeta_quasi_periodicity(lattices, rng):
