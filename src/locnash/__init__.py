@@ -25,7 +25,6 @@ from .errors import (
     NotRealStructure,
     ParseError,
     RankOutOfRange,
-    SingularMatrix,
 )
 from .lattices import (
     DiscreteSubgroup,
@@ -38,7 +37,6 @@ from .lattices import (
     is_real,
     is_sublattice,
     subgroup,
-    transform,
 )
 from .relations import (
     AATReport,

@@ -22,10 +22,6 @@ class NonIntegerTransition(NotASublattice):
     first group is not contained in the second."""
 
 
-class SingularMatrix(LocNashError):
-    """Matrix is singular or too ill-conditioned to invert reliably."""
-
-
 class InsufficientSamples(LocNashError):
     """Too many sample points were rejected (poles / capped values)."""
 

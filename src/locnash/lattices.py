@@ -4,15 +4,15 @@ Generators are double-precision complex vectors; a rank-2 group of C is
 Gauss-reduced once, at construction, and validated on its reduced basis,
 which every consumer reads (`reduced_basis`); a `Lattice1` is one such group.
 One fixed tolerance, DEFAULT_TOL, bounds the condition number of the
-generators at construction and of a matrix `transform` applies; nothing
-sets another.  Every integrality verdict passes one gate (`_integral`), a
-backward-error bound with no tolerance, on coefficients rounded from the
-pseudo-inverse of the group's reduced basis (built on its first such test),
-whose vectors the reduction forms exactly and rounds once.  Complex
-conjugation acts on a real group as an integer matrix S on that basis,
-conj(R) = R S with S^2 = I (`conjugation`); the realness test is its gate,
-and its kernels ker(S - I), ker(S + I) hold the real and the purely
-imaginary points.  Index and cosets come from the integer transition matrix
+generators at construction; nothing sets another.  Every integrality
+verdict passes one gate (`_integral`), a backward-error bound with no
+tolerance, on coefficients rounded from the pseudo-inverse of the group's
+reduced basis (built on its first such test), whose vectors the reduction
+forms exactly and rounds once.  Complex conjugation acts on a real group
+as an integer matrix S on that basis, conj(R) = R S with S^2 = I
+(`conjugation`); the realness test is its gate, and its kernels
+ker(S - I), ker(S + I) hold the real and the purely imaginary points.
+Index and cosets come from the integer transition matrix
 onto the second group's reduced basis, triangularised over Z (Hermite
 normal form, Cohen, A Course in Computational Algebraic Number Theory,
 section 2.4): the index is the product of its diagonal H_ii, and the integer
@@ -33,12 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateGenerators,
-    InternalInconsistency,
-    NonIntegerTransition,
-    SingularMatrix,
-)
+from .errors import DegenerateGenerators, InternalInconsistency, NonIntegerTransition
 
 #: the relative tolerance of every test that is not an integrality verdict
 DEFAULT_TOL = 1e-9
@@ -145,7 +140,7 @@ def subgroup(gens: Iterable, dim: int | None = None) -> DiscreteSubgroup:
             raise ValueError("cannot infer dimension of the trivial subgroup")
         first = gens[0]
         dim = 1 if (np.isscalar(first) or isinstance(first, complex)) else len(first)
-    return DiscreteSubgroup(dim, tuple(as_vector(g, dim) for g in gens))
+    return DiscreteSubgroup(dim, tuple(gens))
 
 
 def _integral(B: np.ndarray, X: np.ndarray, T: np.ndarray, cap: float | None = None) -> np.ndarray:
@@ -371,22 +366,6 @@ def coset_representatives(G1: DiscreteSubgroup, G2: DiscreteSubgroup) -> list[Ve
         tuple(complex(pts[2 * k, j], pts[2 * k + 1, j]) for k in range(G1.dim))
         for j in range(pts.shape[1])
     ]
-
-
-def transform(G: DiscreteSubgroup, alpha_inv) -> DiscreteSubgroup:
-    """Image of G under the given invertible matrix (applied to each generator).
-
-    The argument is the matrix actually applied; callers tracking periods of
-    a precomposed map pass the inverse of their coordinate change here.
-    """
-    M = np.atleast_2d(np.asarray(alpha_inv, dtype=complex))
-    if M.shape != (G.dim, G.dim):
-        raise ValueError(f"matrix shape {M.shape} does not match dim {G.dim}")
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1.0 / DEFAULT_TOL:
-        raise SingularMatrix(f"condition number {cond:.3e} exceeds 1/DEFAULT_TOL")
-    gens = tuple(tuple(M @ np.asarray(g, dtype=complex)) for g in G.generators)
-    return DiscreteSubgroup(G.dim, gens)
 
 
 def common_real_sublattice(

@@ -24,13 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InternalInconsistency
-from .lattices import (
-    DEFAULT_TOL,
-    DiscreteSubgroup,
-    Lattice1,
-    is_real,
-    transform,
-)
+from .lattices import DEFAULT_TOL, DiscreteSubgroup, Lattice1, is_real
 from .scalars import ExactReal
 from .weierstrass import get_context
 
@@ -164,7 +158,8 @@ def painleve(
 
 def _check_invertible(alpha: np.ndarray) -> None:
     """ValueError unless `period_group` can pull back by alpha: its inverse
-    exists, is finite and passes `transform`'s condition gate."""
+    exists, is finite and has a condition number of at most 1/DEFAULT_TOL.
+    This is the one conditioning gate of alpha; the pull-back tests no other."""
     try:
         inv = np.linalg.inv(alpha)
     except np.linalg.LinAlgError:
@@ -229,12 +224,14 @@ def _p6_periods(d: StructureDescriptor):
 def period_group(d: StructureDescriptor) -> PeriodGroupReport:
     """Closed-form period group of the descriptor's map, pulled back by alpha."""
     pairs = FAMILIES[d.family].periods(d)
-    forms = [form for _, form in pairs]
-    group = DiscreteSubgroup(d.dim, tuple(gen for gen, _ in pairs))
+    gens = tuple(gen for gen, _ in pairs)
+    forms = tuple(form for _, form in pairs)
     if not d.alpha_is_identity:
-        group = transform(group, np.linalg.inv(d.alpha_matrix))
-        forms = [f"alpha^-1 {f}" for f in forms]
-    return PeriodGroupReport(group, group.rank, tuple(forms))
+        M = np.linalg.inv(d.alpha_matrix)
+        gens = tuple(tuple(M @ np.asarray(g, dtype=complex)) for g in gens)
+        forms = tuple(f"alpha^-1 {f}" for f in forms)
+    group = DiscreteSubgroup(d.dim, gens)
+    return PeriodGroupReport(group, group.rank, forms)
 
 
 def z_rank(d: StructureDescriptor) -> int:

@@ -5,17 +5,21 @@ jtheta at 30 digits on the basis as given, membership is decided by
 brute-force enumeration, and the Eisenstein invariants come from plain
 hard-cutoff lattice sums; none of these shares code with the package.  The
 double precision q-series reference uses the same expansions as the
-package's evaluator, so it checks consistency, not correctness.
+package's evaluator, so it checks consistency, not correctness.  The
+pulled-back period group is a reference of arithmetic, not of values: it
+builds the model's group and then applies alpha^-1 as a second step.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import mpmath as mp
 import numpy as np
 
-from locnash.lattices import Lattice1
+from locnash.lattices import DiscreteSubgroup, Lattice1
+from locnash.structures import period_group
 
 
 def mpmath_reference(lat: Lattice1, dps: int = 30):
@@ -141,6 +145,18 @@ def brute_contains(G, x, box: int = 50, tol: float = 1e-9) -> bool:
         total += g_coeff[..., None] * np.asarray(gen, dtype=complex)
     dist = np.abs(total - vec).sum(axis=-1)
     return bool(dist.min() <= tol * scale)
+
+
+def pulled_back_period_group(d) -> tuple[DiscreteSubgroup, tuple[str, ...]]:
+    """(group, closed forms) of d's period group in two steps: the group of
+    d's model (d with the identity alpha), then np.linalg.inv(alpha) @ g
+    applied to each of its generators g and a second group built on them."""
+    model = period_group(dataclasses.replace(d, alpha=None))
+    if d.alpha_is_identity:
+        return model.group, model.closed_form
+    M = np.linalg.inv(d.alpha_matrix)
+    gens = tuple(tuple(M @ np.asarray(g, dtype=complex)) for g in model.group.generators)
+    return DiscreteSubgroup(d.dim, gens), tuple(f"alpha^-1 {f}" for f in model.closed_form)
 
 
 def random_real_invertible(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -14,7 +14,8 @@ from locnash.cli import RunConfig, _csv_rows, _parse_grid, build_parser, main
 from locnash.descriptors import parse_descriptor
 from locnash.errors import ParseError
 from locnash.scalars import fmt
-from locnash.structures import FAMILIES, map_batch, wp_real
+from locnash.lattices import DEFAULT_TOL
+from locnash.structures import FAMILIES, map_batch, painleve, period_group, wp_real
 
 EXP = "dim = 1\nfamily = exp\n"
 SIN = "dim = 1\nfamily = sin\n"
@@ -481,6 +482,41 @@ def test_rank1_p3_alpha_exits_2(tmp_path, capsys):
         assert main([cmd, d]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "parse error: alpha is singular" in err
+
+
+ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+
+
+@pytest.mark.parametrize("s", [1e-10, 0.999e-9, 1.001e-9, 1e-8])
+@pytest.mark.parametrize("rotate", [False, True], ids=["diag", "rotated"])
+@pytest.mark.parametrize("family", ["p2", "p3"])
+def test_alpha_conditioning_boundary(tmp_path, capsys, family, rotate, s):
+    """alpha = diag(1, s) or R diag(1, s) has condition number 1/s.  Past
+    1/DEFAULT_TOL construction refuses it (exit 2); inside, the period group
+    builds, p3's generators at the same bound."""
+    alpha = (ROTATION if rotate else np.eye(2)) @ np.diag([1.0, s])
+    text = DOCUMENTS[family] + "alpha = " + ", ".join(fmt(x) for x in alpha.flat) + "\n"
+    d = desc(tmp_path, "alpha.desc", text)
+    if s < DEFAULT_TOL:
+        with pytest.raises(ValueError, match="condition number"):
+            painleve(family, alpha=alpha)
+        assert main(["periods", d]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "parse error" in err and "condition number" in err
+    else:
+        assert period_group(painleve(family, alpha=alpha)).rank == FAMILIES[family].rank
+        assert main(["periods", d]) == 0
+
+
+def test_p6_product_degenerate_pull_back_exits_3(tmp_path, capsys):
+    """<1, 10000i> x <1, i> under alpha = diag(1, 1e6): alpha passes its
+    conditioning gate, the pulled-back generators (1, 0), (10000i, 0),
+    (0, 1e-6), (0, 1e-6 i) are R-dependent at DEFAULT_TOL."""
+    d = desc(tmp_path, "p6.desc", "dim = 2\nfamily = p6_product\nlattice = lattice(1, 10000i)\n"
+             "lattice2 = lattice(1, 1i)\nalpha = 1, 0, 0, 1000000\n")
+    assert main(["periods", d]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "DegenerateGenerators" in err
 
 
 def test_classify_skew_lattice_report(tmp_path, capsys):

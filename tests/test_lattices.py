@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from locnash.errors import (
-    DegenerateGenerators,
-    NonIntegerTransition,
-    NotASublattice,
-    SingularMatrix,
-)
+from locnash.errors import DegenerateGenerators, NonIntegerTransition, NotASublattice
 from locnash.lattices import (
     DEFAULT_TOL,
     MAX_MULTIPLIER,
@@ -29,7 +24,6 @@ from locnash.lattices import (
     is_real,
     is_sublattice,
     subgroup,
-    transform,
 )
 
 SQ = subgroup([1, 1j])          # <1, i>
@@ -473,34 +467,6 @@ def test_cosets_c2_index_81():
     G1, G2 = _groups_from_rows(T @ base, 2), _groups_from_rows(base, 2)
     assert index(G1, G2) == 81
     _assert_coset_system(G1, G2, T, coset_representatives(G1, G2))
-
-
-# -- transform ---------------------------------------------------------------------
-
-def test_transform_identity():
-    G = subgroup([(2j * math.pi, 0), (0, 2j * math.pi)])
-    H = transform(G, np.eye(2))
-    assert H.generators == G.generators
-
-
-def test_transform_scaling():
-    H = transform(SQ, [[0.5]])
-    assert contains(H, 0.5) and contains(H, 0.5j) and not contains(H, 0.25)
-
-
-def test_transform_preserves_rank(rng):
-    for G in (SQ, subgroup([(1, 0.5j), (1j, 2)]), subgroup([2.5])):
-        for _ in range(10):
-            n = G.dim
-            A = helpers.random_real_invertible(rng, n) + 1j * rng.uniform(-1, 1, (n, n))
-            if abs(np.linalg.det(A)) < 0.2:
-                continue
-            assert transform(G, A).rank == G.rank
-
-
-def test_transform_rejects_singular():
-    with pytest.raises(SingularMatrix):
-        transform(SQ, [[0.0]])
 
 
 def test_non_integer_transition():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -116,6 +116,63 @@ def test_rank_invariant_under_alpha(rng):
                 alpha=tuple(tuple(x for x in row) for row in A),
             )
             assert zr(d2) == base
+
+
+def _unitary(rng, n, real):
+    """A random orthogonal (real) or unitary matrix, Q of a QR factorisation."""
+    A = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
+    return np.linalg.qr(A)[0].astype(complex)
+
+
+# <c, c tau> at |c| in [1e-3, 1e3], arg c in (-pi, pi], Im tau in [1e-1, 1e4]
+SCALED_LATTICES = st.builds(
+    lambda r, t, re, e: Lattice1(r * np.exp(1j * t), r * np.exp(1j * t) * complex(re, 10.0**e)),
+    st.floats(1e-3, 1e3), st.floats(-np.pi, np.pi), st.floats(-0.5, 0.5), st.floats(-1, 4))
+
+
+@st.composite
+def pulled_back_descriptors(draw):
+    """A descriptor of any family under a random real or complex alpha,
+    U diag(1, 10^-k) V scaled by 10^e with U, V orthogonal or unitary and k
+    in [0, 8], so the condition number reaches 1e8."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    dim = FAMILIES[family].dim
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = np.diag([1.0, 10.0 ** -draw(st.floats(0, 8))][:dim])
+    U, V = _unitary(rng, dim, real), _unitary(rng, dim, real)
+    alpha = 10.0 ** draw(st.floats(-3, 3)) * U @ sigma @ V
+    kwargs = {
+        "wp_real": lambda: {"a": draw(st.floats(1e-3, 1e3))},
+        "p4": lambda: {"a": draw(st.sampled_from([0, 1])), "lattice": draw(SCALED_LATTICES)},
+        "p5": lambda: {"a": complex(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))),
+                       "lattice": draw(SCALED_LATTICES)},
+        "p6_product": lambda: {"lattice": draw(SCALED_LATTICES),
+                               "lattice2": draw(SCALED_LATTICES)},
+    }.get(family, dict)()
+    return StructureDescriptor(dim, family, alpha=tuple(map(tuple, alpha)), **kwargs)
+
+
+def _bits(G):
+    return np.array(G.generators, dtype=complex).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(pulled_back_descriptors())
+def test_period_group_matches_the_two_step_pull_back(d):
+    """One group built on alpha^-1 g equals, bit for bit, the model's group
+    pulled back generator by generator; where one raises, both raise the
+    same type."""
+    try:
+        want, forms = helpers.pulled_back_period_group(d)
+    except Exception as exc:
+        event(f"raises {type(exc).__name__}")
+        with pytest.raises(type(exc)):
+            period_group(d)
+        return
+    rep = period_group(d)
+    assert _bits(rep.group) == _bits(want) and rep.rank == want.rank
+    assert rep.closed_form == forms
 
 
 def test_singular_alpha_rejected():
