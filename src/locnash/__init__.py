@@ -52,6 +52,7 @@ from .relations import (
 )
 from .scalars import ExactReal, parse_complex, parse_exact_real
 from .structures import (
+    AATBox,
     MapValue,
     PeriodGroupReport,
     StructureDescriptor,

@@ -249,13 +249,14 @@ def cmd_verify_aat(args, cfg: RunConfig) -> int:
         + [f"f{j + 1}(v)" for j in range(d.dim)]
         + ["f(u+v)"]
     )
-    cap = report.total_degree
-    box = f"degree {report.max_degree}" + ("" if cap is None else f", total degree <= {cap}")
-    for i, cert in enumerate(report.certificates, start=1):
-        if cert is None:
-            lines.append(f"coordinate_{i} = no relation found at {box}")
-            continue
+    for i, (cert, box) in enumerate(zip(report.certificates, report.boxes), start=1):
         names[-1] = f"f{i}(u+v)"
+        if box.variables is not None:
+            lines.append(f"variables_{i} = " + ", ".join(names[k] for k in box.variables))
+        if cert is None:
+            cap = "" if box.total_degree is None else f", total degree <= {box.total_degree}"
+            lines.append(f"coordinate_{i} = no relation found at degree {report.max_degree}{cap}")
+            continue
         lines.append(f"coordinate_{i} = degree {cert.max_degree}, "
                      f"residual {fmt(cert.residual)}, gap {fmt(cert.singular_gap)}")
         lines.append(f"relation_{i} = {format_polynomial(cert, names)}")

@@ -16,15 +16,18 @@ values and right singular vectors match it bit for bit.
 
 Degrees are bounded PER VARIABLE: the basis at degree d is
 {X^e : max_i e_i <= d}, ordered graded-lexicographically.  verify_aat cuts
-every box to {X^e : sum_i e_i <= t} when the family's record sets
-aat_total_degree = t, the total degree of its minimal addition relation:
-monomials above it appear in no relation and only cost the SVD.  The cut
-keeps the graded-lex order, and the certificate records t.  Certificates are
-unit-norm coefficient vectors with the phase of the largest coefficient
-normalized to be real positive.  When the nullspace at the found degree has
-dimension > 1 (monomial multiples of the minimal relation fit the same
-degree box), the certificate is the element with the graded-lex minimal
-leading monomial, i.e. the minimal relation itself.
+each coordinate's box by the coordinate's record in the family table: to the
+monomials in the variables its relation needs (f_i(u), f_i(v), f_i(u+v) for
+a function of one linear form alpha_i . u; the other exponents are 0), and
+to {X^e : sum_i e_i <= t} when the record gives the total degree t of the
+minimal relation: monomials outside the cut appear in no relation and only
+cost the SVD.  The cut keeps the graded-lex order, and the certificate
+records it.  Certificates are unit-norm coefficient vectors with the phase
+of the largest coefficient normalized to be real positive.  When the
+nullspace at the found degree has dimension > 1 (monomial multiples of the
+minimal relation fit the same degree box), the certificate is the element
+with the graded-lex minimal leading monomial, i.e. the minimal relation
+itself.
 
 A row sampler maps coordinate arrays to a (batch, arity) complex array; rows
 with a NaN entry are rejected.  verify_aat evaluates its map once at u, v and
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import InsufficientSamples
 from .scalars import fmt
-from .structures import FAMILIES, StructureDescriptor, map_batch
+from .structures import FAMILIES, AATBox, StructureDescriptor, map_batch
 from .weierstrass import get_context
 
 DEFAULT_GAP_THRESHOLD = 1e6  # least accepted ratio of consecutive singular values
@@ -60,14 +63,20 @@ Sampler = Callable[..., np.ndarray]
 
 
 @functools.cache
-def _exponent_table(arity: int, degree: int, total: int | None = None) -> np.ndarray:
+def _exponent_table(arity: int, degree: int, total: int | None = None,
+                    variables: tuple[int, ...] | None = None) -> np.ndarray:
     """monomial_exponents as a read-only (monomials, arity) integer array,
-    keeping only the rows with sum <= total when a total cap is given."""
-    exps = itertools.product(range(degree + 1), repeat=arity)
+    keeping only the rows with sum <= total when a total cap is given, and
+    only those whose exponents outside the given increasing variable
+    positions are 0 (None: all).  The zero columns leave the graded-lex order
+    unchanged."""
+    cols = range(arity) if variables is None else variables
+    exps = itertools.product(range(degree + 1), repeat=len(cols))
     if total is not None:
         exps = (e for e in exps if sum(e) <= total)
-    table = np.array(sorted(exps, key=lambda e: (sum(e), tuple(-x for x in e))),
-                     dtype=np.intp)
+    searched = sorted(exps, key=lambda e: (sum(e), tuple(-x for x in e)))
+    table = np.zeros((len(searched), arity), dtype=np.intp)
+    table[:, cols] = searched
     table.flags.writeable = False
     return table
 
@@ -88,6 +97,7 @@ class RelationCertificate:
     residual: float
     singular_gap: float
     max_total_degree: int | None = None
+    variables: tuple[int, ...] | None = None  # the positions searched, when not all
 
     def coefficient_of(self, expo: Sequence[int]) -> complex:
         key = tuple(expo)
@@ -113,6 +123,8 @@ class RelationCertificate:
         ]
         if self.max_total_degree is not None:
             lines.append(f"total_degree = {self.max_total_degree}")
+        if self.variables is not None:
+            lines.append("variables = " + ", ".join(f"X{k + 1}" for k in self.variables))
         lines += [
             f"residual = {fmt(self.residual)}",
             f"singular_gap = {fmt(self.singular_gap)}",
@@ -142,15 +154,18 @@ def _monomial_matrix(values: np.ndarray, exponents) -> np.ndarray:
     """Columns prod_k values[:, k] ** e_k, one per exponent row, C-ordered.
 
     Factors multiply in variable order, so every entry equals the column-wise
-    product bit for bit; C order keeps the column norms' summation order.
+    product bit for bit; C order keeps the column norms' summation order.  A
+    variable whose exponent is 0 in every row contributes only factors 1.0
+    and is skipped.
     """
-    arity = values.shape[1]
     E = np.asarray(exponents, dtype=np.intp)
     dmax = int(E.max(initial=0))
     M = None
-    for k in range(arity):
+    for k in np.flatnonzero(E.any(axis=0)):
         powers = np.vander(values[:, k], dmax + 1, increasing=True)[:, E[:, k]]
         M = powers if M is None else M * powers
+    if M is None:  # the constant monomial alone
+        return np.ones((len(values), len(E)), dtype=complex)
     return np.ascontiguousarray(M)
 
 
@@ -255,25 +270,29 @@ def find_relation(
                    domain_dim)
 
 
-def _box_size(arity: int, degree: int, total: int | None) -> int:
-    """len(_exponent_table(arity, degree, total)), counted without the table."""
-    cap = arity * degree if total is None else min(total, arity * degree)
+def _box_size(arity: int, degree: int, total: int | None,
+              variables: tuple[int, ...] | None = None) -> int:
+    """len(_exponent_table(arity, degree, total, variables)), counted without
+    the table."""
+    searched = arity if variables is None else len(variables)
+    cap = searched * degree if total is None else min(total, searched * degree)
     counts = [1] + [0] * cap  # counts[s]: exponent prefixes with sum s
-    for _ in range(arity):
+    for _ in range(searched):
         counts = [sum(counts[max(0, s - degree) : s + 1]) for s in range(cap + 1)]
     return sum(counts)
 
 
 def _search(rows, arity, max_degree, n_samples, rng, domain_dim,
-            total=None) -> RelationCertificate | None:
-    """find_relation's degree loop over the rows of a row sampler; with a
+            total=None, variables=None) -> RelationCertificate | None:
+    """find_relation's degree loop over the rows of a row sampler.  With a
     total cap, every degree's box keeps only the monomials of total degree
-    <= total."""
+    <= total; with variable positions, only the monomials in those variables
+    (the rows keep every column, and a row with a NaN anywhere is dropped)."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     if arity < 1:
         raise ValueError("need at least one sampler")
-    m = _box_size(arity, max_degree, total)
+    m = _box_size(arity, max_degree, total, variables)
     n_rows = max(n_samples, 2 * m)  # the largest training matrix is n_rows x m
     if 16 * n_rows * m > _MAX_MATRIX_BYTES:
         raise ValueError(f"{m} monomials at degree {max_degree} over {n_rows} rows exceed "
@@ -281,7 +300,7 @@ def _search(rows, arity, max_degree, n_samples, rng, domain_dim,
     pool_src = _SamplePool(rows, arity, domain_dim, rng)
 
     for degree in range(1, max_degree + 1):
-        E = _exponent_table(arity, degree, total)
+        E = _exponent_table(arity, degree, total, variables)
         m = len(E)
         n_train = max(n_samples, 2 * m)
         pool = pool_src.ensure(2 * n_train)
@@ -312,6 +331,7 @@ def _search(rows, arity, max_degree, n_samples, rng, domain_dim,
             residual=residual,
             singular_gap=gap,
             max_total_degree=total,
+            variables=variables,
         )
     return None
 
@@ -369,12 +389,13 @@ def _aat_rows(d: StructureDescriptor, coord: int):
 @dataclass(frozen=True)
 class AATReport:
     """Per-coordinate addition-theorem certificates for one descriptor, and
-    the box searched: per-variable degree and total degree (None: no cap)."""
+    the boxes searched: the per-variable degree, and each coordinate's
+    `AATBox` (its variables and total-degree cap)."""
 
     success: bool
     certificates: tuple[RelationCertificate | None, ...]
     max_degree: int
-    total_degree: int | None = None
+    boxes: tuple[AATBox, ...]
 
     @property
     def found_degrees(self) -> tuple[int | None, ...]:
@@ -390,19 +411,22 @@ def verify_aat(
     """Numerical algebraic-addition-theorem certificate for the descriptor.
 
     For each map coordinate i, searches for a relation among
-    f_1(u)...f_n(u), f_1(v)...f_n(v), f_i(u+v).  Success on every
-    coordinate constitutes the certificate.  A family whose record sets
-    ``aat_total_degree`` searches only monomials of at most that total
-    degree.
+    f_1(u)...f_n(u), f_1(v)...f_n(v), f_i(u+v), in the box of the
+    coordinate's `AATBox` in the family's record: only monomials in its
+    variables, and of at most its total degree.  A relation among some of
+    the variables is one among all of them.  Success on every coordinate
+    constitutes the certificate.
     """
-    n = d.dim
-    total = FAMILIES[d.family].aat_total_degree
-    certs = [
-        _search(_aat_rows(d, coord), 2 * n + 1, max_degree, n_samples,
-                np.random.default_rng(seed + coord), 2 * n, total)
-        for coord in range(n)
-    ]
-    return AATReport(all(c is not None for c in certs), tuple(certs), max_degree, total)
+    certs = [_aat_search(d, coord, max_degree, n_samples, seed) for coord in range(d.dim)]
+    return AATReport(all(c is not None for c in certs), tuple(certs), max_degree,
+                     FAMILIES[d.family].aat)
+
+
+def _aat_search(d, coord, max_degree, n_samples, seed) -> RelationCertificate | None:
+    """verify_aat's search for one map coordinate, in the coordinate's box."""
+    n, box = d.dim, FAMILIES[d.family].aat[coord]
+    return _search(_aat_rows(d, coord), 2 * n + 1, max_degree, n_samples,
+                   np.random.default_rng(seed + coord), 2 * n, box.total_degree, box.variables)
 
 
 def dependent(

@@ -12,8 +12,12 @@ is alpha^{-1} applied to the model's closed-form period group.  Construction
 refuses an alpha whose inverse that pull-back could not apply.
 
 Each family's facts sit in one record of the table ``FAMILIES`` at the end
-of this module; validation, period groups, evaluation, serialization and
-classification all read that table.
+of this module; validation, period groups, evaluation, serialization,
+classification and the addition-theorem search all read that table.  A
+coordinate that is a function of one linear form alpha_i . u, as every
+coordinate of p1, p2, p3 and p6_product and coordinate 1 of p4 and p5 are,
+has an addition relation among f_i(u), f_i(v) and f_i(u+v) alone, and its
+record keeps the search to those three.
 """
 
 from __future__ import annotations
@@ -40,6 +44,27 @@ def _identity(n: int) -> tuple[tuple[complex, ...], ...]:
 
 
 @dataclass(frozen=True)
+class AATBox:
+    """The search box of one map coordinate's addition relation.
+
+    ``variables`` are the positions, in (f_1(u), ..., f_n(u), f_1(v), ...,
+    f_n(v), f_i(u+v)), of the variables the relation needs (None: all
+    2n + 1).  A coordinate g(alpha_i . u) needs only f_i(u), f_i(v) and
+    f_i(u+v), whatever alpha is.  ``total_degree`` is the relation's total
+    degree when it is below what the per-variable box admits; the search then
+    keeps only monomials up to it (None: no cap).
+    """
+
+    variables: tuple[int, ...] | None = None
+    total_degree: int | None = None
+
+
+#: the boxes of 2-D coordinates that are each a function of their own linear
+#: form alpha_i . u: f_i(u), f_i(v), f_i(u+v)
+_OWN_FORM = (AATBox((0, 2, 4)), AATBox((1, 3, 4)))
+
+
+@dataclass(frozen=True)
 class Family:
     """One family's facts, period generators and model map.
 
@@ -47,9 +72,8 @@ class Family:
     the descriptor (None: absent).  ``a_range`` describes and tests a.
     ``periods(d)`` gives (generator, closed form) pairs of the model's period
     group; ``map(d, *w)`` gives (values, poles) of the model at w = alpha u.
-    ``aat_total_degree`` is the total degree of the map's minimal addition
-    relation when it is below what the per-variable box admits; the AAT
-    search then keeps only monomials up to it (None: no cap).
+    ``aat`` holds one `AATBox` per map coordinate (by default the one
+    coordinate of a 1-D map over all its variables).
     """
 
     name: str
@@ -61,7 +85,7 @@ class Family:
     required: tuple[str, ...] = ()
     defaults: tuple[tuple[str, Callable | None], ...] = ()
     a_range: tuple[str, Callable[[complex], bool]] | None = None
-    aat_total_degree: int | None = None
+    aat: tuple[AATBox, ...] = (AATBox(),)
 
     @property
     def allowed(self) -> tuple[str, ...]:
@@ -341,25 +365,29 @@ def is_real_structure(d: StructureDescriptor) -> bool:
 # -- the family table -----------------------------------------------------------
 
 #: one record per family: name, dim, period rank, 2-D index, closed-form period
-#: generators, model map, then the fields it requires or allows and the total
-#: degree of its addition relation where that caps the AAT search
+#: generators, model map, then the fields it requires or allows and the box of
+#: each coordinate's addition relation
 FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family("id", 1, 0, None, _fixed(), _entire(None)),
     Family("exp", 1, 1, None, _fixed(((_TWO_PI_I,), "2*pi*i")), _entire(np.exp)),
     # X, Y, Z = sin u, sin v, sin(u+v) satisfy (Z^2 + X^2 - Y^2)^2 = 4 X^2 Z^2 (1 - Y^2),
     # of per-variable degree 4 and total degree 6
     Family("sin", 1, 1, None, _fixed(((2.0 * np.pi + 0j,), "2*pi")), _entire(np.sin),
-           aat_total_degree=6),
+           aat=(AATBox(total_degree=6),)),
     Family("wp_real", 1, 2, None, _wp_real_periods, _wp_on("lattice"), required=("a",),
            defaults=(("a_exact", None), ("lattice", _rectangular)),
            a_range=("a real parameter a > 0", lambda a: a.imag == 0 and a.real > 0)),
-    Family("p1", 2, 0, 1, _fixed(), _entire(None, None)),
-    Family("p2", 2, 1, 2, _fixed(((_TWO_PI_I, 0j), "(2*pi*i, 0)")), _entire(np.exp, None)),
+    Family("p1", 2, 0, 1, _fixed(), _entire(None, None), aat=_OWN_FORM),
+    Family("p2", 2, 1, 2, _fixed(((_TWO_PI_I, 0j), "(2*pi*i, 0)")), _entire(np.exp, None),
+           aat=_OWN_FORM),
     Family("p3", 2, 2, 3, _fixed(((_TWO_PI_I, 0j), "(2*pi*i, 0)"),
-                                 ((0j, _TWO_PI_I), "(0, 2*pi*i)")), _entire(np.exp, np.exp)),
+                                 ((0j, _TWO_PI_I), "(0, 2*pi*i)")), _entire(np.exp, np.exp),
+           aat=_OWN_FORM),
+    # coordinate 2 of p4 (a = 1) and p5 involves both linear forms: it searches every variable
     Family("p4", 2, 2, 4, _elliptic_periods, _p4_map, required=("a", "lattice"),
-           a_range=("a = 0 or a = 1", lambda a: a in (0, 1))),
-    Family("p5", 2, 3, 5, _p5_periods, _p5_map, required=("a", "lattice")),
+           a_range=("a = 0 or a = 1", lambda a: a in (0, 1)), aat=(_OWN_FORM[0], AATBox())),
+    Family("p5", 2, 3, 5, _p5_periods, _p5_map, required=("a", "lattice"),
+           aat=(_OWN_FORM[0], AATBox())),
     Family("p6_product", 2, 4, 6, _p6_periods, _wp_on("lattice", "lattice2"),
-           required=("lattice", "lattice2")),
+           required=("lattice", "lattice2"), aat=_OWN_FORM),
 )}

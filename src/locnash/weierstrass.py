@@ -42,10 +42,13 @@ period group, which reads only eta, pays for none of them.  Evaluation on a
 lattice whose shortest vector is below _MIN_SCALE (about 5.6e-103) is
 refused, since the scale (pi/|r1|)^3 of wp' would leave the double range;
 such a lattice still gets its context, its eta constants and period groups.
+Construction itself refuses a lattice whose eta constants, of size about
+1/|r1|, leave the double range (shortest vector below about 2e-308).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 
@@ -63,7 +66,8 @@ _TAIL_TARGET = 1e-17
 #: the construction gate on the Legendre relation
 LEGENDRE_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
-_LOG_DBL_MAX = float(np.log(np.finfo(float).max))
+_DBL_MAX = float(np.finfo(float).max)
+_LOG_DBL_MAX = float(np.log(_DBL_MAX))
 #: about the least |r1| at which (pi/|r1|)^3 stays inside the double range
 _MIN_SCALE = float(np.pi / np.cbrt(np.finfo(float).max))
 
@@ -91,6 +95,13 @@ def _half_angle(v: np.ndarray):
     s = np.where(v.imag >= 0, 1.0, -1.0)
     x = 2j * s * v
     return s, np.exp(x), -np.expm1(x)
+
+
+def _eta_out_of_range(lattice: Lattice1, r1: complex) -> ValueError:
+    return ValueError(
+        f"lattice <{lattice.omega1:.17g}, {lattice.omega2:.17g}> is too small for its "
+        f"eta constants: at shortest vector {abs(r1):.3g} they leave the double range"
+    )
 
 
 class WeierstrassContext:
@@ -124,7 +135,10 @@ class WeierstrassContext:
         c_n = self._c_n = 1.0 / (1.0 - q2n)
         self._k = np.pi / r1
         e2_tau = 1.0 - 24.0 * np.sum(n * q2n * c_n)
-        self._eta1 = np.pi**2 * e2_tau / (3.0 * r1)
+        pi2_e2 = np.pi**2 * e2_tau
+        if not abs(pi2_e2) < 2.99 * abs(r1) * _DBL_MAX:  # eta1 would overflow, with a warning
+            raise _eta_out_of_range(lattice, r1)
+        self._eta1 = pi2_e2 / (3.0 * r1)
 
         # eta2 from Legendre's relation eta1 r2 - eta2 r1 = 2 pi i on the
         # oriented reduced basis, then both constants solved back to the
@@ -135,6 +149,8 @@ class WeierstrassContext:
         det = a * d - b * c  # eta_red = U @ eta_orig and U^-1 = det * adj(U)
         e1 = det * (d * eta1 - b * eta2)
         e2 = det * (a * eta2 - c * eta1)
+        if not (cmath.isfinite(e1) and cmath.isfinite(e2)):  # Python complex: no warning
+            raise _eta_out_of_range(lattice, r1)
         self.eta_half = (e1 / 2.0, e2 / 2.0)
 
         legendre = e1 * lattice.omega2 - e2 * lattice.omega1

@@ -519,6 +519,39 @@ def test_p6_product_degenerate_pull_back_exits_3(tmp_path, capsys):
     assert out == "" and "DegenerateGenerators" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_subnormal_lattice_eta_refused(tmp_path, capsys):
+    """On <1e-310, 1e-310 i> the eta constants, of size 1/|r1|, leave the
+    double range: the context refuses the lattice with one message, before
+    any alpha pull-back, and no warning.  <1e-200, 1e-200 i> keeps its
+    report."""
+    tiny = "dim = 2\nfamily = p4\na = 1\nlattice = lattice(1e-310, 1e-310i)\n"
+    for text in (tiny, tiny + "alpha = 1, 0.3, 0.2, 1\n"):
+        assert main(["periods", desc(tmp_path, "tiny.desc", text)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "locnash: lattice <9.9999999999999694e-311+0j, 0+9.9999999999999694e-311j> is too "
+            "small for its eta constants: at shortest vector 1e-310 they leave the double range\n")
+    small = desc(tmp_path, "small.desc", tiny.replace("e-310", "e-200"))
+    assert main(["periods", small]) == 0
+    assert capsys.readouterr().out == """locnash periods report
+[config]
+max_degree = 8
+seed = 0
+[descriptor]
+dim = 2
+family = p4
+a = 1
+lattice = lattice(9.9999999999999998e-201, 9.9999999999999998e-201i)
+[result]
+rank = 2
+generator_1 = 9.9999999999999998e-201 0; 3.1415926535897936e+200 0
+generator_2 = 0 9.9999999999999998e-201; 0 -3.1415926535897929e+200
+closed_form_1 = (omega1, 2*a*zeta(omega1/2))
+closed_form_2 = (omega2, 2*a*zeta(omega2/2))
+"""
+
+
 def test_classify_skew_lattice_report(tmp_path, capsys):
     # <1, k + i> and <1 + k^2 + ki, k + i> are the square lattice: their
     # given bases have condition numbers about k^2 and k^4, the reduced one 1
@@ -550,3 +583,17 @@ def test_wp_real_explicit_lattice_report(tmp_path, capsys):
     assert main(["periods", wp]) == 0
     out = capsys.readouterr().out
     assert "closed_form_1 = omega1" in out and "closed_form_2 = omega2" in out
+
+
+def test_p6_product_verify_aat_certifies_with_no_flags(tmp_path, capsys):
+    """Each p6_product coordinate searches f_i(u), f_i(v), f_i(u+v) alone, so
+    the default --max-degree 8 stays inside the matrix guard (over all five
+    variables, degree 8 has 9^5 monomials, past it)."""
+    d = desc(tmp_path, "p6.desc", DOCUMENTS["p6_product"] + "alpha = 1, 0.3, 0.2, 1\n")
+    assert main(["verify-aat", d]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "max_degree = 8" in lines and "success = 1" in lines
+    for i in (1, 2):
+        assert f"variables_{i} = f{i}(u), f{i}(v), f{i}(u+v)" in lines
+        assert any(line.startswith(f"coordinate_{i} = degree 2, residual ") for line in lines)
+    assert lines.count("variables = X1, X3, X5") == lines.count("variables = X2, X4, X5") == 1

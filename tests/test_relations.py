@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -8,9 +10,11 @@ from locnash import relations
 from locnash.errors import InsufficientSamples
 from locnash.lattices import Lattice1
 from locnash.relations import (
+    DEFAULT_RES_TOL,
     DEFAULT_VALUE_CAP,
     AATReport,
     _aat_rows,
+    _aat_search,
     _box_size,
     _exponent_table,
     _monomial_matrix,
@@ -67,11 +71,20 @@ def test_monomial_order_graded_lex():
     (1, 3, 2), (2, 2, 3), (3, 4, 6), (3, 4, 12), (3, 2, 0), (5, 8, 6), (7, 2, 4),
 ])
 def test_capped_exponent_table_filters_the_box(arity, degree, total):
-    full = _exponent_table(arity, degree).tolist()
-    capped = _exponent_table(arity, degree, total).tolist()
-    assert capped == [e for e in full if sum(e) <= total]  # same graded-lex order
-    assert _box_size(arity, degree, total) == len(capped)
+    full = _exponent_table(arity, degree)
     assert _box_size(arity, degree, None) == len(full) == (degree + 1) ** arity
+    # every variable subset of up to three positions, and all of them (None)
+    subsets = [None] + [c for k in range(1, min(arity, 3) + 1)
+                        for c in itertools.combinations(range(arity), k)]
+    for variables in subsets:
+        outside = [k for k in range(arity) if variables is not None and k not in variables]
+        for cap in (None, total):
+            table = _exponent_table(arity, degree, cap, variables)
+            keep = np.all(full[:, outside] == 0, axis=1)
+            if cap is not None:
+                keep &= full.sum(axis=1) <= cap
+            assert table.tolist() == full[keep].tolist()  # same graded-lex order
+            assert _box_size(arity, degree, cap, variables) == len(table)
 
 
 def _monomial_matrix_by_columns(values, exponents):
@@ -396,25 +409,44 @@ def test_sin_capped_search_matches_full_box(scale, seed):
     assert max(extra) < 1e-8 * max(abs(c) for c in full.values())
 
 
-#: a descriptor and per-variable degree for every family whose record caps
-#: the total degree of its AAT search
-CAPPED_AAT_FIXTURES = {
-    "sin": (sin_map(0.7), 4),
+#: for each family, a descriptor, a per-variable degree and the coordinates
+#: that certify at it; p5's coordinate 2 searches all five variables, and its
+#: relation needs a larger box than the matrix guard admits there
+RECORD_ALPHA = ((0.9, -0.4), (0.3, 1.1))
+AAT_RECORD_FIXTURES = {
+    "id": (identity_map(0.7), 1, (0,)),
+    "exp": (exp_map(0.7), 2, (0,)),
+    "sin": (sin_map(0.7), 4, (0,)),
+    "wp_real": (wp_real(2.0), 2, (0,)),
+    "p1": (painleve("p1", alpha=RECORD_ALPHA), 1, (0, 1)),
+    "p2": (painleve("p2", alpha=RECORD_ALPHA), 1, (0, 1)),
+    "p3": (painleve("p3", alpha=RECORD_ALPHA), 1, (0, 1)),
+    "p4": (painleve("p4", a=0, lattice=Lattice1(1, 1j), alpha=RECORD_ALPHA), 2, (0, 1)),
+    "p5": (painleve("p5", a=0.3, lattice=Lattice1(1, 2j)), 2, (0,)),
+    "p6_product": (painleve("p6_product", lattice=Lattice1(1, 1j), lattice2=Lattice1(1, 2j),
+                            alpha=RECORD_ALPHA), 2, (0, 1)),
 }
 
 
-@pytest.mark.parametrize(
-    "family", sorted(n for n, f in FAMILIES.items() if f.aat_total_degree is not None)
-)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_family_aat_total_degree_is_the_relation_degree(family):
-    """The table's cap is the total degree of the certified relation: a cap
-    below it loses the certificate and one above it wastes monomials."""
-    d, degree = CAPPED_AAT_FIXTURES[family]
-    rep = verify_aat(d, degree, seed=3)
-    assert rep.success
-    for cert in rep.certificates:
-        assert cert.max_total_degree == FAMILIES[family].aat_total_degree
-        assert max(sum(e) for e, _ in cert.support()) == cert.max_total_degree
+    """Each coordinate's record is its relation's box: the certificate names
+    the record's variables and uses no other, and a capped record's cap is
+    the total degree of the certified relation (a cap below it loses the
+    certificate and one above it wastes monomials)."""
+    d, degree, coords = AAT_RECORD_FIXTURES[family]
+    boxes = FAMILIES[family].aat
+    assert len(boxes) == d.dim
+    for coord in coords:
+        box = boxes[coord]
+        cert = _aat_search(d, coord, degree, 64, 3)
+        assert cert is not None
+        assert cert.variables == box.variables and cert.max_total_degree == box.total_degree
+        if box.variables is not None:
+            outside = [k for k in range(2 * d.dim + 1) if k not in box.variables]
+            assert not np.array(cert.exponents)[:, outside].any()
+        if box.total_degree is not None:
+            assert max(sum(e) for e, _ in cert.support()) == box.total_degree
 
 
 def test_verify_aat_wp():
@@ -476,18 +508,21 @@ def _column_sampler(d, coord, part):
 
 
 def _verify_aat_by_columns(d, max_degree, seed):
-    """Reference: find_relation over 2n + 1 column samplers per coordinate."""
-    n = d.dim
-    certs = tuple(
-        find_relation(
-            [_column_sampler(d, j, "u") for j in range(n)]
-            + [_column_sampler(d, j, "v") for j in range(n)]
-            + [_column_sampler(d, coord, "uv")],
-            max_degree, 64, seed + coord, domain_dim=2 * n,
-        )
-        for coord in range(n)
-    )
-    return AATReport(None not in certs, certs, max_degree)
+    """Reference: 2n + 1 column samplers per coordinate, stacked as
+    find_relation stacks them and searched in the coordinate's box."""
+    n, boxes = d.dim, FAMILIES[d.family].aat
+    certs = []
+    for coord, box in enumerate(boxes):
+        samplers = ([_column_sampler(d, j, "u") for j in range(n)]
+                    + [_column_sampler(d, j, "v") for j in range(n)]
+                    + [_column_sampler(d, coord, "uv")])
+
+        def rows(*w, samplers=samplers):
+            return np.stack([np.asarray(s(*w), dtype=complex) for s in samplers], axis=1)
+
+        certs.append(_search(rows, 2 * n + 1, max_degree, 64, np.random.default_rng(seed + coord),
+                             2 * n, box.total_degree, box.variables))
+    return AATReport(None not in certs, tuple(certs), max_degree, boxes)
 
 
 SKEW = Lattice1(1, 5 + 1j)  # <1,i> in a skew basis
@@ -631,7 +666,7 @@ def test_certificate_serialization():
     assert text.startswith("relation_certificate\narity = 3\ndegree = 1\nresidual = ")
     assert "residual = " in text and "singular_gap = " in text
     assert text.count("term (") == len(cert.exponents)
-    assert "total_degree" not in text
+    assert "total_degree" not in text and "variables" not in text
 
 
 def test_capped_certificate_names_its_box():
@@ -641,3 +676,57 @@ def test_capped_certificate_names_its_box():
         "relation_certificate\narity = 3\ndegree = 4\ntotal_degree = 6\nresidual = ")
     assert text.count("term (") == len(cert.exponents) == 72
     assert all(sum(e) <= 6 for e in cert.exponents)
+
+
+def test_restricted_certificate_names_its_variables():
+    """A coordinate searched over f_i(u), f_i(v), f_i(u+v) alone says so."""
+    rep = verify_aat(painleve("p6_product", lattice=Lattice1(1, 1j), lattice2=Lattice1(1, 2j)),
+                     2, seed=3)
+    assert rep.boxes == FAMILIES["p6_product"].aat
+    for cert, names in zip(rep.certificates, ("X1, X3, X5", "X2, X4, X5")):
+        assert cert.serialize().startswith(
+            f"relation_certificate\narity = 5\ndegree = 2\nvariables = {names}\nresidual = ")
+        assert len(cert.exponents) == 27  # 3^3 monomials rather than 3^5
+
+
+# -- soundness of the restricted boxes ----------------------------------------------------
+
+#: <1,i>, <1,2i>, the hexagonal lattice and <1,i> in the skew basis <1,5+i>
+SOUNDNESS_LATTICES = [Lattice1(1, 1j), Lattice1(1, 2j), Lattice1(1, np.exp(1j * np.pi / 3)), SKEW]
+#: (family, coordinate) of every record that searches f_i(u), f_i(v), f_i(u+v) alone
+RESTRICTED = [(name, coord) for name, fam in sorted(FAMILIES.items())
+              for coord, box in enumerate(fam.aat) if box.variables is not None]
+
+
+@st.composite
+def restricted_coordinates(draw):
+    """A descriptor of a family with a restricted record, one such coordinate
+    of it, and a random real alpha whose rows are not short."""
+    family, coord = draw(st.sampled_from(RESTRICTED))
+    a, b, c, e = (draw(st.floats(-1.5, 1.5)) for _ in range(4))
+    assume(min(np.hypot(a, b), np.hypot(c, e)) >= 0.5 and abs(a * e - b * c) >= 0.1)
+    lattice, lattice2 = (draw(st.sampled_from(SOUNDNESS_LATTICES)) for _ in range(2))
+    fields = {
+        "p4": {"a": draw(st.sampled_from([0, 1])), "lattice": lattice},
+        "p5": {"a": draw(st.sampled_from([0.3, 0.2 + 0.4j])), "lattice": lattice},
+        "p6_product": {"lattice": lattice, "lattice2": lattice2},
+    }.get(family, {})
+    return painleve(family, alpha=((a, b), (c, e)), **fields), coord
+
+
+@given(restricted_coordinates(), st.integers(0, 2**31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_restricted_certificate_holds_on_all_columns(case, seed):
+    """A relation found among f_i(u), f_i(v), f_i(u+v) is one among all 2n + 1
+    columns: on fresh rows of every column it vanishes below DEFAULT_RES_TOL
+    (in the column-normalized basis the search validates in), and it
+    involves f_i(u+v)."""
+    d, coord = case
+    cert = _aat_search(d, coord, 2, 64, seed)
+    assert cert is not None and cert.variables == FAMILIES[d.family].aat[coord].variables
+    assert any(e[-1] > 0 for e, _ in cert.support())
+    pool = _SamplePool(_aat_rows(d, coord), 5, 4, np.random.default_rng([seed, 1]))
+    M = _monomial_matrix(pool.ensure(128)[:128], cert.exponents)
+    c = np.array(cert.coefficients)
+    residual = np.max(np.abs(M @ c)) / np.linalg.norm(c * np.linalg.norm(M, axis=0))
+    assert residual < DEFAULT_RES_TOL
