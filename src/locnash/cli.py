@@ -255,6 +255,7 @@ def cmd_verify_aat(args, cfg: RunConfig) -> int:
             lines.append(f"variables_{i} = " + ", ".join(names[k] for k in box.variables))
         if cert is None:
             cap = "" if box.total_degree is None else f", total degree <= {box.total_degree}"
+            cap += ", even exponents" if box.even else ""
             lines.append(f"coordinate_{i} = no relation found at degree {report.max_degree}{cap}")
             continue
         lines.append(f"coordinate_{i} = degree {cert.max_degree}, "
@@ -276,8 +277,8 @@ def cmd_check_identities(args, cfg: RunConfig) -> int:
     checks: list[tuple[str, float, float]] = []
 
     eta = [2.0 * e for e in ctx.eta_half]
-    # sigma's factor exp(eta (z + w/2)) overflows for a long generator w, so
-    # sigma is checked on the Gauss-reduced pair unless the given pair is
+    # the rounding of sigma's exponent eta (z + w/2) grows with the generator
+    # w, so sigma is checked on the Gauss-reduced pair unless the given pair is
     # already as short; eta is Z-linear on the lattice, so it maps through U
     r1, r2, U = lat.to_subgroup().reduced_basis
     if max(abs(lat.omega1), abs(lat.omega2)) <= abs(r2):
@@ -289,11 +290,15 @@ def cmd_check_identities(args, cfg: RunConfig) -> int:
         base, _, _ = ctx.zeta_many(zs)
         res = float(np.max(np.abs(shifted - base - eta[i])))
         checks.append((f"zeta_quasi_periodicity_omega{i + 1}", res, 1e-8))
+        # sigma(z + w) = -sigma(z) exp(eta (z + w/2)), compared in log space,
+        # where sigma(z + w) cannot underflow: d = log(rhs / lhs) - i pi is
+        # a multiple of 2 pi i when the two agree, and |d| mod 2 pi i is
+        # their relative error to first order
         w_s, eta_s = sigma_pairs[i]
-        s_shift, _, _ = ctx.sigma_many(zs + w_s)
-        s_base, _, _ = ctx.sigma_many(zs)
-        rhs = -s_base * np.exp(eta_s * (zs + w_s / 2.0))
-        rel = float(np.max(np.abs(s_shift - rhs) / np.abs(s_shift)))
+        log_shift, _, _ = ctx.log_sigma_many(zs + w_s)
+        log_base, _, _ = ctx.log_sigma_many(zs)
+        d = log_base + eta_s * (zs + w_s / 2.0) - log_shift
+        rel = float(np.max(np.abs(d.real + 1j * (np.remainder(d.imag, 2 * np.pi) - np.pi))))
         checks.append((f"sigma_quasi_periodicity_omega{i + 1}", rel, 1e-7))
 
     checks.append(("conjugation", conjugate_lattice_check(ctx, zs), 1e-8))

@@ -18,16 +18,17 @@ Degrees are bounded PER VARIABLE: the basis at degree d is
 {X^e : max_i e_i <= d}, ordered graded-lexicographically.  verify_aat cuts
 each coordinate's box by the coordinate's record in the family table: to the
 monomials in the variables its relation needs (f_i(u), f_i(v), f_i(u+v) for
-a function of one linear form alpha_i . u; the other exponents are 0), and
-to {X^e : sum_i e_i <= t} when the record gives the total degree t of the
-minimal relation: monomials outside the cut appear in no relation and only
-cost the SVD.  The cut keeps the graded-lex order, and the certificate
-records it.  Certificates are unit-norm coefficient vectors with the phase
-of the largest coefficient normalized to be real positive.  When the
-nullspace at the found degree has dimension > 1 (monomial multiples of the
-minimal relation fit the same degree box), the certificate is the element
-with the graded-lex minimal leading monomial, i.e. the minimal relation
-itself.
+a function of one linear form alpha_i . u; the other exponents are 0), to
+{X^e : sum_i e_i <= t} when the record gives the total degree t of the
+minimal relation, and to even exponents when the record says the relation is
+even in every variable, so that only the even degrees are tried: monomials
+outside the cut appear in no relation and only cost the SVD.  The cut keeps
+the graded-lex order, and the certificate records it.  Certificates are
+unit-norm coefficient vectors with the phase of the largest coefficient
+normalized to be real positive.  When the nullspace at the found degree has
+dimension > 1 (monomial multiples of the minimal relation fit the same
+degree box), the certificate is the element with the graded-lex minimal
+leading monomial, i.e. the minimal relation itself.
 
 A row sampler maps coordinate arrays to a (batch, arity) complex array; rows
 with a NaN entry are rejected.  verify_aat evaluates its map once at u, v and
@@ -64,14 +65,14 @@ Sampler = Callable[..., np.ndarray]
 
 @functools.cache
 def _exponent_table(arity: int, degree: int, total: int | None = None,
-                    variables: tuple[int, ...] | None = None) -> np.ndarray:
+                    variables: tuple[int, ...] | None = None, even: bool = False) -> np.ndarray:
     """monomial_exponents as a read-only (monomials, arity) integer array,
-    keeping only the rows with sum <= total when a total cap is given, and
-    only those whose exponents outside the given increasing variable
-    positions are 0 (None: all).  The zero columns leave the graded-lex order
-    unchanged."""
+    keeping only the rows with sum <= total when a total cap is given, only
+    those whose exponents outside the given increasing variable positions are
+    0 (None: all), and only even exponents when asked.  The cuts leave the
+    graded-lex order unchanged."""
     cols = range(arity) if variables is None else variables
-    exps = itertools.product(range(degree + 1), repeat=len(cols))
+    exps = itertools.product(range(0, degree + 1, 2 if even else 1), repeat=len(cols))
     if total is not None:
         exps = (e for e in exps if sum(e) <= total)
     searched = sorted(exps, key=lambda e: (sum(e), tuple(-x for x in e)))
@@ -98,6 +99,7 @@ class RelationCertificate:
     singular_gap: float
     max_total_degree: int | None = None
     variables: tuple[int, ...] | None = None  # the positions searched, when not all
+    even: bool = False  # only even exponents were searched
 
     def coefficient_of(self, expo: Sequence[int]) -> complex:
         key = tuple(expo)
@@ -123,6 +125,8 @@ class RelationCertificate:
         ]
         if self.max_total_degree is not None:
             lines.append(f"total_degree = {self.max_total_degree}")
+        if self.even:
+            lines.append("exponents = even")
         if self.variables is not None:
             lines.append("variables = " + ", ".join(f"X{k + 1}" for k in self.variables))
         lines += [
@@ -271,36 +275,40 @@ def find_relation(
 
 
 def _box_size(arity: int, degree: int, total: int | None,
-              variables: tuple[int, ...] | None = None) -> int:
-    """len(_exponent_table(arity, degree, total, variables)), counted without
-    the table."""
+              variables: tuple[int, ...] | None = None, even: bool = False) -> int:
+    """len(_exponent_table(arity, degree, total, variables, even)), counted
+    without the table."""
     searched = arity if variables is None else len(variables)
     cap = searched * degree if total is None else min(total, searched * degree)
+    exps = range(0, degree + 1, 2 if even else 1)
     counts = [1] + [0] * cap  # counts[s]: exponent prefixes with sum s
     for _ in range(searched):
-        counts = [sum(counts[max(0, s - degree) : s + 1]) for s in range(cap + 1)]
+        counts = [sum(counts[s - e] for e in exps if e <= s) for s in range(cap + 1)]
     return sum(counts)
 
 
 def _search(rows, arity, max_degree, n_samples, rng, domain_dim,
-            total=None, variables=None) -> RelationCertificate | None:
+            total=None, variables=None, even=False) -> RelationCertificate | None:
     """find_relation's degree loop over the rows of a row sampler.  With a
     total cap, every degree's box keeps only the monomials of total degree
     <= total; with variable positions, only the monomials in those variables
-    (the rows keep every column, and a row with a NaN anywhere is dropped)."""
+    (the rows keep every column, and a row with a NaN anywhere is dropped);
+    with even, only even exponents, so the loop tries the even degrees alone
+    (an odd degree's box is the one below it)."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     if arity < 1:
         raise ValueError("need at least one sampler")
-    m = _box_size(arity, max_degree, total, variables)
+    m = _box_size(arity, max_degree, total, variables, even)
     n_rows = max(n_samples, 2 * m)  # the largest training matrix is n_rows x m
     if 16 * n_rows * m > _MAX_MATRIX_BYTES:
         raise ValueError(f"{m} monomials at degree {max_degree} over {n_rows} rows exceed "
                          f"the desk-scale limit of {_MAX_MATRIX_BYTES >> 20} MiB")
     pool_src = _SamplePool(rows, arity, domain_dim, rng)
 
-    for degree in range(1, max_degree + 1):
-        E = _exponent_table(arity, degree, total, variables)
+    step = 2 if even else 1
+    for degree in range(step, max_degree + 1, step):
+        E = _exponent_table(arity, degree, total, variables, even)
         m = len(E)
         n_train = max(n_samples, 2 * m)
         pool = pool_src.ensure(2 * n_train)
@@ -332,6 +340,7 @@ def _search(rows, arity, max_degree, n_samples, rng, domain_dim,
             singular_gap=gap,
             max_total_degree=total,
             variables=variables,
+            even=even,
         )
     return None
 
@@ -426,7 +435,8 @@ def _aat_search(d, coord, max_degree, n_samples, seed) -> RelationCertificate | 
     """verify_aat's search for one map coordinate, in the coordinate's box."""
     n, box = d.dim, FAMILIES[d.family].aat[coord]
     return _search(_aat_rows(d, coord), 2 * n + 1, max_degree, n_samples,
-                   np.random.default_rng(seed + coord), 2 * n, box.total_degree, box.variables)
+                   np.random.default_rng(seed + coord), 2 * n, box.total_degree, box.variables,
+                   box.even)
 
 
 def dependent(

@@ -52,11 +52,14 @@ class AATBox:
     2n + 1).  A coordinate g(alpha_i . u) needs only f_i(u), f_i(v) and
     f_i(u+v), whatever alpha is.  ``total_degree`` is the relation's total
     degree when it is below what the per-variable box admits; the search then
-    keeps only monomials up to it (None: no cap).
+    keeps only monomials up to it (None: no cap).  ``even`` says that every
+    exponent of the relation is even; the search then keeps only monomials
+    with even exponents.
     """
 
     variables: tuple[int, ...] | None = None
     total_degree: int | None = None
+    even: bool = False
 
 
 #: the boxes of 2-D coordinates that are each a function of their own linear
@@ -252,7 +255,14 @@ def period_group(d: StructureDescriptor) -> PeriodGroupReport:
     forms = tuple(form for _, form in pairs)
     if not d.alpha_is_identity:
         M = np.linalg.inv(d.alpha_matrix)
-        gens = tuple(tuple(M @ np.asarray(g, dtype=complex)) for g in gens)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                gens = tuple(tuple(M @ np.asarray(g, dtype=complex)) for g in gens)
+        except FloatingPointError:
+            lattices = [f"<{lat.omega1:.17g}, {lat.omega2:.17g}>"
+                        for lat in (d.lattice, d.lattice2) if lat is not None]
+            source = "the periods of lattice " + " x ".join(lattices) if lattices else "the periods"
+            raise ValueError(f"{source} pulled back by alpha^-1 leave the double range") from None
         forms = tuple(f"alpha^-1 {f}" for f in forms)
     group = DiscreteSubgroup(d.dim, gens)
     return PeriodGroupReport(group, group.rank, forms)
@@ -371,9 +381,11 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family("id", 1, 0, None, _fixed(), _entire(None)),
     Family("exp", 1, 1, None, _fixed(((_TWO_PI_I,), "2*pi*i")), _entire(np.exp)),
     # X, Y, Z = sin u, sin v, sin(u+v) satisfy (Z^2 + X^2 - Y^2)^2 = 4 X^2 Z^2 (1 - Y^2),
-    # of per-variable degree 4 and total degree 6
+    # of per-variable degree 4 and total degree 6.  (u, v) -> (-u, -v), u -> u + pi and
+    # v -> v + pi give every sign change of (X, Y, Z), so the surface is invariant
+    # under each; the relation is irreducible, hence even in every variable
     Family("sin", 1, 1, None, _fixed(((2.0 * np.pi + 0j,), "2*pi")), _entire(np.sin),
-           aat=(AATBox(total_degree=6),)),
+           aat=(AATBox(total_degree=6, even=True),)),
     Family("wp_real", 1, 2, None, _wp_real_periods, _wp_on("lattice"), required=("a",),
            defaults=(("a_exact", None), ("lattice", _rectangular)),
            a_range=("a real parameter a > 0", lambda a: a.imag == 0 and a.real > 0)),

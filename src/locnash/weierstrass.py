@@ -312,7 +312,8 @@ class WeierstrassContext:
              + (np.abs(m) + np.abs(n)) * self._eta_est)
         return val + shift, e
 
-    def _sigma(self, u, ur, m, n):
+    def _log_sigma(self, u, ur, m, n):
+        """log sigma(u) up to a multiple of 2 pi i, and a bound on its error."""
         # log sigma(u_red) up to a multiple of 2 pi i, and the magnitude summed
         v = self._k * ur
         s, _, omw = _half_angle(v)
@@ -330,30 +331,34 @@ class WeierstrassContext:
         expo = eta_shift * (ur + 0.5 * omega)
         # the sign (-1)^(m + n + mn), folded into the exponent
         odd = (m + n + m * n) % 2
-        log_v = log_s + expo + 1j * np.pi * odd
-        fits = log_v.real <= _LOG_DBL_MAX  # else inf, with an infinite error
-        val = np.exp(np.where(fits, log_v, np.inf))
         log_err = (
             self._tail_logsigma
             + np.abs(ur) ** 2 * self._eta1_tail / (2.0 * abs(self._r1))
             + (np.abs(m) + np.abs(n)) * self._eta_est * np.abs(ur + 0.5 * omega)
             + (mag + np.abs(expo)) * self._rounding(u, ur, 1)
         )
+        return log_s + expo + 1j * np.pi * odd, log_err
+
+    def _sigma(self, u, ur, m, n):
+        log_v, log_err = self._log_sigma(u, ur, m, n)
+        fits = log_v.real <= _LOG_DBL_MAX  # else inf, with an infinite error
+        val = np.exp(np.where(fits, log_v, np.inf))
         return val, np.abs(val) * np.where(fits, log_err, np.inf)
 
     # -- public batch evaluators --------------------------------------------
 
-    def _eval_batch(self, u, fn, entire: bool = False):
+    def _eval_batch(self, u, fn, zero: complex | None = None):
         """fn at each point of u; poles (NaN values and bounds) within pole_tol
-        of the lattice, or zeros on it when the function is entire (sigma)."""
+        of the lattice, or, for an entire function (sigma, log sigma), the
+        value `zero` exactly on it, with a bound of 0."""
         u = np.asarray(u, dtype=complex)
         scalar_in = u.ndim == 0
         u = np.atleast_1d(u)
         u_red, m, n = self.reduce_point(u)
-        if entire:
+        if zero is not None:
             poles = np.zeros(u.shape, bool)
             ok = u_red != 0
-            values = np.zeros(u.shape, dtype=complex)
+            values = np.full(u.shape, zero, dtype=complex)
             est = np.zeros(u.shape)
         else:
             poles = np.abs(u_red) < self.pole_tol
@@ -376,7 +381,12 @@ class WeierstrassContext:
         return self._eval_batch(u, self._zeta)
 
     def sigma_many(self, u):
-        return self._eval_batch(u, self._sigma, entire=True)
+        return self._eval_batch(u, self._sigma, zero=0j)
+
+    def log_sigma_many(self, u):
+        """log sigma up to a multiple of 2 pi i, where sigma itself may leave
+        the double range; -inf on the lattice."""
+        return self._eval_batch(u, self._log_sigma, zero=complex(-np.inf, 0.0))
 
     def wp(self, u: complex) -> EvalResult:
         return EvalResult(*self._eval_batch(complex(u), self._wp))
@@ -389,7 +399,7 @@ class WeierstrassContext:
 
     def sigma(self, u: complex) -> EvalResult:
         """sigma is entire; the pole flag is always False."""
-        return EvalResult(*self._eval_batch(complex(u), self._sigma, entire=True))
+        return EvalResult(*self._eval_batch(complex(u), self._sigma, zero=0j))
 
 
 @functools.lru_cache(maxsize=64)

@@ -7,7 +7,9 @@ hard-cutoff lattice sums; none of these shares code with the package.  The
 double precision q-series reference uses the same expansions as the
 package's evaluator, so it checks consistency, not correctness.  The
 pulled-back period group is a reference of arithmetic, not of values: it
-builds the model's group and then applies alpha^-1 as a second step.
+builds the model's group and then applies alpha^-1 as a second step.  The
+fresh-row residual holds a relation certificate to rows it never saw, in
+every column of its row sampler, whatever box the search was cut to.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import mpmath as mp
 import numpy as np
 
 from locnash.lattices import DiscreteSubgroup, Lattice1
+from locnash.relations import _monomial_matrix, _SamplePool
 from locnash.structures import period_group
 
 
@@ -168,3 +171,13 @@ def random_real_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def central_diff(f, z: complex, h: float = 1e-5) -> complex:
     return (f(z + h) - f(z - h)) / (2 * h)
+
+
+def fresh_row_residual(cert, rows, domain_dim: int, seed: int, n: int = 128) -> float:
+    """The certificate's largest residual on n fresh rows of the row sampler
+    (all cert.variable_arity columns, drawn from a generator of its own), in
+    the column-normalized basis the search validates in."""
+    pool = _SamplePool(rows, cert.variable_arity, domain_dim, np.random.default_rng([seed, 1]))
+    M = _monomial_matrix(pool.ensure(n)[:n], cert.exponents)
+    c = np.array(cert.coefficients)
+    return float(np.max(np.abs(M @ c)) / np.linalg.norm(c * np.linalg.norm(M, axis=0)))

@@ -283,7 +283,7 @@ def test_verify_aat_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("text, degree, line", [
-    (SIN, 3, "coordinate_1 = no relation found at degree 3, total degree <= 6"),
+    (SIN, 3, "coordinate_1 = no relation found at degree 3, total degree <= 6, even exponents"),
     (WP1, 1, "coordinate_1 = no relation found at degree 1"),
 ], ids=["sin-capped", "wp_real-uncapped"])
 def test_verify_aat_negative_report_names_the_box(tmp_path, capsys, text, degree, line):
@@ -309,6 +309,19 @@ def test_check_identities_pass(tmp_path, capsys, lattice):
     assert "all_pass = 1" in out
     assert "zeta_quasi_periodicity_omega1" in out
     assert "scaling_law_c_1+i" in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_identities_sigma_underflow(capsys):
+    """On <0.3+0.1i, 2+7i> sigma(z + w) leaves the double range below, where
+    exp underflows to 0; the log-space check passes with no warning."""
+    assert main(["check-identities", "--lattice", "lattice(0.3+0.1i, 2+7i)"]) == 0
+    out = capsys.readouterr().out
+    assert "all_pass = 1" in out and "nan" not in out
+    for i in (1, 2):
+        name = f"sigma_quasi_periodicity_omega{i} = "
+        line = next(x for x in out.splitlines() if x.startswith(name))
+        assert float(line.split()[2]) < 1e-12
 
 
 def test_reports_byte_identical(tmp_path):
@@ -550,6 +563,20 @@ generator_2 = 0 9.9999999999999998e-201; 0 -3.1415926535897929e+200
 closed_form_1 = (omega1, 2*a*zeta(omega1/2))
 closed_form_2 = (omega2, 2*a*zeta(omega2/2))
 """
+
+
+@pytest.mark.filterwarnings("error")
+def test_pull_back_out_of_range_refused(tmp_path, capsys):
+    """On <3e-308, 3e-308 i> the context builds (its eta constants are about
+    1e308), but alpha^-1 carries them past the double range: one message
+    naming the lattice, exit 3, and no warning."""
+    text = ("dim = 2\nfamily = p4\na = 1\nlattice = lattice(3e-308, 3e-308i)\n"
+            "alpha = 0.5, 0.3, 0.2, 0.5\n")
+    assert main(["periods", desc(tmp_path, "edge.desc", text)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "locnash: the periods of lattice <3.0000000000000002e-308+0j, "
+        "0+3.0000000000000002e-308j> pulled back by alpha^-1 leave the double range\n")
 
 
 def test_classify_skew_lattice_report(tmp_path, capsys):

@@ -78,13 +78,15 @@ def test_capped_exponent_table_filters_the_box(arity, degree, total):
                         for c in itertools.combinations(range(arity), k)]
     for variables in subsets:
         outside = [k for k in range(arity) if variables is not None and k not in variables]
-        for cap in (None, total):
-            table = _exponent_table(arity, degree, cap, variables)
+        for cap, even in itertools.product((None, total), (False, True)):
+            table = _exponent_table(arity, degree, cap, variables, even)
             keep = np.all(full[:, outside] == 0, axis=1)
             if cap is not None:
                 keep &= full.sum(axis=1) <= cap
+            if even:
+                keep &= np.all(full % 2 == 0, axis=1)
             assert table.tolist() == full[keep].tolist()  # same graded-lex order
-            assert _box_size(arity, degree, cap, variables) == len(table)
+            assert _box_size(arity, degree, cap, variables, even) == len(table)
 
 
 def _monomial_matrix_by_columns(values, exponents):
@@ -194,17 +196,19 @@ def test_certificates_match_full_svd_reference(monkeypatch, search):
 
 def test_matrix_budget_guard_counts_the_capped_box(monkeypatch):
     """Arity 5 at degree 8 has 59049 monomials (3.3 GB), 462 of them of total
-    degree <= 6: the capped search passes the guard and reaches sampling."""
+    degree <= 6 and 3125 with even exponents (312 MB): the capped and the
+    even searches pass the guard and reach sampling."""
     def boom(*args):
         raise _Allocated
 
     monkeypatch.setattr(_SamplePool, "ensure", boom)
 
-    def search(total):
-        return _search(lambda *w: None, 5, 8, 64, np.random.default_rng(0), 4, total)
+    def search(total, even=False):
+        return _search(lambda *w: None, 5, 8, 64, np.random.default_rng(0), 4, total, None, even)
 
-    with pytest.raises(_Allocated):
-        search(6)
+    for total, even in ((6, False), (None, True)):
+        with pytest.raises(_Allocated):
+            search(total, even)
     with pytest.raises(ValueError, match="MiB"):
         search(None)
 
@@ -356,17 +360,6 @@ def test_verify_aat_sin_degree_four():
     assert abs(cert.coefficient_of((2, 2, 0)) / c + 2) < 1e-6
 
 
-@given(st.floats(0.25, 4.0), st.integers(0, 2**31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_sin_capped_search_certifies_at_degree_four(scale, seed):
-    # at scales below about 0.5 the sampled values crowd together and the full
-    # 125-monomial box can miss the gap (1.4e6 at the least over 200 draws,
-    # 4 of them uncertified); the 72-monomial box keeps gaps above 1e7 there
-    cert = verify_aat(sin_map(scale), 4, seed=seed).certificates[0]
-    assert cert is not None and cert.max_degree == 4 and cert.max_total_degree == 6
-    assert cert.residual < 1e-6
-
-
 #: X, Y, Z = sin u, sin v, sin(u+v): (Z^2 + X^2 - Y^2)^2 - 4 X^2 Z^2 (1 - Y^2),
 #: the sine addition relation with its integer coefficients
 SIN_RELATION = {
@@ -384,16 +377,36 @@ def _off_sin_relation(coefficients: dict) -> float:
                for e, c in coefficients.items()) / abs(top)
 
 
+@given(st.floats(0.02, 8.0), st.floats(-np.pi, np.pi), st.integers(0, 2**31 - 1))
+@example(0.02, 0, 0)
+@example(0.1, 0, 0)
+@settings(max_examples=40, deadline=None)
+def test_sin_capped_search_certifies_at_degree_four(scale, angle, seed):
+    """sin(alpha u) certifies at degree 4 in the even box for |alpha| in
+    [0.02, 8] at any phase.  At small |alpha| the sampled values crowd
+    together: the full 125-monomial box can miss the gap there, and a box with
+    odd exponents certifies a spurious degree-1 relation near
+    X + Y - Z - XYZ/2 (at alpha = 0.02, seed 0) or nothing (at 0.1); the even
+    box starts at degree 2."""
+    d = sin_map(scale * np.exp(1j * angle))
+    cert = verify_aat(d, 4, seed=seed).certificates[0]
+    assert cert is not None and cert.max_degree == 4 and cert.max_total_degree == 6
+    assert cert.even and not np.any(np.array(cert.exponents) % 2)
+    assert cert.residual < 1e-6
+    assert _off_sin_relation(dict(zip(cert.exponents, cert.coefficients))) < 1e-9
+    assert helpers.fresh_row_residual(cert, _aat_rows(d, 0), 2, seed) < DEFAULT_RES_TOL
+
+
 @given(st.floats(0.5, 4.0), st.integers(0, 2**31 - 1))
 @example(0.5, 1093)
 @settings(max_examples=40, deadline=None)
 def test_sin_capped_search_matches_full_box(scale, seed):
-    """The degree-4 sin relation found among the 72 monomials of total degree
-    <= 6 is the one the full 125-monomial box finds: both match the exact
-    integer relation on the shared monomials, and the full box's other 53
-    coefficients vanish.  Each is held to the exact relation rather than to
-    the other: the full box is the less accurate of the two (2.5e-9 at
-    scale 0.5, seed 1093, where the capped certificate is off by 6.5e-12)."""
+    """The degree-4 sin relation found among the 17 even monomials of total
+    degree <= 6 is the one the full 125-monomial box finds: both match the
+    exact integer relation on the shared monomials, and the full box's other
+    108 coefficients vanish.  Each is held to the exact relation rather than
+    to the other: the full box is the less accurate of the two (2.5e-9 at
+    scale 0.5, seed 1093)."""
     d = sin_map(scale)
     cert = verify_aat(d, 4, seed=seed).certificates[0]
     assert cert is not None and cert.max_degree == 4
@@ -405,7 +418,7 @@ def test_sin_capped_search_matches_full_box(scale, seed):
     full = dict(zip(ref.exponents, ref.coefficients))
     assert _off_sin_relation({e: full[e] for e in got}) < 1e-8
     extra = [abs(c) for e, c in full.items() if e not in got]
-    assert len(extra) == 53
+    assert len(extra) == 108
     assert max(extra) < 1e-8 * max(abs(c) for c in full.values())
 
 
@@ -431,9 +444,10 @@ AAT_RECORD_FIXTURES = {
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_family_aat_total_degree_is_the_relation_degree(family):
     """Each coordinate's record is its relation's box: the certificate names
-    the record's variables and uses no other, and a capped record's cap is
-    the total degree of the certified relation (a cap below it loses the
-    certificate and one above it wastes monomials)."""
+    the record's variables and uses no other, a capped record's cap is the
+    total degree of the certified relation (a cap below it loses the
+    certificate and one above it wastes monomials), and an even record's
+    relation has no odd exponent."""
     d, degree, coords = AAT_RECORD_FIXTURES[family]
     boxes = FAMILIES[family].aat
     assert len(boxes) == d.dim
@@ -442,11 +456,14 @@ def test_family_aat_total_degree_is_the_relation_degree(family):
         cert = _aat_search(d, coord, degree, 64, 3)
         assert cert is not None
         assert cert.variables == box.variables and cert.max_total_degree == box.total_degree
+        assert cert.even == box.even
         if box.variables is not None:
             outside = [k for k in range(2 * d.dim + 1) if k not in box.variables]
             assert not np.array(cert.exponents)[:, outside].any()
         if box.total_degree is not None:
             assert max(sum(e) for e, _ in cert.support()) == box.total_degree
+        if box.even:
+            assert not np.any(np.array([e for e, _ in cert.support()]) % 2)
 
 
 def test_verify_aat_wp():
@@ -586,7 +603,7 @@ def test_verify_aat_degree_and_budget_guards():
 def test_verify_aat_reports_failure():
     # u and e^u are independent: no relation for the exp coordinate at degree 1
     # over a map whose sum coordinate breaks the box; use a degree too low for sin
-    for degree in (2, 3):  # sin's relation has per-variable degree 4
+    for degree in (1, 2, 3):  # sin's relation has per-variable degree 4
         rep = verify_aat(sin_map(), degree, seed=3)
         assert not rep.success and rep.certificates == (None,)
 
@@ -666,16 +683,16 @@ def test_certificate_serialization():
     assert text.startswith("relation_certificate\narity = 3\ndegree = 1\nresidual = ")
     assert "residual = " in text and "singular_gap = " in text
     assert text.count("term (") == len(cert.exponents)
-    assert "total_degree" not in text and "variables" not in text
+    assert "total_degree" not in text and "variables" not in text and "exponents" not in text
 
 
 def test_capped_certificate_names_its_box():
     cert = verify_aat(sin_map(), 4, seed=3).certificates[0]
     text = cert.serialize()
-    assert text.startswith(
-        "relation_certificate\narity = 3\ndegree = 4\ntotal_degree = 6\nresidual = ")
-    assert text.count("term (") == len(cert.exponents) == 72
-    assert all(sum(e) <= 6 for e in cert.exponents)
+    assert text.startswith("relation_certificate\narity = 3\ndegree = 4\ntotal_degree = 6\n"
+                           "exponents = even\nresidual = ")
+    assert text.count("term (") == len(cert.exponents) == 17
+    assert all(sum(e) <= 6 and not any(k % 2 for k in e) for e in cert.exponents)
 
 
 def test_restricted_certificate_names_its_variables():
@@ -725,8 +742,4 @@ def test_restricted_certificate_holds_on_all_columns(case, seed):
     cert = _aat_search(d, coord, 2, 64, seed)
     assert cert is not None and cert.variables == FAMILIES[d.family].aat[coord].variables
     assert any(e[-1] > 0 for e, _ in cert.support())
-    pool = _SamplePool(_aat_rows(d, coord), 5, 4, np.random.default_rng([seed, 1]))
-    M = _monomial_matrix(pool.ensure(128)[:128], cert.exponents)
-    c = np.array(cert.coefficients)
-    residual = np.max(np.abs(M @ c)) / np.linalg.norm(c * np.linalg.norm(M, axis=0))
-    assert residual < DEFAULT_RES_TOL
+    assert helpers.fresh_row_residual(cert, _aat_rows(d, coord), 4, seed) < DEFAULT_RES_TOL

@@ -197,6 +197,22 @@ def test_ill_conditioned_alpha_rejected():
     assert pg(painleve("p2", alpha=[[1, 0], [0, 1e-8]])).rank == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d, source", [
+    (painleve("p3", alpha=[[2e-308, 0], [0, 2e-308]]), "the periods"),
+    (painleve("p6_product", lattice=Lattice1(1, 1j), lattice2=Lattice1(1e307, 1e307j),
+              alpha=[[1, 0], [0, 0.01]]),
+     "the periods of lattice <1+0j, 0+1j> x <9.9999999999999999e+306+0j, "
+     "0+9.9999999999999999e+306j>"),
+], ids=["p3", "p6_product"])
+def test_pull_back_past_the_double_range_refused(d, source):
+    """alpha passes its gate, but alpha^-1 carries a period past the double
+    range: one ValueError naming the lattices, and no warning."""
+    with pytest.raises(ValueError) as info:
+        period_group(d)
+    assert str(info.value) == f"{source} pulled back by alpha^-1 leave the double range"
+
+
 # -- map evaluation ------------------------------------------------------------------
 
 def test_p3_at_origin():
