@@ -16,18 +16,15 @@ values and right singular vectors match it bit for bit.
 
 Degrees are bounded PER VARIABLE: the basis at degree d is
 {X^e : max_i e_i <= d}, ordered graded-lexicographically.  verify_aat cuts
-each coordinate's box by the coordinate's record in the family table: to the
-monomials in the variables its relation needs (f_i(u), f_i(v), f_i(u+v) for
-a function of one linear form alpha_i . u; the other exponents are 0), to
-{X^e : sum_i e_i <= t} when the record gives the total degree t of the
-minimal relation, and to even exponents when the record says the relation is
-even in every variable, so that only the even degrees are tried: monomials
-outside the cut appear in no relation and only cost the SVD.  The cut keeps
-the graded-lex order, and the certificate records it.  Certificates are
-unit-norm coefficient vectors with the phase of the largest coefficient
-normalized to be real positive.  When the nullspace at the found degree has
-dimension > 1 (monomial multiples of the minimal relation fit the same
-degree box), the certificate is the element with the graded-lex minimal
+each coordinate's box by the coordinate's `AATBox` in the family table (its
+variables, total-degree cap and even exponents): monomials outside the cut
+appear in no relation and only cost the SVD.  The cut keeps the graded-lex
+order, and the certificate records its box.  A box of more than 4096
+monomials is refused before sampling: its matrix would pass 512 MiB.
+Certificates are unit-norm coefficient vectors with the phase of the largest
+coefficient normalized to be real positive.  When the nullspace at the found
+degree has dimension > 1 (monomial multiples of the minimal relation fit the
+same degree box), the certificate is the element with the graded-lex minimal
 leading monomial, i.e. the minimal relation itself.
 
 A row sampler maps coordinate arrays to a (batch, arity) complex array; rows
@@ -39,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -59,23 +57,41 @@ DEFAULT_BOX = 1.5  # samples draw real and imaginary parts from [-box, box]
 # |value|^(degree-1); 30 passes a 30-seed robustness scan on every fixture.
 DEFAULT_VALUE_CAP = 30.0
 _MAX_MATRIX_BYTES = 512 * 2**20  # one complex128 monomial matrix
+#: the most monomials m whose matrix, with at least 2m rows, fits the budget
+_MAX_MONOMIALS = math.isqrt(_MAX_MATRIX_BYTES // 32)
 
 Sampler = Callable[..., np.ndarray]
 
 
+def _exponents_summing_to(s: int, k: int, top: int, step: int):
+    """Length-k tuples of multiples of step in [0, top] with sum s, in
+    descending lexicographic order; s is a multiple of step."""
+    if k == 0:
+        yield ()
+        return
+    for e in range(min(s, top), max(0, s - (k - 1) * top) - 1, -step):
+        for rest in _exponents_summing_to(s - e, k - 1, top, step):
+            yield (e,) + rest
+
+
 @functools.cache
-def _exponent_table(arity: int, degree: int, total: int | None = None,
-                    variables: tuple[int, ...] | None = None, even: bool = False) -> np.ndarray:
-    """monomial_exponents as a read-only (monomials, arity) integer array,
-    keeping only the rows with sum <= total when a total cap is given, only
-    those whose exponents outside the given increasing variable positions are
-    0 (None: all), and only even exponents when asked.  The cuts leave the
-    graded-lex order unchanged."""
-    cols = range(arity) if variables is None else variables
-    exps = itertools.product(range(0, degree + 1, 2 if even else 1), repeat=len(cols))
-    if total is not None:
-        exps = (e for e in exps if sum(e) <= total)
-    searched = sorted(exps, key=lambda e: (sum(e), tuple(-x for x in e)))
+def _exponent_table(arity: int, degree: int, box: AATBox = AATBox()) -> np.ndarray:
+    """The monomials of the per-variable degree box cut by `box`, as a
+    read-only (monomials, arity) integer array in graded-lex order.
+
+    Rows are generated one total degree at a time; past _MAX_MONOMIALS rows
+    the box is refused with a ValueError.
+    """
+    cols = range(arity) if box.variables is None else box.variables
+    step = 2 if box.even else 1
+    top = degree - degree % step  # the largest exponent in the box
+    cap = len(cols) * top if box.total_degree is None else min(box.total_degree, len(cols) * top)
+    searched = list(itertools.islice(itertools.chain.from_iterable(
+        _exponents_summing_to(s, len(cols), top, step) for s in range(0, cap + 1, step)),
+        _MAX_MONOMIALS + 1))
+    if len(searched) > _MAX_MONOMIALS:
+        raise ValueError(f"more than {_MAX_MONOMIALS} monomials at degree {degree} exceed "
+                         f"the desk-scale limit of {_MAX_MATRIX_BYTES >> 20} MiB")
     table = np.zeros((len(searched), arity), dtype=np.intp)
     table[:, cols] = searched
     table.flags.writeable = False
@@ -83,7 +99,8 @@ def _exponent_table(arity: int, degree: int, total: int | None = None,
 
 
 def monomial_exponents(arity: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples with every entry <= degree, in graded-lex order."""
+    """Exponent tuples with every entry <= degree, in graded-lex order;
+    raises ValueError past _MAX_MONOMIALS tuples."""
     return [tuple(e) for e in _exponent_table(arity, degree).tolist()]
 
 
@@ -93,13 +110,16 @@ class RelationCertificate:
 
     variable_arity: int
     max_degree: int
-    exponents: tuple[tuple[int, ...], ...]
     coefficients: tuple[complex, ...]
     residual: float
     singular_gap: float
-    max_total_degree: int | None = None
-    variables: tuple[int, ...] | None = None  # the positions searched, when not all
-    even: bool = False  # only even exponents were searched
+    box: AATBox = AATBox()  # the cut of the per-variable degree box searched
+
+    @property
+    def exponents(self) -> tuple[tuple[int, ...], ...]:
+        """The searched monomials, in the order of the coefficients."""
+        return tuple(map(tuple, _exponent_table(self.variable_arity, self.max_degree,
+                                                self.box).tolist()))
 
     def coefficient_of(self, expo: Sequence[int]) -> complex:
         key = tuple(expo)
@@ -123,12 +143,12 @@ class RelationCertificate:
             f"arity = {self.variable_arity}",
             f"degree = {self.max_degree}",
         ]
-        if self.max_total_degree is not None:
-            lines.append(f"total_degree = {self.max_total_degree}")
-        if self.even:
+        if self.box.total_degree is not None:
+            lines.append(f"total_degree = {self.box.total_degree}")
+        if self.box.even:
             lines.append("exponents = even")
-        if self.variables is not None:
-            lines.append("variables = " + ", ".join(f"X{k + 1}" for k in self.variables))
+        if self.box.variables is not None:
+            lines.append("variables = " + ", ".join(f"X{k + 1}" for k in self.box.variables))
         lines += [
             f"residual = {fmt(self.residual)}",
             f"singular_gap = {fmt(self.singular_gap)}",
@@ -274,41 +294,26 @@ def find_relation(
                    domain_dim)
 
 
-def _box_size(arity: int, degree: int, total: int | None,
-              variables: tuple[int, ...] | None = None, even: bool = False) -> int:
-    """len(_exponent_table(arity, degree, total, variables, even)), counted
-    without the table."""
-    searched = arity if variables is None else len(variables)
-    cap = searched * degree if total is None else min(total, searched * degree)
-    exps = range(0, degree + 1, 2 if even else 1)
-    counts = [1] + [0] * cap  # counts[s]: exponent prefixes with sum s
-    for _ in range(searched):
-        counts = [sum(counts[s - e] for e in exps if e <= s) for s in range(cap + 1)]
-    return sum(counts)
-
-
 def _search(rows, arity, max_degree, n_samples, rng, domain_dim,
-            total=None, variables=None, even=False) -> RelationCertificate | None:
-    """find_relation's degree loop over the rows of a row sampler.  With a
-    total cap, every degree's box keeps only the monomials of total degree
-    <= total; with variable positions, only the monomials in those variables
-    (the rows keep every column, and a row with a NaN anywhere is dropped);
-    with even, only even exponents, so the loop tries the even degrees alone
-    (an odd degree's box is the one below it)."""
+            box=AATBox()) -> RelationCertificate | None:
+    """find_relation's degree loop over the rows of a row sampler, each
+    degree's monomials cut by `box` (the rows keep every column, and a row
+    with a NaN anywhere is dropped).  An even box tries the even degrees
+    alone: an odd degree's box is the one below it."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     if arity < 1:
         raise ValueError("need at least one sampler")
-    m = _box_size(arity, max_degree, total, variables, even)
+    m = len(_exponent_table(arity, max_degree, box))
     n_rows = max(n_samples, 2 * m)  # the largest training matrix is n_rows x m
     if 16 * n_rows * m > _MAX_MATRIX_BYTES:
         raise ValueError(f"{m} monomials at degree {max_degree} over {n_rows} rows exceed "
                          f"the desk-scale limit of {_MAX_MATRIX_BYTES >> 20} MiB")
     pool_src = _SamplePool(rows, arity, domain_dim, rng)
 
-    step = 2 if even else 1
+    step = 2 if box.even else 1
     for degree in range(step, max_degree + 1, step):
-        E = _exponent_table(arity, degree, total, variables, even)
+        E = _exponent_table(arity, degree, box)
         m = len(E)
         n_train = max(n_samples, 2 * m)
         pool = pool_src.ensure(2 * n_train)
@@ -334,13 +339,10 @@ def _search(rows, arity, max_degree, n_samples, rng, domain_dim,
         return RelationCertificate(
             variable_arity=arity,
             max_degree=degree,
-            exponents=tuple(map(tuple, E.tolist())),
             coefficients=tuple(complex(x) for x in c_orig),
             residual=residual,
             singular_gap=gap,
-            max_total_degree=total,
-            variables=variables,
-            even=even,
+            box=box,
         )
     return None
 
@@ -399,7 +401,7 @@ def _aat_rows(d: StructureDescriptor, coord: int):
 class AATReport:
     """Per-coordinate addition-theorem certificates for one descriptor, and
     the boxes searched: the per-variable degree, and each coordinate's
-    `AATBox` (its variables and total-degree cap)."""
+    `AATBox`."""
 
     success: bool
     certificates: tuple[RelationCertificate | None, ...]
@@ -421,8 +423,7 @@ def verify_aat(
 
     For each map coordinate i, searches for a relation among
     f_1(u)...f_n(u), f_1(v)...f_n(v), f_i(u+v), in the box of the
-    coordinate's `AATBox` in the family's record: only monomials in its
-    variables, and of at most its total degree.  A relation among some of
+    coordinate's `AATBox` in the family's record.  A relation among some of
     the variables is one among all of them.  Success on every coordinate
     constitutes the certificate.
     """
@@ -435,8 +436,7 @@ def _aat_search(d, coord, max_degree, n_samples, seed) -> RelationCertificate | 
     """verify_aat's search for one map coordinate, in the coordinate's box."""
     n, box = d.dim, FAMILIES[d.family].aat[coord]
     return _search(_aat_rows(d, coord), 2 * n + 1, max_degree, n_samples,
-                   np.random.default_rng(seed + coord), 2 * n, box.total_degree, box.variables,
-                   box.even)
+                   np.random.default_rng(seed + coord), 2 * n, box)
 
 
 def dependent(

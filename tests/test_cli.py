@@ -292,6 +292,17 @@ def test_verify_aat_negative_report_names_the_box(tmp_path, capsys, text, degree
     assert line in capsys.readouterr().out.splitlines()
 
 
+def test_verify_aat_matrix_guard_exits_3(tmp_path, capsys):
+    """Coordinate 2 of p4 searches all five variables: at the default degree 8
+    its box passes the 512 MiB guard, and the command stops with exit 3 and
+    writes no report."""
+    p4 = desc(tmp_path, "p4.desc", P4)
+    assert main(["verify-aat", p4]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert any("degree 8" in line and "512 MiB" in line for line in err.splitlines())
+
+
 def test_verify_aat_report_shows_relation(tmp_path, capsys):
     e = desc(tmp_path, "e.desc", EXP)
     assert main(["verify-aat", e, "--max-degree", "2"]) == 0

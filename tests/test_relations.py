@@ -15,7 +15,6 @@ from locnash.relations import (
     AATReport,
     _aat_rows,
     _aat_search,
-    _box_size,
     _exponent_table,
     _monomial_matrix,
     _SamplePool,
@@ -31,6 +30,7 @@ from locnash.relations import (
 )
 from locnash.structures import (
     FAMILIES,
+    AATBox,
     exp_map,
     identity_map,
     map_batch,
@@ -67,26 +67,43 @@ def test_monomial_order_graded_lex():
     assert monos.index((2, 0)) < monos.index((1, 1)) < monos.index((0, 2))
 
 
+def _graded_lex(e):
+    return sum(e), tuple(-x for x in e)
+
+
 @pytest.mark.parametrize("arity, degree, total", [
     (1, 3, 2), (2, 2, 3), (3, 4, 6), (3, 4, 12), (3, 2, 0), (5, 8, 6), (7, 2, 4),
 ])
 def test_capped_exponent_table_filters_the_box(arity, degree, total):
-    full = _exponent_table(arity, degree)
-    assert _box_size(arity, degree, None) == len(full) == (degree + 1) ** arity
+    """Each box's table is the sorted product filtered by the box, or a
+    ValueError past 4096 rows (the full box at (5, 8) has 59049)."""
+    full = np.array(sorted(itertools.product(range(degree + 1), repeat=arity), key=_graded_lex))
     # every variable subset of up to three positions, and all of them (None)
     subsets = [None] + [c for k in range(1, min(arity, 3) + 1)
                         for c in itertools.combinations(range(arity), k)]
     for variables in subsets:
         outside = [k for k in range(arity) if variables is not None and k not in variables]
         for cap, even in itertools.product((None, total), (False, True)):
-            table = _exponent_table(arity, degree, cap, variables, even)
+            box = AATBox(variables, cap, even)
             keep = np.all(full[:, outside] == 0, axis=1)
             if cap is not None:
                 keep &= full.sum(axis=1) <= cap
             if even:
                 keep &= np.all(full % 2 == 0, axis=1)
-            assert table.tolist() == full[keep].tolist()  # same graded-lex order
-            assert _box_size(arity, degree, cap, variables, even) == len(table)
+            if keep.sum() > 4096:
+                with pytest.raises(ValueError, match="more than 4096 monomials at degree"):
+                    _exponent_table(arity, degree, box)
+            else:
+                assert _exponent_table(arity, degree, box).tolist() == full[keep].tolist()
+
+
+def test_capped_exponent_table_skips_the_uncut_box():
+    """Arity 30 at degree 8 under a total cap of 2: the constant, 30 linear
+    monomials, 30 squares and 435 products of two, built without the 9^30
+    uncut box."""
+    table = [tuple(e) for e in _exponent_table(30, 8, AATBox(total_degree=2)).tolist()]
+    assert len(table) == len(set(table)) == 496
+    assert table == sorted(table, key=_graded_lex) and max(map(sum, table)) == 2
 
 
 def _monomial_matrix_by_columns(values, exponents):
@@ -204,7 +221,8 @@ def test_matrix_budget_guard_counts_the_capped_box(monkeypatch):
     monkeypatch.setattr(_SamplePool, "ensure", boom)
 
     def search(total, even=False):
-        return _search(lambda *w: None, 5, 8, 64, np.random.default_rng(0), 4, total, None, even)
+        return _search(lambda *w: None, 5, 8, 64, np.random.default_rng(0), 4,
+                       AATBox(total_degree=total, even=even))
 
     for total, even in ((6, False), (None, True)):
         with pytest.raises(_Allocated):
@@ -368,12 +386,14 @@ SIN_RELATION = {
 }
 
 
-def _off_sin_relation(coefficients: dict) -> float:
-    """Largest deviation of the given coefficients from the sine relation
-    scaled to them, relative to their X^2 Y^2 Z^2 term (the largest)."""
-    top = coefficients[(2, 2, 2)]
-    align = top / SIN_RELATION[(2, 2, 2)]
-    return max(abs(c - align * SIN_RELATION.get(e, 0))
+def _off_relation(coefficients: dict, relation: dict) -> float:
+    """Largest deviation of the given coefficients from the exact relation
+    scaled to them, relative to their term at the relation's largest
+    coefficient (X^2 Y^2 Z^2 for sin's)."""
+    pivot = max(relation, key=lambda e: abs(relation[e]))
+    top = coefficients[pivot]
+    align = top / relation[pivot]
+    return max(abs(c - align * relation.get(e, 0))
                for e, c in coefficients.items()) / abs(top)
 
 
@@ -390,10 +410,11 @@ def test_sin_capped_search_certifies_at_degree_four(scale, angle, seed):
     box starts at degree 2."""
     d = sin_map(scale * np.exp(1j * angle))
     cert = verify_aat(d, 4, seed=seed).certificates[0]
-    assert cert is not None and cert.max_degree == 4 and cert.max_total_degree == 6
-    assert cert.even and not np.any(np.array(cert.exponents) % 2)
+    assert cert is not None and cert.max_degree == 4 and cert.box == FAMILIES["sin"].aat[0]
+    assert cert.box.total_degree == 6 and cert.box.even
+    assert not np.any(np.array(cert.exponents) % 2)
     assert cert.residual < 1e-6
-    assert _off_sin_relation(dict(zip(cert.exponents, cert.coefficients))) < 1e-9
+    assert _off_relation(dict(zip(cert.exponents, cert.coefficients)), SIN_RELATION) < 1e-9
     assert helpers.fresh_row_residual(cert, _aat_rows(d, 0), 2, seed) < DEFAULT_RES_TOL
 
 
@@ -412,11 +433,11 @@ def test_sin_capped_search_matches_full_box(scale, seed):
     assert cert is not None and cert.max_degree == 4
     assert cert.singular_gap >= 1e9
     got = dict(zip(cert.exponents, cert.coefficients))
-    assert _off_sin_relation(got) < 1e-9
-    ref = _search(_aat_rows(d, 0), 3, 4, 64, np.random.default_rng(seed), 2, None)
+    assert _off_relation(got, SIN_RELATION) < 1e-9
+    ref = _search(_aat_rows(d, 0), 3, 4, 64, np.random.default_rng(seed), 2)
     assert ref is not None and ref.max_degree == 4 and len(ref.exponents) == 125
     full = dict(zip(ref.exponents, ref.coefficients))
-    assert _off_sin_relation({e: full[e] for e in got}) < 1e-8
+    assert _off_relation({e: full[e] for e in got}, SIN_RELATION) < 1e-8
     extra = [abs(c) for e, c in full.items() if e not in got]
     assert len(extra) == 108
     assert max(extra) < 1e-8 * max(abs(c) for c in full.values())
@@ -455,8 +476,7 @@ def test_family_aat_total_degree_is_the_relation_degree(family):
         box = boxes[coord]
         cert = _aat_search(d, coord, degree, 64, 3)
         assert cert is not None
-        assert cert.variables == box.variables and cert.max_total_degree == box.total_degree
-        assert cert.even == box.even
+        assert cert.box == box
         if box.variables is not None:
             outside = [k for k in range(2 * d.dim + 1) if k not in box.variables]
             assert not np.array(cert.exponents)[:, outside].any()
@@ -464,6 +484,33 @@ def test_family_aat_total_degree_is_the_relation_degree(family):
             assert max(sum(e) for e, _ in cert.support()) == box.total_degree
         if box.even:
             assert not np.any(np.array([e for e, _ in cert.support()]) % 2)
+
+
+#: the model coordinates of the elementary families: g(t) = t or e^t
+ELEMENTARY_COORDINATES = {"id": ("id",), "exp": ("exp",), "p1": ("id", "id"),
+                          "p2": ("exp", "id"), "p3": ("exp", "exp")}
+
+
+@pytest.mark.parametrize("family", sorted(ELEMENTARY_COORDINATES))
+@pytest.mark.parametrize("scale", [0.02, 0.05, 0.1])
+def test_small_scale_elementary_search_certifies_the_exact_relation(family, scale):
+    """At small alpha the sampled values crowd together, which can let an
+    approximate relation pass the gates.  Each coordinate g(alpha_i . u) of an
+    elementary family still certifies at degree 1 with its exact relation:
+    X + Y - Z for g(t) = t and XY - Z for g(t) = e^t, with X, Y, Z the
+    coordinate at u, v and u + v."""
+    kinds = ELEMENTARY_COORDINATES[family]
+    n = len(kinds)
+    d = (painleve(family, alpha=scale * np.array(RECORD_ALPHA)) if n == 2
+         else {"id": identity_map, "exp": exp_map}[family](scale))
+    for seed in range(6):
+        rep = verify_aat(d, 2, seed=seed)
+        for coord, (kind, cert) in enumerate(zip(kinds, rep.certificates)):
+            assert cert is not None and cert.max_degree == 1
+            x, y, z = (tuple(int(k == j) for k in range(2 * n + 1)) for j in (coord, n + coord, 2 * n))
+            relation = ({x: 1, y: 1, z: -1} if kind == "id"
+                        else {tuple(a + b for a, b in zip(x, y)): 1, z: -1})
+            assert _off_relation(dict(zip(cert.exponents, cert.coefficients)), relation) < 1e-9
 
 
 def test_verify_aat_wp():
@@ -538,7 +585,7 @@ def _verify_aat_by_columns(d, max_degree, seed):
             return np.stack([np.asarray(s(*w), dtype=complex) for s in samplers], axis=1)
 
         certs.append(_search(rows, 2 * n + 1, max_degree, 64, np.random.default_rng(seed + coord),
-                             2 * n, box.total_degree, box.variables))
+                             2 * n, box))
     return AATReport(None not in certs, tuple(certs), max_degree, boxes)
 
 
@@ -547,6 +594,7 @@ REAL_ALPHA = np.random.default_rng(29).normal(size=(2, 2))
 AAT_CASES = {
     "id": (identity_map(), 1),
     "exp": (exp_map(), 2),
+    "sin": (sin_map(0.75), 4),
     "wp_real": (wp_real(2.0), 2),
     "p1-alpha": (painleve("p1", alpha=REAL_ALPHA), 1),
     "p2-alpha": (painleve("p2", alpha=REAL_ALPHA), 1),
@@ -740,6 +788,6 @@ def test_restricted_certificate_holds_on_all_columns(case, seed):
     involves f_i(u+v)."""
     d, coord = case
     cert = _aat_search(d, coord, 2, 64, seed)
-    assert cert is not None and cert.variables == FAMILIES[d.family].aat[coord].variables
+    assert cert is not None and cert.box == FAMILIES[d.family].aat[coord]
     assert any(e[-1] > 0 for e, _ in cert.support())
     assert helpers.fresh_row_residual(cert, _aat_rows(d, coord), 4, seed) < DEFAULT_RES_TOL
