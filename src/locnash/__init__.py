@@ -24,7 +24,6 @@ from .errors import (
     NotASublattice,
     NotRealStructure,
     ParseError,
-    RankOutOfRange,
 )
 from .lattices import (
     DiscreteSubgroup,
@@ -45,7 +44,6 @@ from .relations import (
     find_relation,
     format_polynomial,
     map_sampler,
-    monomial_exponents,
     translate_algebraicity_check,
     verify_aat,
     wp_sampler,
@@ -53,10 +51,8 @@ from .relations import (
 from .scalars import ExactReal, parse_complex, parse_exact_real
 from .structures import (
     AATBox,
-    MapValue,
     PeriodGroupReport,
     StructureDescriptor,
-    evaluate_map,
     exp_map,
     identity_map,
     is_real_structure,

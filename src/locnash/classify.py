@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotRealStructure, RankOutOfRange
+from .errors import NotRealStructure
 from .lattices import DEFAULT_TOL, conjugation
 from .scalars import ExactReal, ratio_rationality
 from .structures import (
@@ -135,13 +135,12 @@ def classify_1d(d: StructureDescriptor) -> CanonicalForm1D:
         return CanonicalForm1D("id", r)
     if r == 1:
         return CanonicalForm1D("sin" if conjugation(report.group)[0][0, 0] > 0 else "exp", r)
-    if r == 2:
-        a = _canonical_wp_parameter(report.group)
-        a_exact = None
-        if d.a_exact is not None and abs(a - d.a.real) <= DEFAULT_TOL * a:
-            a_exact = d.a_exact
-        return CanonicalForm1D("wp", r, a=a, a_exact=a_exact)
-    raise RankOutOfRange(f"period rank {r} impossible in dimension 1")
+    # rank 2, the most a discrete subgroup of C has
+    a = _canonical_wp_parameter(report.group)
+    a_exact = None
+    if d.a_exact is not None and abs(a - d.a.real) <= DEFAULT_TOL * a:
+        a_exact = d.a_exact
+    return CanonicalForm1D("wp", r, a=a, a_exact=a_exact)
 
 
 def _wp_ratio_verdict(c1: CanonicalForm1D, c2: CanonicalForm1D) -> Verdict:
@@ -218,8 +217,8 @@ class Family2D:
 
 
 def classify_2d(d: StructureDescriptor) -> Family2D:
-    """Family index with its rank witness, cross-validated against the table
-    by z_rank."""
+    """Family index with its rank witness, the number of period generators
+    (z_rank)."""
     if d.dim != 2:
         raise ValueError("classify_2d requires a dim-2 descriptor")
     return Family2D(FAMILIES[d.family].index, z_rank(d))

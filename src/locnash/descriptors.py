@@ -11,19 +11,25 @@ a descriptor survives serialize -> parse unchanged.
 
 from __future__ import annotations
 
+import re
+
 from .errors import DegenerateGenerators, ParseError
 from .lattices import Lattice1
-from .scalars import fmt, parse_complex, parse_exact_real, parse_lattice_literal
+from .scalars import fmt, parse_complex, parse_exact_real
 from .structures import FAMILIES, PARAMETERS, StructureDescriptor
 
 
 def parse_lattice1(text: str) -> Lattice1:
-    """A full lattice of C from its literal ``lattice(w1, w2)``."""
-    dim, gens = parse_lattice_literal(text)
-    if dim != 1 or len(gens) != 2:
+    """A full lattice of C from its literal ``lattice(w1, w2)``: two scalar
+    literals (``scalars.parse_complex``), which hold no comma."""
+    m = re.fullmatch(r"lattice\s*\((.*)\)", text.strip(), flags=re.DOTALL)
+    if not m:
+        raise ParseError(f"not a lattice literal: {text!r}")
+    gens = m.group(1).split(",")
+    if len(gens) != 2:
         raise ParseError("expected a full lattice of C: lattice(w1, w2) with two scalar generators")
     try:
-        return Lattice1(gens[0][0], gens[1][0])
+        return Lattice1(*(parse_complex(g.strip()) for g in gens))
     except (DegenerateGenerators, ValueError) as exc:
         raise ParseError(f"literal does not define a lattice: {exc}") from exc
 

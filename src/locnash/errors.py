@@ -30,9 +30,5 @@ class NotRealStructure(LocNashError):
     """Operation requires a real structure (real matrix, conjugation-closed lattices)."""
 
 
-class RankOutOfRange(LocNashError):
-    """Period-group rank outside the range valid for the ambient dimension."""
-
-
 class InternalInconsistency(LocNashError):
     """Computed invariant contradicts the expected closed form; signals a bug."""

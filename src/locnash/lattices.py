@@ -414,14 +414,6 @@ class Lattice1:
         # not a field, as DiscreteSubgroup._reduction: eq and hash read the pair
         object.__setattr__(self, "_group", DiscreteSubgroup(1, ((w1,), (w2,))))
 
-    @property
-    def covolume(self) -> float:
-        return float((self.omega1.conjugate() * self.omega2).imag)
-
-    @property
-    def scale(self) -> float:
-        return max(abs(self.omega1), abs(self.omega2))
-
     def conjugate(self) -> "Lattice1":
         return Lattice1(self.omega1.conjugate(), self.omega2.conjugate())
 

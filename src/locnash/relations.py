@@ -98,12 +98,6 @@ def _exponent_table(arity: int, degree: int, box: AATBox = AATBox()) -> np.ndarr
     return table
 
 
-def monomial_exponents(arity: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples with every entry <= degree, in graded-lex order;
-    raises ValueError past _MAX_MONOMIALS tuples."""
-    return [tuple(e) for e in _exponent_table(arity, degree).tolist()]
-
-
 @dataclass(frozen=True)
 class RelationCertificate:
     """Unit-norm polynomial certificate with validation evidence."""

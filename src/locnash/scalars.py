@@ -1,4 +1,4 @@
-"""Parsing of complex scalar and lattice literals, and exact real parameters.
+"""Parsing of complex scalar literals and exact real parameters.
 
 Scalar grammar (used by the CLI and descriptor files):
 
@@ -6,9 +6,8 @@ Scalar grammar (used by the CLI and descriptor files):
     term    := [sign] [number] ['pi'] ['*'] ['i']
 
 so ``1``, ``-2.5``, ``2i``, ``1+2i``, ``pi``, ``2pi``, ``2pi*i`` and ``1e-3``
-are all accepted.  A lattice literal is ``lattice(g, ...)`` where each
-generator ``g`` is either a scalar (dimension 1) or a tuple ``(x, y)`` of
-scalars (dimension 2).  Floats are written back with ``fmt``.
+are all accepted; a scalar in parentheses, such as ``(2i)``, is read as the
+scalar.  Floats are written back with ``fmt``.
 """
 
 from __future__ import annotations
@@ -67,59 +66,6 @@ def parse_complex(text: str) -> complex:
         pos = m.end()
         first = False
     return value
-
-
-def _split_generators(body: str) -> list[str]:
-    """Split the body of lattice(...) on top-level commas."""
-    parts: list[str] = []
-    depth = 0
-    cur = []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses in lattice literal")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ParseError("unbalanced parentheses in lattice literal")
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
-
-
-def parse_lattice_literal(text: str) -> tuple[int, list[tuple[complex, ...]]]:
-    """Parse ``lattice(...)`` into (dimension, generator tuples)."""
-    s = text.strip()
-    m = re.fullmatch(r"lattice\s*\((?P<body>.*)\)", s, flags=re.DOTALL)
-    if not m:
-        raise ParseError(f"not a lattice literal: {text!r}")
-    gens_raw = _split_generators(m.group("body"))
-    if gens_raw == [""]:
-        raise ParseError("lattice literal needs at least one generator")
-    gens: list[tuple[complex, ...]] = []
-    dim = None
-    for g in gens_raw:
-        if g.startswith("("):
-            comps = _split_generators(g[1:-1]) if g.endswith(")") else None
-            if comps is None:
-                raise ParseError(f"malformed generator {g!r}")
-            vec = tuple(parse_complex(c) for c in comps)
-        else:
-            vec = (parse_complex(g),)
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ParseError("mixed generator dimensions in lattice literal")
-        gens.append(vec)
-    assert dim is not None
-    if dim not in (1, 2):
-        raise ParseError(f"unsupported lattice dimension {dim}")
-    return dim, gens
 
 
 @dataclass(frozen=True)

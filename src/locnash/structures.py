@@ -27,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InternalInconsistency
 from .lattices import DEFAULT_TOL, DiscreteSubgroup, Lattice1, is_real
 from .scalars import ExactReal
 from .weierstrass import get_context
@@ -73,15 +72,15 @@ class Family:
 
     ``defaults`` pairs each optional field with its default as a function of
     the descriptor (None: absent).  ``a_range`` describes and tests a.
-    ``periods(d)`` gives (generator, closed form) pairs of the model's period
-    group; ``map(d, *w)`` gives (values, poles) of the model at w = alpha u.
-    ``aat`` holds one `AATBox` per map coordinate (by default the one
-    coordinate of a 1-D map over all its variables).
+    ``periods(d)`` gives (generator, closed form) pairs of a basis of the
+    model's period group, so their number is its rank; ``map(d, *w)`` gives
+    (values, poles) of the model at w = alpha u.  ``aat`` holds one `AATBox`
+    per map coordinate (by default the one coordinate of a 1-D map over all
+    its variables).
     """
 
     name: str
     dim: int
-    rank: int
     index: int | None  # Painleve index 1..6 in dimension 2
     periods: Callable
     map: Callable
@@ -186,14 +185,16 @@ def painleve(
 def _check_invertible(alpha: np.ndarray) -> None:
     """ValueError unless `period_group` can pull back by alpha: its inverse
     exists, is finite and has a condition number of at most 1/DEFAULT_TOL.
-    This is the one conditioning gate of alpha; the pull-back tests no other."""
+    That number is alpha's own: LU can invert a singular alpha with subnormal
+    entries to a finite, well-conditioned matrix.  This is the one
+    conditioning gate of alpha; the pull-back tests no other."""
     try:
         inv = np.linalg.inv(alpha)
     except np.linalg.LinAlgError:
         raise ValueError("alpha is singular") from None
     if not np.all(np.isfinite(inv)):
         raise ValueError("the inverse of alpha is not finite")
-    cond = np.linalg.cond(inv)
+    cond = np.linalg.cond(alpha)
     if not cond <= 1.0 / DEFAULT_TOL:
         raise ValueError(f"alpha's condition number {cond:.3e} exceeds 1/DEFAULT_TOL")
 
@@ -269,21 +270,11 @@ def period_group(d: StructureDescriptor) -> PeriodGroupReport:
 
 
 def z_rank(d: StructureDescriptor) -> int:
-    """Rank of the period group; cross-checked against the family table."""
-    r = period_group(d).rank
-    want = FAMILIES[d.family].rank
-    if r != want:
-        raise InternalInconsistency(f"computed rank {r} for family {d.family}, expected {want}")
-    return r
+    """Rank of the period group: the number of the family's period generators."""
+    return period_group(d).rank
 
 
 # -- map evaluation -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class MapValue:
-    values: tuple[complex, ...]
-    poles: tuple[bool, ...]
-
 
 def _entire(*fns):
     """Model taking one entire function per coordinate (None: the identity)."""
@@ -344,17 +335,6 @@ def map_batch(
     return FAMILIES[d.family].map(d, *w)
 
 
-def evaluate_map(
-    d: StructureDescriptor,
-    point,
-) -> MapValue:
-    """Evaluate the descriptor's map at one point of C^dim (a scalar in C)."""
-    vals, poles = map_batch(d, *np.atleast_1d(np.asarray(point, dtype=complex)))
-    return MapValue(
-        tuple(complex(v[0]) for v in vals), tuple(bool(p[0]) for p in poles)
-    )
-
-
 def is_real_structure(d: StructureDescriptor) -> bool:
     """True iff alpha is real and every embedded lattice/parameter is conjugation-stable.
 
@@ -374,32 +354,32 @@ def is_real_structure(d: StructureDescriptor) -> bool:
 
 # -- the family table -----------------------------------------------------------
 
-#: one record per family: name, dim, period rank, 2-D index, closed-form period
-#: generators, model map, then the fields it requires or allows and the box of
-#: each coordinate's addition relation
+#: one record per family: name, dim, 2-D index, closed-form period generators,
+#: model map, then the fields it requires or allows and the box of each
+#: coordinate's addition relation
 FAMILIES: dict[str, Family] = {f.name: f for f in (
-    Family("id", 1, 0, None, _fixed(), _entire(None)),
-    Family("exp", 1, 1, None, _fixed(((_TWO_PI_I,), "2*pi*i")), _entire(np.exp)),
+    Family("id", 1, None, _fixed(), _entire(None)),
+    Family("exp", 1, None, _fixed(((_TWO_PI_I,), "2*pi*i")), _entire(np.exp)),
     # X, Y, Z = sin u, sin v, sin(u+v) satisfy (Z^2 + X^2 - Y^2)^2 = 4 X^2 Z^2 (1 - Y^2),
     # of per-variable degree 4 and total degree 6.  (u, v) -> (-u, -v), u -> u + pi and
     # v -> v + pi give every sign change of (X, Y, Z), so the surface is invariant
     # under each; the relation is irreducible, hence even in every variable
-    Family("sin", 1, 1, None, _fixed(((2.0 * np.pi + 0j,), "2*pi")), _entire(np.sin),
+    Family("sin", 1, None, _fixed(((2.0 * np.pi + 0j,), "2*pi")), _entire(np.sin),
            aat=(AATBox(total_degree=6, even=True),)),
-    Family("wp_real", 1, 2, None, _wp_real_periods, _wp_on("lattice"), required=("a",),
+    Family("wp_real", 1, None, _wp_real_periods, _wp_on("lattice"), required=("a",),
            defaults=(("a_exact", None), ("lattice", _rectangular)),
            a_range=("a real parameter a > 0", lambda a: a.imag == 0 and a.real > 0)),
-    Family("p1", 2, 0, 1, _fixed(), _entire(None, None), aat=_OWN_FORM),
-    Family("p2", 2, 1, 2, _fixed(((_TWO_PI_I, 0j), "(2*pi*i, 0)")), _entire(np.exp, None),
+    Family("p1", 2, 1, _fixed(), _entire(None, None), aat=_OWN_FORM),
+    Family("p2", 2, 2, _fixed(((_TWO_PI_I, 0j), "(2*pi*i, 0)")), _entire(np.exp, None),
            aat=_OWN_FORM),
-    Family("p3", 2, 2, 3, _fixed(((_TWO_PI_I, 0j), "(2*pi*i, 0)"),
-                                 ((0j, _TWO_PI_I), "(0, 2*pi*i)")), _entire(np.exp, np.exp),
+    Family("p3", 2, 3, _fixed(((_TWO_PI_I, 0j), "(2*pi*i, 0)"),
+                              ((0j, _TWO_PI_I), "(0, 2*pi*i)")), _entire(np.exp, np.exp),
            aat=_OWN_FORM),
     # coordinate 2 of p4 (a = 1) and p5 involves both linear forms: it searches every variable
-    Family("p4", 2, 2, 4, _elliptic_periods, _p4_map, required=("a", "lattice"),
+    Family("p4", 2, 4, _elliptic_periods, _p4_map, required=("a", "lattice"),
            a_range=("a = 0 or a = 1", lambda a: a in (0, 1)), aat=(_OWN_FORM[0], AATBox())),
-    Family("p5", 2, 3, 5, _p5_periods, _p5_map, required=("a", "lattice"),
+    Family("p5", 2, 5, _p5_periods, _p5_map, required=("a", "lattice"),
            aat=(_OWN_FORM[0], AATBox())),
-    Family("p6_product", 2, 4, 6, _p6_periods, _wp_on("lattice", "lattice2"),
+    Family("p6_product", 2, 6, _p6_periods, _wp_on("lattice", "lattice2"),
            required=("lattice", "lattice2"), aat=_OWN_FORM),
 )}

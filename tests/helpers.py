@@ -7,7 +7,8 @@ hard-cutoff lattice sums; none of these shares code with the package.  The
 double precision q-series reference uses the same expansions as the
 package's evaluator, so it checks consistency, not correctness.  The
 pulled-back period group is a reference of arithmetic, not of values: it
-builds the model's group and then applies alpha^-1 as a second step.  The
+builds the model's group and then applies alpha^-1 as a second step, and
+each family's period rank is written out in `PERIOD_RANK`.  The
 fresh-row residual holds a relation certificate to rows it never saw, in
 every column of its row sampler, whatever box the search was cut to.
 """
@@ -121,9 +122,9 @@ def qseries_reference(lat: Lattice1, nterms: int = 200):
 
 def eisenstein_oracle(lat: Lattice1, factor: float = 400.0):
     """g2 = 60 sum 1/w^4 and g3 = 140 sum 1/w^6 by plain truncated sums."""
-    R = factor * lat.scale
     w1, w2 = lat.omega1, lat.omega2
-    area = lat.covolume
+    R = factor * max(abs(w1), abs(w2))
+    area = (w1.conjugate() * w2).imag
     m_max = int(np.ceil(R * abs(w2) / area)) + 2
     n_max = int(np.ceil(R * abs(w1) / area)) + 2
     M, N = np.meshgrid(
@@ -148,6 +149,12 @@ def brute_contains(G, x, box: int = 50, tol: float = 1e-9) -> bool:
         total += g_coeff[..., None] * np.asarray(gen, dtype=complex)
     dist = np.abs(total - vec).sum(axis=-1)
     return bool(dist.min() <= tol * scale)
+
+
+#: the rank of each family's period group as the paper gives it, held apart
+#: from the code that computes it
+PERIOD_RANK = {"id": 0, "exp": 1, "sin": 1, "wp_real": 2,
+               "p1": 0, "p2": 1, "p3": 2, "p4": 2, "p5": 3, "p6_product": 4}
 
 
 def pulled_back_period_group(d) -> tuple[DiscreteSubgroup, tuple[str, ...]]:

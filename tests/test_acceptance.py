@@ -18,7 +18,6 @@ from locnash.lattices import Lattice1, subgroup
 from locnash.relations import dependent, find_relation, verify_aat, wp_sampler
 from locnash.scalars import ExactReal
 from locnash.structures import (
-    FAMILIES,
     StructureDescriptor,
     exp_map,
     identity_map,
@@ -162,7 +161,7 @@ def test_criterion_05_rank_table():
         }
         for fam, d in draws.items():
             total += 1
-            if z_rank(d) != FAMILIES[fam].rank:
+            if z_rank(d) != helpers.PERIOD_RANK[fam]:
                 failures += 1
     ok = failures == 0
     _report(5, "Z-rank table", ok, f"{failures} failures in {total} draws")
@@ -201,7 +200,7 @@ def test_criterion_07_rank_invariance_under_alpha():
     rng = np.random.default_rng(CFG.seed)
     failures = 0
     for fam, d in {**FIXTURES_2D, **FIXTURES_1D}.items():
-        base = FAMILIES[fam].rank
+        base = helpers.PERIOD_RANK[fam]
         for _ in range(20):
             A = helpers.random_real_invertible(rng, d.dim)
             d2 = StructureDescriptor(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from locnash import cli
 from locnash.cli import RunConfig, _csv_rows, _parse_grid, build_parser, main
 from locnash.descriptors import parse_descriptor
@@ -159,9 +160,16 @@ def test_eval_descriptor_dim2_needs_out(tmp_path, capsys):
     ["classify", "desc:lattice(1)"],
     ["eval", "--lattice", "lattice(1e400, 1i)", "--grid", "0:1:1"],
     ["classify", "desc:lattice(1e400, 1i)"],
+    ["eval", "--lattice", "lattice(1, 2i, 3)", "--grid", "0:1:1"],
+    ["classify", "desc:lattice(1, 2i, 3)"],
+    ["eval", "--lattice", "lattice()", "--grid", "0:1:1"],
+    ["classify", "desc:lattice()"],
+    ["eval", "--lattice", "latice(1, 2)", "--grid", "0:1:1"],
+    ["classify", "desc:latice(1, 2)"],
 ], ids=["eval-degenerate", "check-identities-degenerate", "check-identities-rank-1",
         "eval-dim-2", "descriptor-degenerate", "descriptor-rank-1", "eval-non-finite",
-        "descriptor-non-finite"])
+        "descriptor-non-finite", "eval-three-generators", "descriptor-three-generators",
+        "eval-empty", "descriptor-empty", "eval-bad-head", "descriptor-bad-head"])
 def test_bad_lattice_literal_exits_2(tmp_path, capsys, argv):
     # "desc:L" stands for a p4 descriptor file whose lattice field is L
     argv = [desc(tmp_path, "bad.desc", P4.replace("lattice(1, 1i)", a[5:]))
@@ -528,7 +536,7 @@ def test_alpha_conditioning_boundary(tmp_path, capsys, family, rotate, s):
         out, err = capsys.readouterr()
         assert out == "" and "parse error" in err and "condition number" in err
     else:
-        assert period_group(painleve(family, alpha=alpha)).rank == FAMILIES[family].rank
+        assert period_group(painleve(family, alpha=alpha)).rank == helpers.PERIOD_RANK[family]
         assert main(["periods", d]) == 0
 
 

@@ -32,6 +32,7 @@ SCRIPT = textwrap.dedent("""
         raise AssertionError("mpmath was not blocked")
 
     import locnash
+    assert "argparse" not in sys.modules
     from locnash.cli import main
     from locnash.relations import verify_aat
     from locnash.structures import exp_map

@@ -23,7 +23,6 @@ from locnash.relations import (
     dependent,
     find_relation,
     map_sampler,
-    monomial_exponents,
     translate_algebraicity_check,
     verify_aat,
     wp_sampler,
@@ -60,7 +59,7 @@ def wp_prime_s(lat):
 # -- monomial basis ---------------------------------------------------------------
 
 def test_monomial_order_graded_lex():
-    monos = monomial_exponents(2, 2)
+    monos = [tuple(e) for e in _exponent_table(2, 2).tolist()]
     assert monos[0] == (0, 0)
     assert monos[1:3] == [(1, 0), (0, 1)]
     assert len(monos) == 9  # per-variable bound: (d+1)^arity
@@ -125,13 +124,13 @@ def _monomial_matrix_by_columns(values, exponents):
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_monomial_matrix_matches_column_loop(rng, arity, degree):
     values = rng.normal(size=(37, arity)) + 1j * rng.normal(size=(37, arity))
-    monos = monomial_exponents(arity, degree)
+    monos = _exponent_table(arity, degree)
     M = _monomial_matrix(values, monos)
     ref = _monomial_matrix_by_columns(values, monos)
     # bit for bit, and C-ordered so that column norms sum in the same order
     assert M.flags.c_contiguous
     assert M.shape == ref.shape and M.tobytes() == ref.tobytes()
-    assert monomial_exponents(arity, degree) is not monos
+    assert not monos.flags.writeable  # the cached table cannot be changed in place
 
 
 # -- singular spectrum from the QR factor -----------------------------------------
@@ -168,7 +167,7 @@ SEARCH_SHAPES = [
 def test_singular_spectrum_matches_full_svd(family, arity, degree):
     f = np.sin if family == "sin" else wp_s(Lattice1(1, 1j))
     samplers, dim = _addition_samplers(f, arity)
-    exps = monomial_exponents(arity, degree)
+    exps = _exponent_table(arity, degree)
     n_train = max(64, 2 * len(exps))  # find_relation's rows at n_samples = 64
     def rows(*w):
         return np.stack([s(*w) for s in samplers], axis=1)

@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from locnash.descriptors import parse_lattice1
 from locnash.errors import ParseError
-from locnash.scalars import (
-    ExactReal,
-    parse_complex,
-    parse_exact_real,
-    parse_lattice_literal,
-    ratio_rationality,
-)
+from locnash.lattices import Lattice1
+from locnash.scalars import ExactReal, parse_complex, parse_exact_real, ratio_rationality
 
 
 @pytest.mark.parametrize(
@@ -54,23 +50,18 @@ def test_parse_complex_roundtrip(re, im):
     assert parse_complex(text) == complex(re, im)
 
 
-def test_parse_lattice_dim1():
-    dim, gens = parse_lattice_literal("lattice(1, 2i)")
-    assert dim == 1
-    assert gens == [(1 + 0j,), (2j,)]
+@pytest.mark.parametrize("text", ["lattice(1, 2i)", " lattice ( 1 , (2i) ) "])
+def test_parse_lattice(text):
+    assert parse_lattice1(text) == Lattice1(1, 2j)
 
 
-def test_parse_lattice_dim2():
-    dim, gens = parse_lattice_literal("lattice((2pi*i,0),(0,2pi*i))")
-    assert dim == 2
-    assert gens[0] == (2j * math.pi, 0j)
-    assert gens[1] == (0j, 2j * math.pi)
-
-
-@pytest.mark.parametrize("bad", ["lattice()", "latice(1,2)", "lattice((1,2),3)", "lattice(1,(2,3)"])
+@pytest.mark.parametrize("bad", [
+    "lattice()", "latice(1,2)", "lattice((1,2),3)", "lattice(1,(2,3)",
+    "lattice((2pi*i,0),(0,2pi*i))", "lattice(1, ((2i)))",
+])
 def test_parse_lattice_rejects(bad):
     with pytest.raises(ParseError):
-        parse_lattice_literal(bad)
+        parse_lattice1(bad)
 
 
 def test_exact_real():
