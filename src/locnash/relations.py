@@ -28,8 +28,10 @@ same degree box), the certificate is the element with the graded-lex minimal
 leading monomial, i.e. the minimal relation itself.
 
 A row sampler maps coordinate arrays to a (batch, arity) complex array; rows
-with a NaN entry are rejected.  verify_aat evaluates its map once at u, v and
-u+v per batch; find_relation stacks its column samplers into rows.
+with a NaN entry are rejected.  find_relation stacks its column samplers into
+rows.  verify_aat and translate_algebraicity_check sample the model map F at
+w = alpha u, where u -> alpha u is a bijection, so F's relations are the
+map's: verify_aat evaluates F once at w, w' and w+w' per batch.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -247,8 +249,10 @@ class _SamplePool:
         while len(self.rows) < size:
             if self.attempts > 60 * size + 1024:
                 raise InsufficientSamples(
-                    f"collected {len(self.rows)}/{size} samples "
-                    f"after {self.attempts} draws"
+                    f"collected {len(self.rows)}/{size} samples after {self.attempts} draws of "
+                    f"real and imaginary parts uniform in [-{DEFAULT_BOX}, {DEFAULT_BOX}] per "
+                    "coordinate, rejecting rows with a NaN entry (the built-in samplers' poles, "
+                    f"non-finite values and |value| > {DEFAULT_VALUE_CAP:g})"
                 )
             batch = max(256, size - len(self.rows))
             coords = [
@@ -375,14 +379,14 @@ def wp_sampler(lattice) -> Sampler:
 
 
 def _aat_rows(d: StructureDescriptor, coord: int):
-    """Row sampler f_1(u)...f_n(u), f_1(v)...f_n(v), f_coord(u+v) over 2n
-    coordinates: u is the first n, v the last n."""
-    n = d.dim
+    """Row sampler F_1(w)...F_n(w), F_1(w')...F_n(w'), F_coord(w+w') of the
+    model map F over 2n model coordinates: w is the first n, w' the last n."""
+    n, model = d.dim, FAMILIES[d.family].map
 
     def rows(*coords):
-        u, v = coords[:n], coords[n:]
-        (fu, pu), (fv, pv) = map_batch(d, *u), map_batch(d, *v)
-        fuv, puv = map_batch(d, *(a + b for a, b in zip(u, v)))
+        w, w2 = coords[:n], coords[n:]
+        (fu, pu), (fv, pv) = model(d, *w), model(d, *w2)
+        fuv, puv = model(d, *(a + b for a, b in zip(w, w2)))
         cols = [_reject(f[j], p[j]) for f, p in ((fu, pu), (fv, pv)) for j in range(n)]
         return np.stack(cols + [_reject(fuv[coord], puv[coord])], axis=1)
 
@@ -457,5 +461,8 @@ def translate_algebraicity_check(
     seed: int = 0,
 ) -> RelationCertificate | None:
     """Certificate that u -> f(u + shift) is algebraic over the unshifted map
-    (dim-1 descriptors only, as map_sampler checks)."""
-    return find_relation([map_sampler(d), map_sampler(d, shift)], max_degree, n_samples, seed)
+    (dim-1 descriptors only, as map_sampler checks): F(w + alpha shift) over
+    F(w) for the model map F."""
+    m = replace(d, alpha=None)
+    return find_relation([map_sampler(m), map_sampler(m, d.alpha[0][0] * shift)], max_degree,
+                         n_samples, seed)

@@ -13,11 +13,12 @@ refuses an alpha whose inverse that pull-back could not apply.
 
 Each family's facts sit in one record of the table ``FAMILIES`` at the end
 of this module; validation, period groups, evaluation, serialization,
-classification and the addition-theorem search all read that table.  A
-coordinate that is a function of one linear form alpha_i . u, as every
-coordinate of p1, p2, p3 and p6_product and coordinate 1 of p4 and p5 are,
-has an addition relation among f_i(u), f_i(v) and f_i(u+v) alone, and its
-record keeps the search to those three.
+classification and the addition-theorem search all read that table.  The
+search samples the model map F in model coordinates w = alpha u, where the
+map's relations are F's.  A model coordinate that is a function of w_i
+alone, as every coordinate of p1, p2, p3 and p6_product and coordinate 1 of
+p4 and p5 are, has an addition relation among F_i(w), F_i(w') and
+F_i(w+w') alone, and its record keeps the search to those three.
 """
 
 from __future__ import annotations
@@ -46,12 +47,13 @@ def _identity(n: int) -> tuple[tuple[complex, ...], ...]:
 class AATBox:
     """The search box of one map coordinate's addition relation.
 
-    ``variables`` are the positions, in (f_1(u), ..., f_n(u), f_1(v), ...,
-    f_n(v), f_i(u+v)), of the variables the relation needs (None: all
-    2n + 1).  A coordinate g(alpha_i . u) needs only f_i(u), f_i(v) and
-    f_i(u+v), whatever alpha is.  ``total_degree`` is the relation's total
-    degree when it is below what the per-variable box admits; the search then
-    keeps only monomials up to it (None: no cap).  ``even`` says that every
+    ``variables`` are the positions, in (F_1(w), ..., F_n(w), F_1(w'), ...,
+    F_n(w'), F_i(w+w')) of the model map F at model coordinates w = alpha u,
+    of the variables the relation needs (None: all 2n + 1).  A coordinate
+    g(w_i), a function of w_i alone, needs only F_i(w), F_i(w') and
+    F_i(w+w').  ``total_degree`` is the relation's total degree when it is
+    below what the per-variable box admits; the search then keeps only
+    monomials up to it (None: no cap).  ``even`` says that every
     exponent of the relation is even; the search then keeps only monomials
     with even exponents.
     """
@@ -61,8 +63,8 @@ class AATBox:
     even: bool = False
 
 
-#: the boxes of 2-D coordinates that are each a function of their own linear
-#: form alpha_i . u: f_i(u), f_i(v), f_i(u+v)
+#: the boxes of 2-D coordinates that are each a function of their own model
+#: coordinate w_i alone: F_i(w), F_i(w'), F_i(w+w')
 _OWN_FORM = (AATBox((0, 2, 4)), AATBox((1, 3, 4)))
 
 
@@ -375,7 +377,7 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family("p3", 2, 3, _fixed(((_TWO_PI_I, 0j), "(2*pi*i, 0)"),
                               ((0j, _TWO_PI_I), "(0, 2*pi*i)")), _entire(np.exp, np.exp),
            aat=_OWN_FORM),
-    # coordinate 2 of p4 (a = 1) and p5 involves both linear forms: it searches every variable
+    # coordinate 2 of p4 (a = 1) and p5 involves both model coordinates: it searches every variable
     Family("p4", 2, 4, _elliptic_periods, _p4_map, required=("a", "lattice"),
            a_range=("a = 0 or a = 1", lambda a: a in (0, 1)), aat=(_OWN_FORM[0], AATBox())),
     Family("p5", 2, 5, _p5_periods, _p5_map, required=("a", "lattice"),

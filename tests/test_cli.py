@@ -300,6 +300,24 @@ def test_verify_aat_negative_report_names_the_box(tmp_path, capsys, text, degree
     assert line in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("text, alpha, line", [
+    (WP1, "0.1", "coordinate_1 = degree 2,"),
+    (SIN, "20", "coordinate_1 = degree 4,"),
+], ids=["wp_real-0.1", "sin-20"])
+def test_verify_aat_report_does_not_depend_on_alpha(tmp_path, capsys, text, alpha, line):
+    """The search samples the model map in model coordinates, so a scaled
+    map certifies with the identity-alpha report from [result] on; sampled
+    at uniform u, both ran out of samples (wp's pole crowds the box at
+    alpha = 0.1, sin leaves the value cap at 20)."""
+    scaled = desc(tmp_path, "scaled.desc", text + f"alpha = {alpha}\n")
+    model = desc(tmp_path, "model.desc", text)
+    assert main(["verify-aat", scaled, "--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    assert any(row.startswith(line) for row in out.splitlines())
+    assert main(["verify-aat", model, "--seed", "4"]) == 0
+    assert out.split("[result]")[1] == capsys.readouterr().out.split("[result]")[1]
+
+
 def test_verify_aat_matrix_guard_exits_3(tmp_path, capsys):
     """Coordinate 2 of p4 searches all five variables: at the default degree 8
     its box passes the 512 MiB guard, and the command stops with exit 3 and

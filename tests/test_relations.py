@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -402,11 +403,9 @@ def _off_relation(coefficients: dict, relation: dict) -> float:
 @settings(max_examples=40, deadline=None)
 def test_sin_capped_search_certifies_at_degree_four(scale, angle, seed):
     """sin(alpha u) certifies at degree 4 in the even box for |alpha| in
-    [0.02, 8] at any phase.  At small |alpha| the sampled values crowd
-    together: the full 125-monomial box can miss the gap there, and a box with
-    odd exponents certifies a spurious degree-1 relation near
-    X + Y - Z - XYZ/2 (at alpha = 0.02, seed 0) or nothing (at 0.1); the even
-    box starts at degree 2."""
+    [0.02, 8] at any phase: the search samples sin at model coordinates
+    w = alpha u, so every alpha gives the rows of alpha = 1, and no small
+    |alpha| crowds the sampled values together."""
     d = sin_map(scale * np.exp(1j * angle))
     cert = verify_aat(d, 4, seed=seed).certificates[0]
     assert cert is not None and cert.max_degree == 4 and cert.box == FAMILIES["sin"].aat[0]
@@ -493,11 +492,12 @@ ELEMENTARY_COORDINATES = {"id": ("id",), "exp": ("exp",), "p1": ("id", "id"),
 @pytest.mark.parametrize("family", sorted(ELEMENTARY_COORDINATES))
 @pytest.mark.parametrize("scale", [0.02, 0.05, 0.1])
 def test_small_scale_elementary_search_certifies_the_exact_relation(family, scale):
-    """At small alpha the sampled values crowd together, which can let an
-    approximate relation pass the gates.  Each coordinate g(alpha_i . u) of an
-    elementary family still certifies at degree 1 with its exact relation:
-    X + Y - Z for g(t) = t and XY - Z for g(t) = e^t, with X, Y, Z the
-    coordinate at u, v and u + v."""
+    """Each coordinate g(w_i) of an elementary family certifies at degree 1
+    with its exact relation at small alpha: X + Y - Z for g(t) = t and
+    XY - Z for g(t) = e^t, with X, Y, Z the coordinate at w, w' and w + w'.
+    The search samples in model coordinates w = alpha u, so a small alpha
+    does not crowd the sampled values together, where an approximate
+    relation could pass the gates."""
     kinds = ELEMENTARY_COORDINATES[family]
     n = len(kinds)
     d = (painleve(family, alpha=scale * np.array(RECORD_ALPHA)) if n == 2
@@ -556,13 +556,14 @@ def test_verify_aat_p3_both_coordinates():
 
 
 def _column_sampler(d, coord, part):
-    """Reference: one map coordinate at u, v or u+v, one map_batch per column."""
+    """Reference: one coordinate of the family's model map at w, w' or w+w',
+    one evaluation per column."""
     n = d.dim
 
-    def sampler(*w):
-        u, v = w[:n], w[n:]
-        args = {"u": u, "v": v, "uv": tuple(a + b for a, b in zip(u, v))}[part]
-        vals, poles = map_batch(d, *args)
+    def sampler(*coords):
+        w, w2 = coords[:n], coords[n:]
+        args = {"w": w, "w'": w2, "w+w'": tuple(a + b for a, b in zip(w, w2))}[part]
+        vals, poles = FAMILIES[d.family].map(d, *args)
         out = np.array(vals[coord], dtype=complex)
         out[poles[coord] | ~np.isfinite(out) | (np.abs(out) > DEFAULT_VALUE_CAP)] = complex("nan")
         return out
@@ -576,9 +577,9 @@ def _verify_aat_by_columns(d, max_degree, seed):
     n, boxes = d.dim, FAMILIES[d.family].aat
     certs = []
     for coord, box in enumerate(boxes):
-        samplers = ([_column_sampler(d, j, "u") for j in range(n)]
-                    + [_column_sampler(d, j, "v") for j in range(n)]
-                    + [_column_sampler(d, coord, "uv")])
+        samplers = ([_column_sampler(d, j, "w") for j in range(n)]
+                    + [_column_sampler(d, j, "w'") for j in range(n)]
+                    + [_column_sampler(d, coord, "w+w'")])
 
         def rows(*w, samplers=samplers):
             return np.stack([np.asarray(s(*w), dtype=complex) for s in samplers], axis=1)
@@ -618,11 +619,12 @@ def test_verify_aat_matches_column_samplers(case):
 @pytest.mark.parametrize("case", ["exp", "p4-a0", "p6_product"])
 def test_verify_aat_evaluates_map_three_times_per_batch(monkeypatch, case):
     d, degree = AAT_CASES[case]
-    counts = {"map_batch": 0, "batches": 0}
+    counts = {"map": 0, "batches": 0}
+    family = FAMILIES[d.family]
 
-    def counting_map_batch(*args):
-        counts["map_batch"] += 1
-        return map_batch(*args)
+    def counting_map(*args):
+        counts["map"] += 1
+        return family.map(*args)
 
     class CountingPool(_SamplePool):
         def __init__(self, rows, *args):
@@ -632,11 +634,90 @@ def test_verify_aat_evaluates_map_three_times_per_batch(monkeypatch, case):
 
             super().__init__(counted, *args)
 
-    monkeypatch.setattr(relations, "map_batch", counting_map_batch)
+    monkeypatch.setitem(FAMILIES, d.family, dataclasses.replace(family, map=counting_map))
     monkeypatch.setattr(relations, "_SamplePool", CountingPool)
     rep = verify_aat(d, degree, seed=3)
     assert rep.success and counts["batches"] >= d.dim
-    assert counts["map_batch"] == 3 * counts["batches"]
+    assert counts["map"] == 3 * counts["batches"]
+
+
+# -- alpha is not an input of the searches ------------------------------------------------------
+
+def _signed(draw, modulus, is_complex):
+    """modulus times a random phase, or times a random sign."""
+    if is_complex:
+        return modulus * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    return modulus * draw(st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def rescaled_cases(draw):
+    """An AAT_CASES fixture under a random real or complex alpha whose
+    entries have moduli log-uniform in [1e-2, 1e2], the fixture under the
+    identity alpha, and the fixture's degree."""
+    d, degree = AAT_CASES[draw(st.sampled_from(sorted(AAT_CASES)))]
+    is_complex = draw(st.booleans())
+    alpha = [[_signed(draw, 10.0 ** draw(st.floats(-2, 2)), is_complex) for _ in range(d.dim)]
+             for _ in range(d.dim)]
+    try:
+        scaled = dataclasses.replace(d, alpha=alpha)
+    except ValueError:  # construction refuses an ill-conditioned alpha
+        scaled = None
+    assume(scaled is not None)
+    return scaled, dataclasses.replace(d, alpha=None), degree
+
+
+@given(rescaled_cases(), st.integers(0, 2**31 - 1), st.floats(-1, 1), st.floats(-1, 1))
+@settings(max_examples=40, deadline=None)
+def test_alpha_is_not_an_input_of_the_searches(case, seed, re_t, im_t):
+    """Both searches sample the model map F at model coordinates w = alpha u,
+    so alpha changes none of their rows: verify_aat's report under any alpha
+    is the identity-alpha report (dataclass equality), and on a 1-D map
+    translate_algebraicity_check(d, s) is the identity-alpha check at the
+    model shift alpha s, drawn here in the unit box."""
+    d, model, degree = case
+    assert verify_aat(d, degree, seed=seed) == verify_aat(model, degree, seed=seed)
+    if d.dim == 1:
+        alpha = d.alpha[0][0]
+        shift = complex(re_t, im_t) / alpha
+        assert (translate_algebraicity_check(d, shift, 2, seed=seed)
+                == translate_algebraicity_check(model, alpha * shift, 2, seed=seed))
+
+
+R_ALPHA = np.array([[1, 0.3], [0.2, 1]])
+P6_LATTICES = {"lattice": Lattice1(1, 1j), "lattice2": Lattice1(1, 2j)}
+#: descriptor, degree, seeds and found degrees of scaled maps whose search,
+#: when it sampled the map at uniform u rather than the model at uniform
+#: w = alpha u, ran out of samples (small |alpha| crowds wp's values near its
+#: pole at 0; large |alpha| lifts sin past the value cap) or, exp at seed 1,
+#: found nothing
+SCALED_CASES = {
+    "wp_real-0.1": (wp_real(1.0, alpha=0.1), 6, (0, 1), (2,)),
+    "sin-20": (sin_map(20), 8, (0, 1), (4,)),
+    "p4-a0-0.1R": (painleve("p4", a=0, lattice=Lattice1(1, 1j), alpha=0.1 * R_ALPHA), 2,
+                   (0, 1), (2, 1)),
+    "p4-a0-0.02R": (painleve("p4", a=0, lattice=Lattice1(1, 1j), alpha=0.02 * R_ALPHA), 2,
+                    (0, 1), (2, 1)),
+    "p6_product-0.02R": (painleve("p6_product", alpha=0.02 * R_ALPHA, **P6_LATTICES), 6,
+                         (0, 1), (2, 2)),
+    "exp-100": (exp_map(100), 8, (1,), (1,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALED_CASES))
+def test_scaled_alpha_certifies_the_identity_degrees(case):
+    d, degree, seeds, found = SCALED_CASES[case]
+    for seed in seeds:
+        rep = verify_aat(d, degree, seed=seed)
+        assert rep.success and rep.found_degrees == found
+        assert rep == verify_aat(dataclasses.replace(d, alpha=None), degree, seed=seed)
+
+
+def test_scaled_sin_translate_certifies_at_degree_two():
+    """sin(0.1 u + 0.01) over sin(0.1 u): found nothing when sampled at
+    uniform u, where both values crowd near 0."""
+    cert = translate_algebraicity_check(sin_map(0.1), 0.1, 4, seed=0)
+    assert cert is not None and cert.max_degree == 2
 
 
 def test_verify_aat_degree_and_budget_guards():
@@ -717,7 +798,7 @@ def test_insufficient_samples():
     def always_pole(u):
         return np.full(np.shape(u), complex("nan"))
 
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(InsufficientSamples, match=r"uniform in \[-1\.5, 1\.5\] per coordinate"):
         find_relation([always_pole], 1, seed=0, domain_dim=1)
 
 
@@ -765,7 +846,9 @@ RESTRICTED = [(name, coord) for name, fam in sorted(FAMILIES.items())
 @st.composite
 def restricted_coordinates(draw):
     """A descriptor of a family with a restricted record, one such coordinate
-    of it, and a random real alpha whose rows are not short."""
+    of it, and a random real alpha whose rows are not short.  The search
+    samples in model coordinates, so the rows it draws do not depend on
+    alpha, short rows or not."""
     family, coord = draw(st.sampled_from(RESTRICTED))
     a, b, c, e = (draw(st.floats(-1.5, 1.5)) for _ in range(4))
     assume(min(np.hypot(a, b), np.hypot(c, e)) >= 0.5 and abs(a * e - b * c) >= 0.1)
