@@ -18,7 +18,10 @@ search samples the model map F in model coordinates w = alpha u, where the
 map's relations are F's.  A model coordinate that is a function of w_i
 alone, as every coordinate of p1, p2, p3 and p6_product and coordinate 1 of
 p4 and p5 are, has an addition relation among F_i(w), F_i(w') and
-F_i(w+w') alone, and its record keeps the search to those three.
+F_i(w+w') alone, and its record keeps the search to those three.  Each
+record also starts the search at its relation's per-variable degree: 4 for
+sin, 2 for the wp coordinates (wp_real, coordinate 1 of p4 and p5, both
+coordinates of p6_product), and 1 elsewhere.
 """
 
 from __future__ import annotations
@@ -55,17 +58,29 @@ class AATBox:
     below what the per-variable box admits; the search then keeps only
     monomials up to it (None: no cap).  ``even`` says that every
     exponent of the relation is even; the search then keeps only monomials
-    with even exponents.
+    with even exponents.  ``degree`` is the relation's per-variable degree,
+    where the search starts: the closure of the sampled points is an
+    irreducible hypersurface, so every relation is a multiple of the minimal
+    one and no smaller box holds one.  It is 4 for sin and 2 for every wp
+    coordinate (wp_real, coordinate 1 of p4 and p5, both coordinates of
+    p6_product), and 1 elsewhere.
     """
 
     variables: tuple[int, ...] | None = None
     total_degree: int | None = None
     even: bool = False
+    degree: int = 1
+
+    def __post_init__(self):
+        if self.degree < 1:
+            raise ValueError(f"an AATBox degree must be >= 1, got {self.degree}")
 
 
 #: the boxes of 2-D coordinates that are each a function of their own model
-#: coordinate w_i alone: F_i(w), F_i(w'), F_i(w+w')
+#: coordinate w_i alone, F_i(w), F_i(w'), F_i(w+w'): of degree 1 for t and
+#: e^t (p1-p3), of degree 2 for wp (p4, p5 coordinate 1, p6_product)
 _OWN_FORM = (AATBox((0, 2, 4)), AATBox((1, 3, 4)))
+_OWN_WP = (AATBox((0, 2, 4), degree=2), AATBox((1, 3, 4), degree=2))
 
 
 @dataclass(frozen=True)
@@ -367,21 +382,24 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
     # v -> v + pi give every sign change of (X, Y, Z), so the surface is invariant
     # under each; the relation is irreducible, hence even in every variable
     Family("sin", 1, None, _fixed(((2.0 * np.pi + 0j,), "2*pi")), _entire(np.sin),
-           aat=(AATBox(total_degree=6, even=True),)),
+           aat=(AATBox(total_degree=6, even=True, degree=4),)),
+    # wp's addition relation is the classical biquadratic, of per-variable degree 2
     Family("wp_real", 1, None, _wp_real_periods, _wp_on("lattice"), required=("a",),
            defaults=(("a_exact", None), ("lattice", _rectangular)),
-           a_range=("a real parameter a > 0", lambda a: a.imag == 0 and a.real > 0)),
+           a_range=("a real parameter a > 0", lambda a: a.imag == 0 and a.real > 0),
+           aat=(AATBox(degree=2),)),
     Family("p1", 2, 1, _fixed(), _entire(None, None), aat=_OWN_FORM),
     Family("p2", 2, 2, _fixed(((_TWO_PI_I, 0j), "(2*pi*i, 0)")), _entire(np.exp, None),
            aat=_OWN_FORM),
     Family("p3", 2, 3, _fixed(((_TWO_PI_I, 0j), "(2*pi*i, 0)"),
                               ((0j, _TWO_PI_I), "(0, 2*pi*i)")), _entire(np.exp, np.exp),
            aat=_OWN_FORM),
-    # coordinate 2 of p4 (a = 1) and p5 involves both model coordinates: it searches every variable
+    # coordinate 2 of p4 (a = 1) and p5 involves both model coordinates: it searches every
+    # variable, from degree 1, since its relation's degree depends on a
     Family("p4", 2, 4, _elliptic_periods, _p4_map, required=("a", "lattice"),
-           a_range=("a = 0 or a = 1", lambda a: a in (0, 1)), aat=(_OWN_FORM[0], AATBox())),
+           a_range=("a = 0 or a = 1", lambda a: a in (0, 1)), aat=(_OWN_WP[0], AATBox())),
     Family("p5", 2, 5, _p5_periods, _p5_map, required=("a", "lattice"),
-           aat=(_OWN_FORM[0], AATBox())),
+           aat=(_OWN_WP[0], AATBox())),
     Family("p6_product", 2, 6, _p6_periods, _wp_on("lattice", "lattice2"),
-           required=("lattice", "lattice2"), aat=_OWN_FORM),
+           required=("lattice", "lattice2"), aat=_OWN_WP),
 )}

@@ -465,8 +465,10 @@ def test_family_aat_total_degree_is_the_relation_degree(family):
     """Each coordinate's record is its relation's box: the certificate names
     the record's variables and uses no other, a capped record's cap is the
     total degree of the certified relation (a cap below it loses the
-    certificate and one above it wastes monomials), and an even record's
-    relation has no odd exponent."""
+    certificate and one above it wastes monomials), an even record's
+    relation has no odd exponent, and the record's degree is the relation's
+    per-variable degree: the search started at degree 1 finds nothing below
+    it and, from the same sample pool, the same certificate at it."""
     d, degree, coords = AAT_RECORD_FIXTURES[family]
     boxes = FAMILIES[family].aat
     assert len(boxes) == d.dim
@@ -475,6 +477,10 @@ def test_family_aat_total_degree_is_the_relation_degree(family):
         cert = _aat_search(d, coord, degree, 64, 3)
         assert cert is not None
         assert cert.box == box
+        low = _search(_aat_rows(d, coord), 2 * d.dim + 1, degree, 64,
+                      np.random.default_rng(3 + coord), 2 * d.dim, dataclasses.replace(box, degree=1))
+        assert low is not None and low.max_degree == box.degree
+        assert dataclasses.replace(low, box=box) == cert
         if box.variables is not None:
             outside = [k for k in range(2 * d.dim + 1) if k not in box.variables]
             assert not np.array(cert.exponents)[:, outside].any()
@@ -573,7 +579,8 @@ def _column_sampler(d, coord, part):
 
 def _verify_aat_by_columns(d, max_degree, seed):
     """Reference: 2n + 1 column samplers per coordinate, stacked as
-    find_relation stacks them and searched in the coordinate's box."""
+    find_relation stacks them and searched in the coordinate's box, from
+    the record's degree."""
     n, boxes = d.dim, FAMILIES[d.family].aat
     certs = []
     for coord, box in enumerate(boxes):
@@ -726,6 +733,51 @@ def test_verify_aat_degree_and_budget_guards():
         verify_aat(d, 7)
     with pytest.raises(ValueError, match="max_degree must be >= 1"):
         verify_aat(d, 0)
+
+
+@pytest.mark.parametrize("d, max_degree", [(wp_real(1.0), 1), (sin_map(0.75), 3)],
+                         ids=["wp_real", "sin"])
+def test_verify_aat_below_the_record_degree_evaluates_nothing(monkeypatch, d, max_degree):
+    """A bound below the record's degree admits no relation: the report is
+    negative before the model map is evaluated."""
+    calls = []
+    family = FAMILIES[d.family]
+
+    def counting_map(*args):
+        calls.append(args)
+        return family.map(*args)
+
+    monkeypatch.setitem(FAMILIES, d.family, dataclasses.replace(family, map=counting_map))
+    rep = verify_aat(d, max_degree)
+    assert not rep.success and rep.certificates == (None,) and calls == []
+
+
+def test_aat_box_degree_guard():
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        AATBox(degree=0)
+
+
+@pytest.mark.parametrize("box, tried", [
+    (AATBox(), [1, 2, 3, 4]), (AATBox(degree=3), [3, 4]),
+    (AATBox(even=True), [2, 4]), (AATBox(even=True, degree=3), [4]),
+])
+def test_search_starts_at_the_box_degree(monkeypatch, box, tried):
+    """u and e^u have no relation, so the search tries every degree it
+    starts from: the box's degree, rounded up to an even one in an even
+    box."""
+    degrees = []
+
+    def recording_table(arity, degree, box=AATBox()):
+        degrees.append(degree)
+        return _exponent_table(arity, degree, box)
+
+    monkeypatch.setattr(relations, "_exponent_table", recording_table)
+
+    def rows(u):
+        return np.stack([u, np.exp(u)], axis=1)
+
+    assert _search(rows, 2, 4, 64, np.random.default_rng(0), 1, box) is None
+    assert degrees == [4] + tried  # the budget guard reads max_degree first
 
 
 def test_verify_aat_reports_failure():
