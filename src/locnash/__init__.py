@@ -20,7 +20,6 @@ from .errors import (
     InsufficientSamples,
     InternalInconsistency,
     LocNashError,
-    NonIntegerTransition,
     NotASublattice,
     NotRealStructure,
     ParseError,

@@ -18,7 +18,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,21 +52,6 @@ EXIT_UNDETERMINED = 4
 _MAX_GRID_AXIS = 512  # eval holds the square of this in points, about 0.7 kB each
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The run settings, one field per shared flag."""
-
-    max_degree: int = 8
-    seed: int = 0
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if self.max_degree <= 0:
-            raise ParseError("bad run configuration: max_degree must be positive")
-        if self.seed < 0:
-            raise ParseError("bad run configuration: seed must be >= 0")
-
-
 def _write(text: str, out_path: str | None) -> None:
     if out_path and out_path != "-":
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -91,11 +75,17 @@ def _parse_grid(spec: str) -> np.ndarray:
     return lo + step * np.arange(int(round(span)) + 1)
 
 
-def _report_head(name: str, cfg: RunConfig) -> list[str]:
-    """The title and the [config] block: the result-affecting fields only,
-    since the output path would break byte-for-byte reproducibility."""
-    return [f"locnash {name} report", "[config]",
-            f"max_degree = {cfg.max_degree}", f"seed = {cfg.seed}"]
+def _report(name: str, args: argparse.Namespace, blocks: dict[str, list[str]]) -> None:
+    """Write a text report: the title, the [config] block, then one [tag]
+    block per entry of `blocks`, in order.  [config] holds the
+    result-affecting flags only, since the output path would break
+    byte-for-byte reproducibility."""
+    lines = [f"locnash {name} report", "[config]",
+             f"max_degree = {args.max_degree}", f"seed = {args.seed}"]
+    for tag, body in blocks.items():
+        lines.append(f"[{tag}]")
+        lines.extend(body)
+    _write("\n".join(lines) + "\n", args.output_path)
 
 
 # -- eval ---------------------------------------------------------------------
@@ -125,11 +115,11 @@ def _csv_rows(
     return "\n".join(lines) + "\n"
 
 
-def cmd_eval(args, cfg: RunConfig) -> int:
+def cmd_eval(args) -> int:
     if args.descriptor and args.fn:
         raise ParseError("--fn applies to --lattice only; a descriptor's map is fixed")
     xs = _parse_grid(args.grid)
-    out = cfg.output_path
+    out = args.output_path
     if args.lattice:
         lat = parse_lattice1(args.lattice)
         ctx = get_context(lat)
@@ -175,43 +165,35 @@ def _group_lines(G: DiscreteSubgroup) -> list[str]:
     return lines
 
 
-def cmd_periods(args, cfg: RunConfig) -> int:
+def cmd_periods(args) -> int:
     d = load_descriptor(args.descriptor)
     rep = period_group(d)
-    lines = _report_head("periods", cfg)
-    lines.append("[descriptor]")
-    lines.extend(serialize_descriptor(d).rstrip().splitlines())
-    lines.append("[result]")
-    lines.extend(_group_lines(rep.group))
-    for i, form in enumerate(rep.closed_form, start=1):
-        lines.append(f"closed_form_{i} = {form}")
-    _write("\n".join(lines) + "\n", cfg.output_path)
+    result = _group_lines(rep.group)
+    result += [f"closed_form_{i} = {form}" for i, form in enumerate(rep.closed_form, start=1)]
+    _report("periods", args,
+            {"descriptor": serialize_descriptor(d).splitlines(), "result": result})
     return EXIT_OK
 
 
-def cmd_classify(args, cfg: RunConfig) -> int:
+def cmd_classify(args) -> int:
     d = load_descriptor(args.descriptor)
-    lines = _report_head("classify", cfg)
-    lines.append("[descriptor]")
-    lines.extend(serialize_descriptor(d).rstrip().splitlines())
-    lines.append("[result]")
     if d.dim == 1:
         form = classify_1d(d)
-        lines.append(f"canonical_form = {form.kind}")
+        result = [f"canonical_form = {form.kind}"]
         if form.a is not None:
-            lines.append(f"a = {fmt(form.a)}")
+            result.append(f"a = {fmt(form.a)}")
         if form.a_exact is not None:
-            lines.append(f"a_exact = {form.a_exact}")
-        lines.append(f"rank = {form.rank}")
+            result.append(f"a_exact = {form.a_exact}")
+        result.append(f"rank = {form.rank}")
     else:
         fam = classify_2d(d)
-        lines.append(f"family = {fam.index}")
-        lines.append(f"rank = {fam.rank}")
-    _write("\n".join(lines) + "\n", cfg.output_path)
+        result = [f"family = {fam.index}", f"rank = {fam.rank}"]
+    _report("classify", args,
+            {"descriptor": serialize_descriptor(d).splitlines(), "result": result})
     return EXIT_OK
 
 
-def cmd_compare(args, cfg: RunConfig) -> int:
+def cmd_compare(args) -> int:
     d1 = load_descriptor(args.descriptor1)
     d2 = load_descriptor(args.descriptor2)
     if d1.dim != d2.dim:
@@ -220,15 +202,11 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         verdict = isomorphic_1d(d1, d2)
     else:
         verdict = compare_2d(d1, d2)
-    lines = _report_head("compare", cfg)
-    for tag, d in (("descriptor_1", d1), ("descriptor_2", d2)):
-        lines.append(f"[{tag}]")
-        lines.extend(serialize_descriptor(d).rstrip().splitlines())
-    lines.append("[result]")
-    lines.append(f"verdict = {verdict.outcome}")
-    for i, r in enumerate(verdict.reasons, start=1):
-        lines.append(f"reason_{i} = {r}")
-    _write("\n".join(lines) + "\n", cfg.output_path)
+    result = [f"verdict = {verdict.outcome}"]
+    result += [f"reason_{i} = {r}" for i, r in enumerate(verdict.reasons, start=1)]
+    _report("compare", args, {"descriptor_1": serialize_descriptor(d1).splitlines(),
+                              "descriptor_2": serialize_descriptor(d2).splitlines(),
+                              "result": result})
     if verdict.outcome == NOT_ISOMORPHIC:
         return EXIT_NEGATIVE
     if verdict.outcome == UNDETERMINED:
@@ -236,14 +214,10 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify_aat(args, cfg: RunConfig) -> int:
+def cmd_verify_aat(args) -> int:
     d = load_descriptor(args.descriptor)
-    report = verify_aat(d, cfg.max_degree, seed=cfg.seed)
-    lines = _report_head("verify-aat", cfg)
-    lines.append("[descriptor]")
-    lines.extend(serialize_descriptor(d).rstrip().splitlines())
-    lines.append("[result]")
-    lines.append(f"success = {int(report.success)}")
+    report = verify_aat(d, args.max_degree, seed=args.seed)
+    result = [f"success = {int(report.success)}"]  # each [certificate] sits inside it
     names = (
         [f"f{j + 1}(u)" for j in range(d.dim)]
         + [f"f{j + 1}(v)" for j in range(d.dim)]
@@ -252,27 +226,28 @@ def cmd_verify_aat(args, cfg: RunConfig) -> int:
     for i, (cert, box) in enumerate(zip(report.certificates, report.boxes), start=1):
         names[-1] = f"f{i}(u+v)"
         if box.variables is not None:
-            lines.append(f"variables_{i} = " + ", ".join(names[k] for k in box.variables))
+            result.append(f"variables_{i} = " + ", ".join(names[k] for k in box.variables))
         if cert is None:
             cap = "" if box.total_degree is None else f", total degree <= {box.total_degree}"
             cap += ", even exponents" if box.even else ""
-            lines.append(f"coordinate_{i} = no relation found at degree {report.max_degree}{cap}")
+            result.append(f"coordinate_{i} = no relation found at degree {report.max_degree}{cap}")
             continue
-        lines.append(f"coordinate_{i} = degree {cert.max_degree}, "
-                     f"residual {fmt(cert.residual)}, gap {fmt(cert.singular_gap)}")
-        lines.append(f"relation_{i} = {format_polynomial(cert, names)}")
-        lines.append("[certificate]")
-        lines.extend(cert.serialize().rstrip().splitlines())
-    _write("\n".join(lines) + "\n", cfg.output_path)
+        result.append(f"coordinate_{i} = degree {cert.max_degree}, "
+                      f"residual {fmt(cert.residual)}, gap {fmt(cert.singular_gap)}")
+        result.append(f"relation_{i} = {format_polynomial(cert, names)}")
+        result.append("[certificate]")
+        result.extend(cert.serialize().rstrip().splitlines())
+    _report("verify-aat", args,
+            {"descriptor": serialize_descriptor(d).splitlines(), "result": result})
     return EXIT_OK if report.success else EXIT_NEGATIVE
 
 
 # -- check-identities -----------------------------------------------------------
 
-def cmd_check_identities(args, cfg: RunConfig) -> int:
+def cmd_check_identities(args) -> int:
     lat = parse_lattice1(args.lattice)
     ctx = get_context(lat)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     zs = sample_reduced(lat, 30, rng)
     checks: list[tuple[str, float, float]] = []
 
@@ -317,18 +292,15 @@ def cmd_check_identities(args, cfg: RunConfig) -> int:
 
     checks.append(("legendre_relation", ctx.legendre_defect, LEGENDRE_TOL))
 
-    lines = _report_head("check-identities", cfg)
-    lines.append("[lattice]")
-    lines.append(f"omega1 = {fmt(lat.omega1.real)} {fmt(lat.omega1.imag)}")
-    lines.append(f"omega2 = {fmt(lat.omega2.real)} {fmt(lat.omega2.imag)}")
-    lines.append("[result]")
-    all_pass = True
-    for name, res, thr in checks:
-        ok = res < thr
-        all_pass &= ok
-        lines.append(f"{name} = {fmt(res)} (threshold {fmt(thr)}) {'PASS' if ok else 'FAIL'}")
-    lines.append(f"all_pass = {int(all_pass)}")
-    _write("\n".join(lines) + "\n", cfg.output_path)
+    result = [f"{name} = {fmt(res)} (threshold {fmt(thr)}) {'PASS' if res < thr else 'FAIL'}"
+              for name, res, thr in checks]
+    all_pass = all(res < thr for _, res, thr in checks)
+    result.append(f"all_pass = {int(all_pass)}")
+    _report("check-identities", args, {
+        "lattice": [f"omega{k} = {fmt(w.real)} {fmt(w.imag)}"
+                    for k, w in ((1, lat.omega1), (2, lat.omega2))],
+        "result": result,
+    })
     return EXIT_OK if all_pass else EXIT_NEGATIVE
 
 
@@ -339,9 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first call and shared by later ones
     (parse_args leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=RunConfig.seed)
-    common.add_argument("--max-degree", type=int, dest="max_degree",
-                        default=RunConfig.max_degree)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--max-degree", type=int, dest="max_degree", default=8)
     common.add_argument("--out", dest="output_path", help="output path (default stdout)")
 
     p = argparse.ArgumentParser(prog="locnash", description=__doc__)
@@ -401,8 +372,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_merge_dash_values(list(argv if argv is not None else sys.argv[1:])))
     try:
-        cfg = RunConfig(args.max_degree, args.seed, args.output_path)
-        return args.func(args, cfg)
+        if args.max_degree <= 0:
+            raise ParseError("bad run configuration: max_degree must be positive")
+        if args.seed < 0:
+            raise ParseError("bad run configuration: seed must be >= 0")
+        return args.func(args)
     except ParseError as exc:
         print(f"locnash: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -89,6 +89,8 @@ def parse_descriptor(text: str) -> StructureDescriptor:
         )
     try:
         return StructureDescriptor(dim=dim, family=fields["family"], alpha=alpha, **params)
+    except DegenerateGenerators as exc:  # a default lattice, wp_real's <1, ia>
+        raise ParseError(f"the default lattice does not define a lattice: {exc}") from exc
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -17,11 +17,6 @@ class NotASublattice(LocNashError):
     """First group is not contained in the second."""
 
 
-class NonIntegerTransition(NotASublattice):
-    """Transition matrix between bases fails the integer rounding gate, so the
-    first group is not contained in the second."""
-
-
 class InsufficientSamples(LocNashError):
     """Too many sample points were rejected (poles / capped values)."""
 

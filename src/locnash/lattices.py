@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGenerators, InternalInconsistency, NonIntegerTransition
+from .errors import DegenerateGenerators, InternalInconsistency, NotASublattice
 
 #: the relative tolerance of every test that is not an integrality verdict
 DEFAULT_TOL = 1e-9
@@ -289,8 +289,8 @@ def _transition(
     generator j of G1's reduced basis.
 
     T and its gate are `is_sublattice`'s (`_coefficients`), so the two
-    cannot disagree; a failure raises NonIntegerTransition, a
-    NotASublattice.  G1's U then moves T to G1's reduced basis, in integers.
+    cannot disagree; a failure raises NotASublattice.  G1's U then moves T
+    to G1's reduced basis, in integers.
     """
     if G1.dim != G2.dim:
         raise ValueError("dimension mismatch")
@@ -299,7 +299,7 @@ def _transition(
         raise ValueError("index requires full lattices on both sides")
     T, ok = _coefficients(G2, G1.basis_matrix)
     if not ok:
-        raise NonIntegerTransition(
+        raise NotASublattice(
             "first group is not contained in the second: its generators are "
             "no integer combinations of the second's basis"
         )

@@ -21,10 +21,9 @@ variables, total-degree cap and even exponents): monomials outside the cut
 appear in no relation and only cost the SVD.  The cut keeps the graded-lex
 order, and the certificate records its box.  The box also records the
 per-variable degree of the coordinate's minimal relation, where its degree
-loop starts: 4 for sin, 2 for wp_real, coordinate 1 of p4 and p5 and both
-coordinates of p6_product, 1 elsewhere.  The sampled points' closure is an
-irreducible hypersurface, so every relation is a multiple of the minimal
-one and no smaller box holds one.  find_relation, dependent and
+loop starts.  The sampled points' closure is an irreducible hypersurface,
+so every relation is a multiple of the minimal one and no smaller box holds
+one.  find_relation, dependent and
 translate_algebraicity_check start at degree 1.  A box of more than 4096
 monomials is refused before sampling: its matrix would pass 512 MiB.
 Certificates are unit-norm coefficient vectors with the phase of the largest
@@ -303,10 +302,9 @@ def _search(rows, arity, max_degree, n_samples, rng, domain_dim,
     """find_relation's degree loop over the rows of a row sampler, each
     degree's monomials cut by `box` (the rows keep every column, and a row
     with a NaN anywhere is dropped).  The loop starts at box.degree, the
-    per-variable degree of the minimal relation (4 for sin, 2 for the wp
-    coordinates, 1 elsewhere): no smaller box holds a relation.  An even
-    box tries the even degrees alone, from the first at or above
-    box.degree: an odd degree's box is the one below it."""
+    per-variable degree of the minimal relation: no smaller box holds a
+    relation.  An even box tries the even degrees alone, from the first at
+    or above box.degree: an odd degree's box is the one below it."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     if arity < 1:

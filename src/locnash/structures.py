@@ -19,18 +19,19 @@ map's relations are F's.  A model coordinate that is a function of w_i
 alone, as every coordinate of p1, p2, p3 and p6_product and coordinate 1 of
 p4 and p5 are, has an addition relation among F_i(w), F_i(w') and
 F_i(w+w') alone, and its record keeps the search to those three.  Each
-record also starts the search at its relation's per-variable degree: 4 for
-sin, 2 for the wp coordinates (wp_real, coordinate 1 of p4 and p5, both
-coordinates of p6_product), and 1 elsewhere.
+record also starts the search at its relation's per-variable degree
+(`AATBox.degree`).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .errors import DegenerateGenerators
 from .lattices import DEFAULT_TOL, DiscreteSubgroup, Lattice1, is_real
 from .scalars import ExactReal
 from .weierstrass import get_context
@@ -77,8 +78,8 @@ class AATBox:
 
 
 #: the boxes of 2-D coordinates that are each a function of their own model
-#: coordinate w_i alone, F_i(w), F_i(w'), F_i(w+w'): of degree 1 for t and
-#: e^t (p1-p3), of degree 2 for wp (p4, p5 coordinate 1, p6_product)
+#: coordinate w_i alone, F_i(w), F_i(w'), F_i(w+w'): from degree 1 for t and
+#: e^t, from degree 2 for wp
 _OWN_FORM = (AATBox((0, 2, 4)), AATBox((1, 3, 4)))
 _OWN_WP = (AATBox((0, 2, 4), degree=2), AATBox((1, 3, 4), degree=2))
 
@@ -111,8 +112,15 @@ class Family:
         return self.required + tuple(name for name, _ in self.defaults)
 
     def explicit_fields(self, d: StructureDescriptor) -> list[str]:
-        """The parameter fields of d that differ from their defaults."""
-        defaults = {name: fn(d) for name, fn in self.defaults if fn is not None}
+        """The parameter fields of d that differ from their defaults.  A
+        default that does not build (wp_real's <1, ia> when a is far from 1)
+        differs from the value d holds in its place."""
+        defaults = {}
+        for name, fn in self.defaults:
+            try:
+                defaults[name] = None if fn is None else fn(d)
+            except DegenerateGenerators:
+                pass
         return [name for name in PARAMETERS if getattr(d, name) != defaults.get(name)]
 
 
@@ -155,6 +163,8 @@ class StructureDescriptor:
             object.__setattr__(self, "a", complex(self.a))
             if fam.a_range is not None and not fam.a_range[1](self.a):
                 raise ValueError(f"{self.family} needs {fam.a_range[0]}")
+            if not cmath.isfinite(self.a):
+                raise ValueError(f"{self.family} needs a finite a, got {self.a}")
         for name, default in fam.defaults:
             if default is not None and getattr(self, name) is None:
                 object.__setattr__(self, name, default(self))

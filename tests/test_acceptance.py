@@ -13,7 +13,7 @@ import numpy as np
 
 import helpers
 from locnash.classify import ISOMORPHIC, NOT_ISOMORPHIC, isomorphic_1d
-from locnash.cli import RunConfig, main
+from locnash.cli import build_parser, main
 from locnash.lattices import Lattice1, subgroup
 from locnash.relations import dependent, find_relation, verify_aat, wp_sampler
 from locnash.scalars import ExactReal
@@ -35,7 +35,7 @@ from locnash.weierstrass import (
     sample_reduced,
 )
 
-CFG = RunConfig()  # acceptance runs the default configuration
+CFG = build_parser().parse_args(["periods", "-"])  # acceptance runs the default flags
 
 SQ = Lattice1(1, 1j)
 RECT = Lattice1(1, 2j)

@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import os
 import subprocess
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from locnash import cli
-from locnash.cli import RunConfig, _csv_rows, _parse_grid, build_parser, main
+from locnash.cli import _csv_rows, _parse_grid, build_parser, main
 from locnash.descriptors import parse_descriptor
 from locnash.errors import ParseError
 from locnash.scalars import fmt
@@ -413,12 +412,28 @@ def test_tol_flag_is_a_usage_error(tmp_path, flag, value):
     assert exc.value.code == 2
 
 
-def test_shared_flags_match_run_config_fields():
-    """main builds RunConfig from the shared flags, so a shared flag without
-    a field would parse and then be ignored."""
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    shared = set.intersection(*({a.dest for a in p._actions} for p in sub.choices.values()))
-    assert shared - {"help"} == {f.name for f in dataclasses.fields(RunConfig)}
+def test_text_reports_share_one_head(tmp_path, capsys):
+    """Every text report opens with its title and the [config] block of the
+    flags it ran with, and --out writes the bytes stdout would."""
+    e = desc(tmp_path, "e.desc", EXP)
+    runs = {
+        "periods": ["periods", e],
+        "classify": ["classify", e],
+        "compare": ["compare", e, e],
+        "verify-aat": ["verify-aat", e],
+        "check-identities": ["check-identities", "--lattice", "lattice(1, 1i)"],
+    }
+    flags = ["--max-degree", "3", "--seed", "5"]
+    for name, argv in runs.items():
+        assert main(argv + flags) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[:4] == [f"locnash {name} report", "[config]", "max_degree = 3", "seed = 5"]
+        assert lines[4].startswith("[") and "[result]" in lines
+        path = tmp_path / f"{name}.txt"
+        assert main(argv + flags + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode()
 
 
 def test_config_block_fields(tmp_path, capsys):
@@ -427,6 +442,37 @@ def test_config_block_fields(tmp_path, capsys):
     block = out.split("[config]\n", 1)[1].split("\n[", 1)[0].splitlines()
     assert [line.split(" = ")[0] for line in block] == [
         "max_degree", "seed"]
+
+
+@pytest.mark.parametrize("cmd", ["periods", "classify", "verify-aat", "eval"])
+def test_non_finite_a_exits_2(tmp_path, capsys, cmd):
+    """a = 1e400 reads as inf: a parse error, before any evaluation warns."""
+    p5 = desc(tmp_path, "p5.desc", "dim = 2\nfamily = p5\na = 1e400\nlattice = lattice(1, 2i)\n")
+    argv = ["eval", "--descriptor", p5, "--grid", "0.1:0.2:0.1", "--out",
+            str(tmp_path / "g.csv")] if cmd == "eval" else [cmd, p5]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "locnash: parse error: p5 needs a finite a, got (inf+0j)\n"
+
+
+def test_wp_real_lattice_where_the_default_does_not_build(tmp_path, capsys):
+    """At a = 1e-10 the default <1, ia> does not build; the square lattice
+    given in its place is reported."""
+    wp = desc(tmp_path, "wp.desc",
+              "dim = 1\nfamily = wp_real\na = 1e-10\nlattice = lattice(1, 1i)\n")
+    assert main(["periods", wp]) == 0
+    out = capsys.readouterr().out
+    assert "lattice = lattice(1, 1i)\n" in out and "generator_2 = 0 1\n" in out
+    assert main(["classify", wp]) == 0
+    assert "canonical_form = wp\na = 1\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lattice", ["", "lattice = lattice(1, 1e10i)\n"])
+def test_wp_real_degenerate_lattice_exits_2(tmp_path, capsys, lattice):
+    # the default <1, ia> at a = 1e10 fails as the same literal does
+    wp = desc(tmp_path, "wp.desc", f"dim = 1\nfamily = wp_real\na = 1e10\n{lattice}")
+    for cmd in ("periods", "classify"):
+        assert main([cmd, wp]) == 2
+        assert "does not define a lattice" in capsys.readouterr().err
 
 
 def test_classify_elongated_wp_real(tmp_path, capsys):

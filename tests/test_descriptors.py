@@ -119,6 +119,29 @@ def test_wp_real_default_lattice_stays_implicit():
     assert period_group(d).closed_form == ("1", "i*a")
 
 
+def test_wp_real_lattice_where_the_default_does_not_build():
+    """At a = 1e-10 the default <1, ia> is R-dependent at DEFAULT_TOL: the
+    given square lattice differs from it, is written back, and decides."""
+    d = parse_descriptor("dim = 1\nfamily = wp_real\na = 1e-10\nlattice = lattice(1, 1i)\n")
+    text = serialize_descriptor(d)
+    assert "lattice = lattice(1, 1i)" in text
+    assert parse_descriptor(text) == d
+    assert classify_1d(d).a == pytest.approx(1.0)
+    assert period_group(d).closed_form == ("omega1", "omega2")
+
+
+@pytest.mark.parametrize("lattice", ["", "lattice = lattice(1, 1e10i)\n"])
+def test_wp_real_degenerate_lattice_is_a_parse_error(lattice):
+    # the default <1, ia> at a = 1e10 fails as the same literal does
+    with pytest.raises(ParseError, match="does not define a lattice"):
+        parse_descriptor(f"dim = 1\nfamily = wp_real\na = 1e10\n{lattice}")
+
+
+def test_non_finite_a_is_a_parse_error():
+    with pytest.raises(ParseError, match="p5 needs a finite a"):
+        parse_descriptor("dim = 2\nfamily = p5\na = 1e400\nlattice = lattice(1, 2i)\n")
+
+
 # -- fields per family ----------------------------------------------------------------
 
 #: a value of each parameter field that every family using the field accepts

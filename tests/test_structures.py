@@ -411,6 +411,18 @@ def test_p4_parameter_restricted():
         painleve("p4", a=0.5, lattice=SQ)
 
 
+@pytest.mark.parametrize("a", [float("nan"), float("inf"), complex(1, float("-inf"))])
+@pytest.mark.parametrize("build", [
+    lambda a: painleve("p5", a=a, lattice=SQ),
+    lambda a: StructureDescriptor(1, "wp_real", a=a, lattice=SQ),
+])
+def test_non_finite_a_refused(build, a):
+    """Construction refuses a non-finite a, which no descriptor file could
+    carry back through serialization."""
+    with pytest.raises(ValueError, match="finite a|a > 0"):
+        build(a)
+
+
 def test_wp_real_needs_positive_a():
     with pytest.raises(ValueError):
         wp_real(-1.0)
