@@ -15,8 +15,10 @@ nothing time- or path-dependent is emitted.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -32,7 +34,7 @@ from .classify import (
 )
 from .descriptors import load_descriptor, parse_lattice1, serialize_descriptor
 from .errors import LocNashError, ParseError
-from .lattices import DiscreteSubgroup, subgroup
+from .lattices import DiscreteSubgroup
 from .relations import format_polynomial, verify_aat
 from .scalars import FLOAT_SPEC, fmt
 from .structures import map_batch, period_group
@@ -252,10 +254,13 @@ def cmd_check_identities(args) -> int:
     checks: list[tuple[str, float, float]] = []
 
     eta = [2.0 * e for e in ctx.eta_half]
+    r1, r2, U = lat.reduced_basis
+    # a pole of order k scales as |r1|^-k, so its residuals times |r1|^k read in
+    # units of the shortest vector, whatever the scale; sigma's are relative
+    unit = abs(r1)
     # the rounding of sigma's exponent eta (z + w/2) grows with the generator
     # w, so sigma is checked on the Gauss-reduced pair unless the given pair is
     # already as short; eta is Z-linear on the lattice, so it maps through U
-    r1, r2, U = lat.to_subgroup().reduced_basis
     if max(abs(lat.omega1), abs(lat.omega2)) <= abs(r2):
         sigma_pairs = list(zip((lat.omega1, lat.omega2), eta))
     else:
@@ -263,7 +268,7 @@ def cmd_check_identities(args) -> int:
     for i, w in enumerate((lat.omega1, lat.omega2)):
         shifted, _, _ = ctx.zeta_many(zs + w)
         base, _, _ = ctx.zeta_many(zs)
-        res = float(np.max(np.abs(shifted - base - eta[i])))
+        res = float(np.max(np.abs(shifted - base - eta[i]))) * unit
         checks.append((f"zeta_quasi_periodicity_omega{i + 1}", res, 1e-8))
         # sigma(z + w) = -sigma(z) exp(eta (z + w/2)), compared in log space,
         # where sigma(z + w) cannot underflow: d = log(rhs / lhs) - i pi is
@@ -276,18 +281,16 @@ def cmd_check_identities(args) -> int:
         rel = float(np.max(np.abs(d.real + 1j * (np.remainder(d.imag, 2 * np.pi) - np.pi))))
         checks.append((f"sigma_quasi_periodicity_omega{i + 1}", rel, 1e-7))
 
-    checks.append(("conjugation", conjugate_lattice_check(ctx, zs), 1e-8))
+    checks.append(("conjugation", conjugate_lattice_check(ctx, zs) * unit**2, 1e-8))
 
-    doubled = subgroup([2 * lat.omega1, 2 * lat.omega2])
-    checks.append(
-        ("coset_sum_doubled_sublattice", coset_sum_check(doubled, lat.to_subgroup(), zs), 1e-6)
-    )
+    checks.append(("coset_sum_doubled_sublattice",
+                   coset_sum_check(lat.scaled(2), lat, zs) * unit**2, 1e-6))
 
     base, _, _ = ctx.wp_many(zs)
     for label, c in (("2", 2.0 + 0j), ("1+i", 1.0 + 1j)):
         ctx_c = get_context(lat.scaled(c))
         scaled, _, _ = ctx_c.wp_many(c * zs)
-        res = float(np.max(np.abs(scaled - base / c**2)))
+        res = float(np.max(np.abs(scaled - base / c**2))) * unit**2
         checks.append((f"scaling_law_c_{label}", res, 1e-8))
 
     checks.append(("legendre_relation", ctx.legendre_defect, LEGENDRE_TOL))
@@ -310,16 +313,18 @@ def cmd_check_identities(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built on the first call and shared by later ones
     (parse_args leaves it unchanged)."""
-    common = argparse.ArgumentParser(add_help=False)
+    # no prefix of a flag parses, so one added later cannot change a command line
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--max-degree", type=int, dest="max_degree", default=8)
     common.add_argument("--out", dest="output_path", help="output path (default stdout)")
 
-    p = argparse.ArgumentParser(prog="locnash", description=__doc__)
+    p = argparse.ArgumentParser(prog="locnash", description=__doc__, allow_abbrev=False)
     p.add_argument("--version", action="version", version=f"locnash {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
 
-    pe = sub.add_parser("eval", parents=[common], help="grid evaluation to CSV")
+    pe = add("eval", help="grid evaluation to CSV")
     src = pe.add_mutually_exclusive_group(required=True)
     src.add_argument("--lattice", help='lattice literal, e.g. "lattice(1, 1i)"')
     src.add_argument("--descriptor", help="descriptor file")
@@ -327,26 +332,25 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--grid", required=True, help="lo:hi:step for both axes")
     pe.set_defaults(func=cmd_eval)
 
-    pp = sub.add_parser("periods", parents=[common], help="period group of a descriptor")
+    pp = add("periods", help="period group of a descriptor")
     pp.add_argument("descriptor")
     pp.set_defaults(func=cmd_periods)
 
-    pc = sub.add_parser("classify", parents=[common], help="canonical form / family")
+    pc = add("classify", help="canonical form / family")
     pc.add_argument("descriptor")
     pc.set_defaults(func=cmd_classify)
 
-    pm = sub.add_parser("compare", parents=[common], help="isomorphism verdict")
+    pm = add("compare", help="isomorphism verdict")
     pm.add_argument("descriptor1")
     pm.add_argument("descriptor2")
     pm.set_defaults(func=cmd_compare)
 
-    pv = sub.add_parser("verify-aat", parents=[common],
-                        help="addition-theorem certificates")
+    pv = add("verify-aat", help="addition-theorem certificates")
     pv.add_argument("descriptor")
     pv.set_defaults(func=cmd_verify_aat)
 
-    pi = sub.add_parser("check-identities", parents=[common],
-                        help="quasi-periodicity, conjugation, coset and scaling checks")
+    pi = add("check-identities",
+             help="quasi-periodicity, conjugation, coset and scaling checks")
     pi.add_argument("--lattice", required=True)
     pi.set_defaults(func=cmd_check_identities)
     return p
@@ -376,11 +380,19 @@ def main(argv: list[str] | None = None) -> int:
             raise ParseError("bad run configuration: max_degree must be positive")
         if args.seed < 0:
             raise ParseError("bad run configuration: seed must be >= 0")
+        if (out := args.output_path) and out != "-":
+            # every file a command writes (dim-2 eval's two CSVs too) lies in
+            # this directory: a bad one raises what open would, before the work
+            folder = os.path.dirname(out) or "."
+            code = (errno.ENOENT if not os.path.isdir(folder)
+                    else 0 if os.access(folder, os.W_OK | os.X_OK) else errno.EACCES)
+            if code:
+                raise OSError(code, os.strerror(code), out)
         return args.func(args)
     except ParseError as exc:
         print(f"locnash: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"locnash: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (LocNashError, ArithmeticError) as exc:  # a float past the double range, too

@@ -2,7 +2,8 @@
 
 Generators are double-precision complex vectors; a rank-2 group of C is
 Gauss-reduced once, at construction, and validated on its reduced basis,
-which every consumer reads (`reduced_basis`); a `Lattice1` is one such group.
+which every consumer reads (`reduced_basis`); a `Lattice1` is one such group,
+oriented.
 One fixed tolerance, DEFAULT_TOL, bounds the condition number of the
 generators at construction; nothing sets another.  Every integrality
 verdict passes one gate (`_integral`), a backward-error bound with no
@@ -392,27 +393,26 @@ def common_real_sublattice(
     return DiscreteSubgroup(1, tuple(tuple(a * c for c in g) for g in G1.generators)), a
 
 
-@dataclass(frozen=True)
-class Lattice1:
-    """Full lattice of (C, +) given by an ordered generator pair.
+class Lattice1(DiscreteSubgroup):
+    """Full lattice of (C, +) given by an ordered generator pair: the
+    rank-2 group on (omega1, omega2), oriented so that Im(omega2/omega1) > 0
+    by negating omega2 if needed.  The group alone judges the pair, and
+    equality and hashing are the group's."""
 
-    Orientation is normalized so that Im(omega2/omega1) > 0.  The oriented
-    pair is kept as a `DiscreteSubgroup` (`to_subgroup`), which alone judges
-    it.
-    """
-
-    omega1: complex
-    omega2: complex
-
-    def __post_init__(self):
-        w1, w2 = complex(self.omega1), complex(self.omega2)
+    def __init__(self, omega1: complex, omega2: complex):
+        w1, w2 = complex(omega1), complex(omega2)
         a, b, _ = _scaled_pair(w1, w2)  # so the sign neither underflows nor overflows
         if (a.conjugate() * b).imag < 0:
             w2 = -w2
-        object.__setattr__(self, "omega1", w1)
-        object.__setattr__(self, "omega2", w2)
-        # not a field, as DiscreteSubgroup._reduction: eq and hash read the pair
-        object.__setattr__(self, "_group", DiscreteSubgroup(1, ((w1,), (w2,))))
+        super().__init__(1, ((w1,), (w2,)))
+
+    @property
+    def omega1(self) -> complex:
+        return self.generators[0][0]
+
+    @property
+    def omega2(self) -> complex:
+        return self.generators[1][0]
 
     def conjugate(self) -> "Lattice1":
         return Lattice1(self.omega1.conjugate(), self.omega2.conjugate())
@@ -421,12 +421,3 @@ class Lattice1:
         if c == 0:
             raise ValueError("zero scaling")
         return Lattice1(c * self.omega1, c * self.omega2)
-
-    def to_subgroup(self) -> DiscreteSubgroup:
-        return self._group
-
-
-def lattice1_from_subgroup(G: DiscreteSubgroup) -> Lattice1:
-    if G.dim != 1 or G.rank != 2:
-        raise ValueError("requires a full lattice of C")
-    return Lattice1(G.generators[0][0], G.generators[1][0])

@@ -372,7 +372,7 @@ def is_real_structure(d: StructureDescriptor) -> bool:
     if np.max(np.abs(A.imag)) > DEFAULT_TOL * np.max(np.abs(A)):
         return False
     for lat in (d.lattice, d.lattice2):
-        if lat is not None and not is_real(lat.to_subgroup()):
+        if lat is not None and not is_real(lat):
             return False
     if d.a is not None and abs(d.a.imag) > DEFAULT_TOL * abs(d.a):
         return False

@@ -1,7 +1,7 @@
 """Numerical evaluation of the Weierstrass sigma, zeta, wp, wp' functions.
 
 Method (DLMF 20.2, 23.6): read the lattice's Gauss-reduced basis (r1, r2),
-made once by its group, flipping r2 so that tau = r2/r1 has Im tau > 0.
+made once at its construction, flipping r2 so that tau = r2/r1 has Im tau > 0.
 Then tau lies in the fundamental domain and the nome q = exp(i pi tau) has
 |q| <= exp(-pi sqrt(3)/2) ~ 0.066 for every lattice, whatever basis it was
 given in.  Arguments are reduced into the centered cell,
@@ -54,12 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import (
-    DiscreteSubgroup,
-    Lattice1,
-    coset_representatives,
-    lattice1_from_subgroup,
-)
+from .lattices import DiscreteSubgroup, coset_representatives
 
 #: bound on the dropped series tail, relative to (pi / |r1|)^k
 _TAIL_TARGET = 1e-17
@@ -97,15 +92,17 @@ def _half_angle(v: np.ndarray):
     return s, np.exp(x), -np.expm1(x)
 
 
-def _eta_out_of_range(lattice: Lattice1, r1: complex) -> ValueError:
+def _eta_out_of_range(w1: complex, w2: complex, r1: complex) -> ValueError:
     return ValueError(
-        f"lattice <{lattice.omega1:.17g}, {lattice.omega2:.17g}> is too small for its "
+        f"lattice <{w1:.17g}, {w2:.17g}> is too small for its "
         f"eta constants: at shortest vector {abs(r1):.3g} they leave the double range"
     )
 
 
 class WeierstrassContext:
-    """Evaluation context for one lattice: reduced basis, nome, eta constants.
+    """Evaluation context for one full lattice of C, in any basis and either
+    orientation: reduced basis, nome, eta constants.  `eta_half` and the
+    Legendre gate are on the lattice's own generators.
 
     Construction computes what the eta constants and the Legendre gate read;
     the tables that only evaluation reads (argument reduction, the series
@@ -115,9 +112,13 @@ class WeierstrassContext:
     threads and evaluation batches partitioned between workers.
     """
 
-    def __init__(self, lattice: Lattice1):
+    def __init__(self, lattice: DiscreteSubgroup):
+        if lattice.dim != 1 or lattice.rank != 2:
+            raise ValueError(f"a context needs a full lattice of C, not a rank-{lattice.rank} "
+                             f"group of C^{lattice.dim}")
         self.lattice = lattice
-        r1, r2, U = lattice.to_subgroup().reduced_basis
+        (w1,), (w2,) = lattice.generators
+        r1, r2, U = lattice.reduced_basis
         (a, b), (c, d) = U.tolist()
         if (r2 / r1).imag < 0:
             r2, c, d = -r2, -c, -d
@@ -137,7 +138,7 @@ class WeierstrassContext:
         e2_tau = 1.0 - 24.0 * np.sum(n * q2n * c_n)
         pi2_e2 = np.pi**2 * e2_tau
         if not abs(pi2_e2) < 2.99 * abs(r1) * _DBL_MAX:  # eta1 would overflow, with a warning
-            raise _eta_out_of_range(lattice, r1)
+            raise _eta_out_of_range(w1, w2, r1)
         self._eta1 = pi2_e2 / (3.0 * r1)
 
         # eta2 from Legendre's relation eta1 r2 - eta2 r1 = 2 pi i on the
@@ -150,10 +151,10 @@ class WeierstrassContext:
         e1 = det * (d * eta1 - b * eta2)
         e2 = det * (a * eta2 - c * eta1)
         if not (cmath.isfinite(e1) and cmath.isfinite(e2)):  # Python complex: no warning
-            raise _eta_out_of_range(lattice, r1)
+            raise _eta_out_of_range(w1, w2, r1)
         self.eta_half = (e1 / 2.0, e2 / 2.0)
 
-        legendre = e1 * lattice.omega2 - e2 * lattice.omega1
+        legendre = e1 * w2 - e2 * w1
         self.legendre_defect = min(abs(legendre - 2j * np.pi), abs(legendre + 2j * np.pi))
         if self.legendre_defect > LEGENDRE_TOL:
             raise ValueError(
@@ -403,20 +404,20 @@ class WeierstrassContext:
 
 
 @functools.lru_cache(maxsize=64)
-def get_context(lattice: Lattice1) -> WeierstrassContext:
+def get_context(lattice: DiscreteSubgroup) -> WeierstrassContext:
     """Shared, cached context per lattice."""
     return WeierstrassContext(lattice)
 
 
 def sample_reduced(
-    lattice: Lattice1,
+    lattice: DiscreteSubgroup,
     count: int,
     rng: np.random.Generator,
     margin: float = 0.45,
     min_dist: float = 0.05,
 ) -> np.ndarray:
     """Random points in the centered fundamental cell, away from the origin pole."""
-    r1, r2, _ = lattice.to_subgroup().reduced_basis
+    r1, r2, _ = lattice.reduced_basis
     floor = min_dist * min(abs(r1), abs(r2))
     out = []
     while len(out) < count:
@@ -427,10 +428,8 @@ def sample_reduced(
     return np.array(out)
 
 
-def conjugate_lattice_check(
-    ctx: WeierstrassContext, samples
-) -> float:
-    """Max residual of wp over the conjugate lattice vs the conjugated values."""
+def conjugate_lattice_check(ctx: WeierstrassContext, samples) -> float:
+    """Max residual of wp over the conjugate lattice vs the conjugated values; ctx is a Lattice1's."""
     samples = np.asarray(samples, dtype=complex)
     ctx_conj = get_context(ctx.lattice.conjugate())
     lhs, _, poles_l = ctx_conj.wp_many(samples)
@@ -441,11 +440,7 @@ def conjugate_lattice_check(
     return float(np.max(np.abs(lhs[keep] - np.conj(rhs[keep]))))
 
 
-def coset_sum_check(
-    G1: DiscreteSubgroup,
-    G2: DiscreteSubgroup,
-    samples,
-) -> float:
+def coset_sum_check(G1: DiscreteSubgroup, G2: DiscreteSubgroup, samples) -> float:
     """Max of |wp_{G2}(u) - sum_i wp_{G1}(u + a_i)| over the samples.
 
     The difference is the constant -sum_{a_i not in G1} wp_{G1}(a_i).  It
@@ -456,8 +451,7 @@ def coset_sum_check(
     """
     samples = np.asarray(samples, dtype=complex)
     reps = coset_representatives(G1, G2)
-    ctx1 = get_context(lattice1_from_subgroup(G1))
-    ctx2 = get_context(lattice1_from_subgroup(G2))
+    ctx1, ctx2 = get_context(G1), get_context(G2)
     total = np.zeros(samples.shape, dtype=complex)
     bad = np.zeros(samples.shape, dtype=bool)
     for (a,) in reps:

@@ -336,8 +336,19 @@ def test_verify_aat_report_shows_relation(tmp_path, capsys):
     assert "relation_1" in out and "f1(u)*f1(v)" in out.replace(" ", "") or "X" not in out
 
 
+def _residuals(report: str) -> dict[str, float]:
+    body = report.split("[result]\n")[1].splitlines()
+    return {name: float(rest.split()[0]) for name, _, rest in
+            (line.partition(" = ") for line in body) if name != "all_pass"}
+
+
+#: the square lattice scaled by 2^k, which the arithmetic follows exactly
+SCALED_SQUARE = {k: f"lattice({2.0**k!r}, {2.0**k!r}i)" for k in (-17, 17)}
+
+
 @pytest.mark.parametrize(
-    "lattice", ["lattice(1,1i)", "lattice(1, 60+1i)"], ids=["square", "skew-60"]
+    "lattice", ["lattice(1,1i)", "lattice(1, 60+1i)", *SCALED_SQUARE.values()],
+    ids=["square", "skew-60", "square-2^-17", "square-2^17"]
 )
 def test_check_identities_pass(tmp_path, capsys, lattice):
     assert main(["check-identities", "--lattice", lattice]) == 0
@@ -345,6 +356,14 @@ def test_check_identities_pass(tmp_path, capsys, lattice):
     assert "all_pass = 1" in out
     assert "zeta_quasi_periodicity_omega1" in out
     assert "scaling_law_c_1+i" in out
+    if lattice in SCALED_SQUARE.values():
+        # the wp and zeta residuals read in units of the shortest vector, so
+        # they are <1, i>'s; the sigma residuals are relative and read log |r1|
+        assert main(["check-identities", "--lattice", "lattice(1,1i)"]) == 0
+        square = _residuals(capsys.readouterr().out)
+        for name, res in _residuals(out).items():
+            if not name.startswith("sigma"):
+                assert res == square[name] or square[name] / 2 <= res <= 2 * square[name], name
 
 
 @pytest.mark.filterwarnings("error")
@@ -410,6 +429,48 @@ def test_tol_flag_is_a_usage_error(tmp_path, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["verify-aat", desc(tmp_path, "e.desc", EXP), flag, value])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "@", "--max-deg", "3"],
+    ["classify", "@", "--se", "4"],
+    ["eval", "--desc", "@", "--grid", "0:0.4:0.2"],
+])
+def test_abbreviated_flag_is_a_usage_error(tmp_path, argv):
+    # only the listed flags parse, so a flag added later cannot change what a
+    # command line means
+    p4 = desc(tmp_path, "p4.desc", P4)
+    with pytest.raises(SystemExit) as exc:
+        main([p4 if a == "@" else a for a in argv])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cmd", ["verify-aat", "eval-dim-2", "eval-lattice"])
+@pytest.mark.parametrize("why", ["missing", "read-only"])
+def test_unusable_out_exits_2_before_the_work(tmp_path, capsys, monkeypatch, cmd, why):
+    """--out is tested before the command runs: a missing or unwritable
+    directory costs no work and leaves no file."""
+    calls = []
+
+    def work(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("the work ran")
+
+    for name in ("verify_aat", "map_batch", "get_context"):
+        monkeypatch.setattr(cli, name, work)
+    p4 = desc(tmp_path, "p4.desc", P4)
+    argv = {"verify-aat": ["verify-aat", p4, "--max-degree", "4"],
+            "eval-dim-2": ["eval", "--descriptor", p4, "--grid", "0:0.4:0.2"],
+            "eval-lattice": ["eval", "--lattice", "lattice(1, 1i)", "--grid", "0:0.4:0.2"]}[cmd]
+    out, code = tmp_path / "missing" / "r.csv", 2
+    if why == "read-only":
+        out, code = tmp_path / "r.csv", 13
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert main(argv + ["--out", str(out)]) == 2
+    assert calls == []
+    strerror = os.strerror(code)
+    assert capsys.readouterr().err == f"locnash: [Errno {code}] {strerror}: '{out}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p4.desc"]
 
 
 def test_text_reports_share_one_head(tmp_path, capsys):

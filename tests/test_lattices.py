@@ -589,6 +589,21 @@ def test_lattice1_orientation_at_any_scale(s):
     assert Lattice1(s, -s * 1j).omega2 == s * 1j
 
 
+@given(st.complex_numbers(min_magnitude=0.1, max_magnitude=10),
+       st.complex_numbers(min_magnitude=0.1, max_magnitude=10))
+@settings(max_examples=100, deadline=None)
+def test_lattice1_is_its_oriented_group(w1, w2):
+    try:
+        L = Lattice1(w1, w2)
+    except DegenerateGenerators:
+        return
+    assert isinstance(L, DiscreteSubgroup) and L.dim == 1 and L.rank == 2
+    assert L.generators == ((L.omega1,), (L.omega2,))
+    same = Lattice1(omega2=w2, omega1=w1)
+    assert same == L and hash(same) == hash(L)
+    assert Lattice1(w1, -w2) == L  # either orientation of the pair
+
+
 @st.composite
 def _generator_pairs(draw):
     """Pairs of C: a basis of elongation 10^U(-12, 12) at any rotation, scale
@@ -620,13 +635,13 @@ def test_lattice1_valid_iff_its_group_is(pair):
             Lattice1(*pair)
     else:
         L = Lattice1(*pair)
-        assert L.to_subgroup().generators == ((L.omega1,), (L.omega2,))
+        assert L.generators == ((L.omega1,), (L.omega2,))
 
 
 @pytest.mark.parametrize("w2", [1e12 + 1j, 1e13 + 0.5j])
 def test_lattice1_skew_basis_of_a_valid_lattice_builds(w2):
     # <1, 1e12 + i> is the square lattice and <1, 1e13 + 0.5i> is <1, 0.5i>
-    r1, r2, _ = Lattice1(1, w2).to_subgroup().reduced_basis
+    r1, r2, _ = Lattice1(1, w2).reduced_basis
     assert sorted((abs(r1), abs(r2))) == [abs(w2.imag), 1.0]
 
 
@@ -647,7 +662,7 @@ def test_lattice_builds_at_any_scale(s):
     assert (r1, r2) == (s, s * 1j) and U.tolist() == [[1, 0], [-5, 1]]
     assert contains(G, s * (2 - 3j)) and not contains(G, s * (0.5 + 0j))
     L = Lattice1(s, s * 1j)
-    assert L.to_subgroup().reduced_basis[:2] == (s * 1j, s + 0j)
+    assert L.reduced_basis[:2] == (s * 1j, s + 0j)
 
 
 def test_gauss_reduction_rounds_each_vector_once():

@@ -317,6 +317,32 @@ def test_presentation_invariance(base, U):
     assert ctx_new.n_terms == ctx.n_terms
 
 
+@settings(max_examples=40, deadline=None)
+@given(r=st.floats(0.1, 10), t=st.floats(0, 2 * math.pi), x=st.floats(-3, 3), y=st.floats(0.3, 3))
+def test_context_on_the_reversed_unoriented_pair(r, t, x, y):
+    """A context takes any full lattice of C: the group on (w2, w1), whose
+    orientation is the opposite of Lattice1(w1, w2)'s, gives the same values
+    and the reversed eta constants, and passes the Legendre gate."""
+    w1 = r * complex(math.cos(t), math.sin(t))
+    w2 = w1 * complex(x, y)  # Im(w2 / w1) > 0
+    ctx, rev = get_context(Lattice1(w1, w2)), get_context(subgroup([w2, w1]))
+    zs = sample_reduced(ctx.lattice, 6, np.random.default_rng(3))
+    for kind in ("wp", "zeta", "sigma"):
+        v, _, _ = getattr(ctx, f"{kind}_many")(zs)
+        v_rev, _, _ = getattr(rev, f"{kind}_many")(zs)
+        assert np.max(np.abs(v_rev - v) / np.abs(v)) <= 1e-12, kind
+    eta, eta_rev = np.array(ctx.eta_half), np.array(rev.eta_half[::-1])
+    assert np.max(np.abs(eta_rev - eta) / np.abs(eta)) <= 1e-12
+    assert rev.legendre_defect < LEGENDRE_TOL
+
+
+@pytest.mark.parametrize("G", [subgroup([1 + 0.5j]), subgroup([(1, 0), (0, 1)])],
+                         ids=["rank-1-of-C", "dim-2"])
+def test_context_refuses_all_but_a_full_lattice_of_c(G):
+    with pytest.raises(ValueError, match="a full lattice of C"):
+        get_context(G)
+
+
 @settings(max_examples=60, deadline=None)
 @given(base=st.sampled_from([1j, 2j, np.exp(1j * np.pi / 3), 5j, 0.31 + 1.07j]), U=unimodular())
 def test_eta_against_mpmath(base, U):
