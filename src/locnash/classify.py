@@ -118,12 +118,12 @@ def _canonical_wp_parameter(group) -> float:
 def classify_1d(d: StructureDescriptor) -> CanonicalForm1D:
     """Canonical form of a real dim-1 structure: id, exp, sin or wp(<1, ia>).
 
-    Branches on the rank of the period group.  Conjugation acts on the group
-    as an integer matrix S with S^2 = I (`conjugation`), read whatever its
-    gate says, since `is_real_structure` has judged realness: at rank 1 S is
-    [1] on a real period (sin) or [-1] on an imaginary one (exp); rank 2
-    rescales the lattice by its smallest positive real element to the normal
-    form <1, ia>, a > 0, with both elements read off S.
+    Below rank 2 the family is the form: a real alpha keeps exp's period
+    2 pi i / alpha on iR and sin's 2 pi / alpha on R.  Rank 2 rescales the
+    lattice by its smallest positive real element to the normal form
+    <1, ia>, a > 0, with both elements read off the integer matrix S of
+    conjugation on the group (`conjugation`), whatever its gate says, since
+    `is_real_structure` has judged realness.
     """
     if d.dim != 1:
         raise ValueError("classify_1d requires a dim-1 descriptor")
@@ -131,10 +131,8 @@ def classify_1d(d: StructureDescriptor) -> CanonicalForm1D:
         raise NotRealStructure(f"{d.family} structure with non-real data")
     report = period_group(d)
     r = report.rank
-    if r == 0:
-        return CanonicalForm1D("id", r)
-    if r == 1:
-        return CanonicalForm1D("sin" if conjugation(report.group)[0][0, 0] > 0 else "exp", r)
+    if r < 2:
+        return CanonicalForm1D(d.family, r)
     # rank 2, the most a discrete subgroup of C has
     a = _canonical_wp_parameter(report.group)
     a_exact = None

@@ -39,7 +39,6 @@ from .relations import format_polynomial, verify_aat
 from .scalars import FLOAT_SPEC, fmt
 from .structures import map_batch, period_group
 from .weierstrass import (
-    LEGENDRE_TOL,
     coset_sum_check,
     conjugate_lattice_check,
     get_context,
@@ -253,7 +252,7 @@ def cmd_check_identities(args) -> int:
     zs = sample_reduced(lat, 30, rng)
     checks: list[tuple[str, float, float]] = []
 
-    eta = [2.0 * e for e in ctx.eta_half]
+    eta = ctx.eta
     r1, r2, U = lat.reduced_basis
     # a pole of order k scales as |r1|^-k, so its residuals times |r1|^k read in
     # units of the shortest vector, whatever the scale; sigma's are relative
@@ -293,7 +292,7 @@ def cmd_check_identities(args) -> int:
         res = float(np.max(np.abs(scaled - base / c**2))) * unit**2
         checks.append((f"scaling_law_c_{label}", res, 1e-8))
 
-    checks.append(("legendre_relation", ctx.legendre_defect, LEGENDRE_TOL))
+    checks.append(("legendre_relation", ctx.legendre_defect, ctx.legendre_tol))
 
     result = [f"{name} = {fmt(res)} (threshold {fmt(thr)}) {'PASS' if res < thr else 'FAIL'}"
               for name, res, thr in checks]

@@ -414,9 +414,6 @@ class Lattice1(DiscreteSubgroup):
     def omega2(self) -> complex:
         return self.generators[1][0]
 
-    def conjugate(self) -> "Lattice1":
-        return Lattice1(self.omega1.conjugate(), self.omega2.conjugate())
-
     def scaled(self, c: complex) -> "Lattice1":
         if c == 0:
             raise ValueError("zero scaling")

@@ -255,7 +255,7 @@ def _elliptic_periods(d: StructureDescriptor):
     """(omega_k, a eta_k) of p4 and p5, with eta_k = 2 zeta(omega_k/2) on the
     lattice's own generators (not computed when a = 0)."""
     lat, a = d.lattice, d.a
-    eta = np.zeros(2, dtype=complex) if a == 0 else 2.0 * np.asarray(get_context(lat).eta_half)
+    eta = (0j, 0j) if a == 0 else get_context(lat).eta
     return (
         ((lat.omega1, a * eta[0]), "(omega1, 2*a*zeta(omega1/2))"),
         ((lat.omega2, a * eta[1]), "(omega2, 2*a*zeta(omega2/2))"),

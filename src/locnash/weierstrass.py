@@ -22,7 +22,8 @@ leaves eta2 = eta1 tau - 2 pi i / r1 for any eta1, which is Legendre's relation
 eta1 r2 - eta2 r1 = 2 pi i (DLMF 23.2.14), and the context takes eta2 from it.
 Both constants are then carried to the lattice's own generators, where the
 Legendre gate measures the rounding of that change of basis and its
-orientation; it cannot test eta1.
+orientation, at a threshold that grows with that rounding on a skew basis;
+it cannot test eta1.
 Quasi-periodicity (the eta shift) carries the values back to u.
 
 Each context takes the fewest terms whose geometric tail bound is below
@@ -31,19 +32,26 @@ left.  ``est_error`` is that tail bound scaled to each function, plus a
 rounding floor proportional to the magnitudes summed and to the argument
 reduction's lever |u| / |u_red|: a bound up to rounding.
 
-Construction computes eagerly only what the eta constants and the Legendre
-gate read: the reduced basis and its orientation, the nome and term count,
-q^2n and c_n = 1 / (1 - q^2n), eta1, eta2 from Legendre's relation, eta_half
-and the gate; it evaluates no theta series.  The argument reduction matrix,
-the series weights n c_n and n^2 c_n, the sigma product's shifted powers and
-normalisation, and every error bound (the tail bounds of zeta, wp, wp', log
-sigma and eta1, and the bound on the eta shift) are built on first use, so a
-period group, which reads only eta, pays for none of them.  Evaluation on a
-lattice whose shortest vector is below _MIN_SCALE (about 5.6e-103) is
-refused, since the scale (pi/|r1|)^3 of wp' would leave the double range;
-such a lattice still gets its context, its eta constants and period groups.
-Construction itself refuses a lattice whose eta constants, of size about
-1/|r1|, leave the double range (shortest vector below about 2e-308).
+A context is built in steps, each once:
+
+- construction: the reduced basis and its orientation, the nome and term
+  count, q^2n and c_n = 1 / (1 - q^2n), eta1, eta2 from Legendre's relation,
+  eta = (eta_1, eta_2) on the given generators and the Legendre gate; it
+  evaluates no theta series, so a period group, which reads only eta, pays
+  for nothing more;
+- `_tables`, on the first evaluation: the argument reduction's inverse basis,
+  the series weights n^k c_n and every tail bound;
+- `_sigma_tables`, on the first sigma or log sigma: the theta1 product's
+  shifted powers and normalisation;
+- `_eta_est`, on the first zeta or sigma: the bound on the eta shift, which
+  sums a zeta series that wp and wp' need not pay for.
+
+Evaluation on a lattice whose shortest vector is below _MIN_SCALE (about
+5.6e-103) is refused, since the scale (pi/|r1|)^3 of wp' would leave the
+double range; such a lattice still gets its context, its eta constants and
+period groups.  Construction itself refuses a lattice whose eta constants,
+of size about 1/|r1|, leave the double range (shortest vector below about
+2e-308).
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,8 +67,10 @@ from .lattices import DiscreteSubgroup, coset_representatives
 
 #: bound on the dropped series tail, relative to (pi / |r1|)^k
 _TAIL_TARGET = 1e-17
-#: the construction gate on the Legendre relation
+#: the construction gate on the Legendre relation, raised to the rounding of
+#: e1 w2 - e2 w1 on a skew basis: _LEGENDRE_ULPS eps (|e1||w2| + |e2||w1|)
 LEGENDRE_TOL = 1e-8
+_LEGENDRE_ULPS = 16.0
 _EPS = float(np.finfo(float).eps)
 _DBL_MAX = float(np.finfo(float).max)
 _LOG_DBL_MAX = float(np.log(_DBL_MAX))
@@ -101,13 +112,11 @@ def _eta_out_of_range(w1: complex, w2: complex, r1: complex) -> ValueError:
 
 class WeierstrassContext:
     """Evaluation context for one full lattice of C, in any basis and either
-    orientation: reduced basis, nome, eta constants.  `eta_half` and the
-    Legendre gate are on the lattice's own generators.
+    orientation: reduced basis, nome, eta constants.  `eta` = (eta_1, eta_2),
+    eta_k = 2 zeta(w_k / 2), and the Legendre gate (`legendre_defect` against
+    `legendre_tol`) are on the lattice's own generators.
 
-    Construction computes what the eta constants and the Legendre gate read;
-    the tables that only evaluation reads (argument reduction, the series
-    weights for wp and wp', the sigma product and the error bounds) are
-    completed on first use and then never change.  Concurrent first use
+    It is built in the module's steps, each once; concurrent first use
     computes identical values, so contexts may be shared freely across
     threads and evaluation batches partitioned between workers.
     """
@@ -152,31 +161,52 @@ class WeierstrassContext:
         e2 = det * (a * eta2 - c * eta1)
         if not (cmath.isfinite(e1) and cmath.isfinite(e2)):  # Python complex: no warning
             raise _eta_out_of_range(w1, w2, r1)
-        self.eta_half = (e1 / 2.0, e2 / 2.0)
+        self.eta = (e1, e2)
 
+        # each product e_k w_j rounds by about eps |e_k| |w_j|, and e_k itself
+        # in proportion, since eta is an invertible R-linear map on the lattice
         legendre = e1 * w2 - e2 * w1
         self.legendre_defect = min(abs(legendre - 2j * np.pi), abs(legendre + 2j * np.pi))
-        if self.legendre_defect > LEGENDRE_TOL:
-            raise ValueError(
-                f"Legendre defect {self.legendre_defect:.3e} exceeds {LEGENDRE_TOL:g}"
-            )
+        rounding = _LEGENDRE_ULPS * _EPS * (abs(e1) * abs(w2) + abs(e2) * abs(w1))
+        self.legendre_tol = max(LEGENDRE_TOL, rounding)
+        if self.legendre_defect > self.legendre_tol:
+            raise ValueError(f"Legendre defect {self.legendre_defect:.3e} "
+                             f"exceeds {self.legendre_tol:g}")
 
-    # -- tables completed on first use -----------------------------------------
-
-    def _tails(self, k: int) -> float:
-        """Bound on the dropped terms of the theta series with n^k weights."""
-        rho = self._rho
-        return _tail(k, self.n_terms, rho) / (1.0 - rho * rho)
+    # -- the steps built on first use -----------------------------------------
 
     @functools.cached_property
-    def _eta1_tail(self) -> float:
-        """Bound on the dropped terms of eta1's E2 series in q^2."""
-        rho = self._rho
-        return 8.0 * np.pi**2 / abs(self._r1) * _tail(1, self.n_terms, rho * rho) / (1.0 - rho * rho)
+    def _tables(self) -> SimpleNamespace:
+        """What every evaluation reads, built by the first: the argument
+        reduction's inverse basis (so a lattice too small to evaluate is
+        refused here), the series weights n^k c_n for k = 0, 1, 2, and the
+        bounds on the dropped terms of eta1's E2 series in q^2, of the theta
+        series of zeta, wp and wp', and of the theta1 product in log sigma."""
+        r1, r2, rho, terms = self._r1, self._r2, self._rho, self.n_terms
+        if abs(r1) < _MIN_SCALE:
+            raise ValueError(f"lattice too small to evaluate: shortest vector {abs(r1):.3g} "
+                             f"is below {_MIN_SCALE:.2g}, where (pi/|r1|)^3 leaves the double range")
+        det = r1.real * r2.imag - r2.real * r1.imag
+        n, c_n, k = self._n, self._c_n, abs(self._k)
+        theta = [_tail(j, terms, rho) / (1.0 - rho * rho) for j in range(3)]
+        tail_eta1 = 8.0 * np.pi**2 / abs(r1) * _tail(1, terms, rho * rho) / (1.0 - rho * rho)
+        return SimpleNamespace(
+            binv=np.array([[r2.imag, -r2.real], [-r1.imag, r1.real]]) / det,
+            weights=(c_n, n * c_n, n * n * c_n),
+            tail_eta1=tail_eta1,
+            tail_zeta=4.0 * k * theta[0],
+            tail_wp=8.0 * k**2 * theta[1] + tail_eta1 / abs(r1),
+            tail_wp_prime=16.0 * k**3 * theta[2],
+            tail_log_sigma=4.0 * rho ** (2 * terms + 1) / ((1.0 - rho) * (1.0 - rho * rho)),
+        )
 
     @functools.cached_property
-    def _tail_zeta(self) -> float:
-        return 4.0 * abs(self._k) * self._tails(0)
+    def _sigma_tables(self) -> tuple[np.ndarray, complex]:
+        """The theta1 product's shifted powers q^(2n - 2) and its normalisation,
+        built by the first sigma or log sigma."""
+        q2n = self._q2n
+        return (np.concatenate([[1.0], q2n[:-1]]),
+                np.log(self._r1 / np.pi) - 2.0 * np.sum(np.log1p(-q2n)))
 
     @functools.cached_property
     def _eta_est(self) -> float:
@@ -184,53 +214,14 @@ class WeierstrassContext:
         zeta or sigma shift carries.
 
         It also bounds eta_red[1] as Legendre's relation gives it: that error is
-        |tau| err(eta1) plus rounding, inside twice the |tau/2| _eta1_tail and
-        the magnitude terms below."""
+        |tau| err(eta1) plus rounding, inside twice the |tau/2| eta1 tail bound
+        and the magnitude terms below."""
         half = np.array([self._r2 / 2.0])
         _, mag = self._zeta_red(half)
         return 2.0 * float((self._zeta_tail(half) + mag * self._rounding(half, half, 1))[0])
 
-    @functools.cached_property
-    def _binv(self) -> np.ndarray:
-        """The argument reduction's inverse basis, read first by every
-        evaluation, so a lattice too small to evaluate is refused here."""
-        r1, r2 = self._r1, self._r2
-        if abs(r1) < _MIN_SCALE:
-            raise ValueError(f"lattice too small to evaluate: shortest vector {abs(r1):.3g} "
-                             f"is below {_MIN_SCALE:.2g}, where (pi/|r1|)^3 leaves the double range")
-        det = r1.real * r2.imag - r2.real * r1.imag
-        return np.array([[r2.imag, -r2.real], [-r1.imag, r1.real]]) / det
-
-    @functools.cached_property
-    def _weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """n^k c_n for k = 0, 1, 2."""
-        n, c_n = self._n, self._c_n
-        return (c_n, n * c_n, n * n * c_n)
-
-    @functools.cached_property
-    def _q2n_shift(self) -> np.ndarray:
-        return np.concatenate([[1.0], self._q2n[:-1]])
-
-    @functools.cached_property
-    def _log_norm(self) -> complex:
-        return np.log(self._r1 / np.pi) - 2.0 * np.sum(np.log1p(-self._q2n))
-
-    @functools.cached_property
-    def _tail_wp(self) -> float:
-        return 8.0 * abs(self._k) ** 2 * self._tails(1) + self._eta1_tail / abs(self._r1)
-
-    @functools.cached_property
-    def _tail_wp_prime(self) -> float:
-        return 16.0 * abs(self._k) ** 3 * self._tails(2)
-
-    @functools.cached_property
-    def _tail_logsigma(self) -> float:
-        """Bound on the dropped factors of the theta1 product, in log sigma."""
-        rho = self._rho
-        return 4.0 * rho ** (2 * self.n_terms + 1) / ((1.0 - rho) * (1.0 - rho * rho))
-
     def _zeta_tail(self, ur: np.ndarray) -> np.ndarray:
-        return self._tail_zeta + np.abs(ur / self._r1) * self._eta1_tail
+        return self._tables.tail_zeta + np.abs(ur / self._r1) * self._tables.tail_eta1
 
     # -- argument reduction ------------------------------------------------
 
@@ -240,8 +231,9 @@ class WeierstrassContext:
         A point whose coefficient over the basis reaches 2^52 is refused: a
         double that large holds no fraction to round, so u_red is lost."""
         u = np.asarray(u, dtype=complex)
-        c1 = self._binv[0, 0] * u.real + self._binv[0, 1] * u.imag
-        c2 = self._binv[1, 0] * u.real + self._binv[1, 1] * u.imag
+        binv = self._tables.binv
+        c1 = binv[0, 0] * u.real + binv[0, 1] * u.imag
+        c2 = binv[1, 0] * u.real + binv[1, 1] * u.imag
         far = np.maximum(np.abs(c1), np.abs(c2)) >= 2.0**52
         if far.any():
             raise ValueError(f"cannot reduce u = {complex(u[far][0])}: its coefficient over the "
@@ -258,7 +250,7 @@ class WeierstrassContext:
         bound on the sum of the terms' moduli (each term is at most 2^k |q|
         times the one before it)."""
         p = np.exp(2j * (self._pi_tau + np.concatenate([v, -v])))
-        weights = self._weights[k] if k else self._c_n
+        weights = self._tables.weights[k]
         # a stride-0 view: materialising the repeated p costs up to 3x on
         # large batches, where the series dominates
         shape = (p.size, self.n_terms)
@@ -294,7 +286,7 @@ class WeierstrassContext:
         k2 = self._k * self._k
         val = k2 * (csc2 - 4.0 * S) - self._eta1 / self._r1
         mag = abs(k2) * (np.abs(csc2) + 4.0 * S_mag) + abs(self._eta1 / self._r1)
-        return val, self._tail_wp + mag * self._rounding(u, ur, 2)
+        return val, self._tables.tail_wp + mag * self._rounding(u, ur, 2)
 
     def _wp_prime(self, u, ur, m, n):
         v = self._k * ur
@@ -304,7 +296,7 @@ class WeierstrassContext:
         k3 = self._k**3
         val = -k3 * (2.0 * csc2_cot + 8j * S)
         mag = abs(k3) * (2.0 * np.abs(csc2_cot) + 8.0 * S_mag)
-        return val, self._tail_wp_prime + mag * self._rounding(u, ur, 3)
+        return val, self._tables.tail_wp_prime + mag * self._rounding(u, ur, 3)
 
     def _zeta(self, u, ur, m, n):
         val, mag = self._zeta_red(ur)
@@ -320,12 +312,13 @@ class WeierstrassContext:
         s, _, omw = _half_angle(v)
         # q^2n exp(+-2iv) as exp(2i(pi tau +- v)) q^(2n - 2): no factor overflows
         first = np.exp(2j * (self._pi_tau + np.stack([v, -v], axis=1)))
-        terms = 1.0 - first[:, :, None] * self._q2n_shift
+        q2n_shift, log_norm = self._sigma_tables
+        terms = 1.0 - first[:, :, None] * q2n_shift
         prod = np.prod(terms[:, 0] * terms[:, 1], axis=1)
         gauss = self._eta1 * ur * ur / (2.0 * self._r1)
         log_sin = np.log(0.5j * s * omw) - 1j * s * v
-        log_s = self._log_norm + gauss + log_sin + np.log(prod)
-        mag = 1.0 + np.abs(self._log_norm) + np.abs(gauss) + np.abs(log_sin)
+        log_s = log_norm + gauss + log_sin + np.log(prod)
+        mag = 1.0 + np.abs(log_norm) + np.abs(gauss) + np.abs(log_sin)
         # quasi-periodicity carries sigma(u_red) back to u
         eta_shift = m * self._eta_red[0] + n * self._eta_red[1]
         omega = m * self._r1 + n * self._r2
@@ -333,8 +326,8 @@ class WeierstrassContext:
         # the sign (-1)^(m + n + mn), folded into the exponent
         odd = (m + n + m * n) % 2
         log_err = (
-            self._tail_logsigma
-            + np.abs(ur) ** 2 * self._eta1_tail / (2.0 * abs(self._r1))
+            self._tables.tail_log_sigma
+            + np.abs(ur) ** 2 * self._tables.tail_eta1 / (2.0 * abs(self._r1))
             + (np.abs(m) + np.abs(n)) * self._eta_est * np.abs(ur + 0.5 * omega)
             + (mag + np.abs(expo)) * self._rounding(u, ur, 1)
         )
@@ -429,9 +422,10 @@ def sample_reduced(
 
 
 def conjugate_lattice_check(ctx: WeierstrassContext, samples) -> float:
-    """Max residual of wp over the conjugate lattice vs the conjugated values; ctx is a Lattice1's."""
+    """Max residual of wp over the conjugate lattice vs the conjugated values."""
     samples = np.asarray(samples, dtype=complex)
-    ctx_conj = get_context(ctx.lattice.conjugate())
+    (w1,), (w2,) = ctx.lattice.generators
+    ctx_conj = get_context(DiscreteSubgroup(1, ((w1.conjugate(),), (w2.conjugate(),))))
     lhs, _, poles_l = ctx_conj.wp_many(samples)
     rhs, _, poles_r = ctx.wp_many(np.conj(samples))
     keep = ~(poles_l | poles_r)

@@ -76,9 +76,9 @@ def test_criterion_01_quasi_periodicity():
         base_s, _, _ = ctx.sigma_many(zs)
         for i, w in enumerate((lat.omega1, lat.omega2)):
             sz, _, _ = ctx.zeta_many(zs + w)
-            worst_zeta = max(worst_zeta, float(np.max(np.abs(sz - base_z - 2 * ctx.eta_half[i]))))
+            worst_zeta = max(worst_zeta, float(np.max(np.abs(sz - base_z - ctx.eta[i]))))
             ss, _, _ = ctx.sigma_many(zs + w)
-            rhs = -base_s * np.exp(2 * ctx.eta_half[i] * (zs + w / 2))
+            rhs = -base_s * np.exp(ctx.eta[i] * (zs + w / 2))
             worst_sigma = max(worst_sigma, float(np.max(np.abs(ss - rhs) / np.abs(ss))))
     ok = worst_zeta < 1e-8 and worst_sigma < 1e-7
     _report(1, "quasi-periodicity", ok,
@@ -134,7 +134,7 @@ def test_criterion_04_period_table_fixes_maps():
             for k in range(n):
                 keep = ~(base_p[k] | p[k])
                 worst = max(worst, float(np.max(np.abs(v[k][keep] - base_v[k][keep]))))
-    eta_dev = abs(2 * _ctx(SQ).eta_half[0] - np.pi)
+    eta_dev = abs(_ctx(SQ).eta[0] - np.pi)
     ok = worst < 1e-7 and eta_dev < 1e-8
     _report(4, "period table", ok,
             f"map-fixing residual {worst:.2e} < 1e-7, |2 zeta(1/2) - pi| = {eta_dev:.2e} < 1e-8")

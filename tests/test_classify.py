@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from locnash import classify
 from locnash.classify import (
     ISOMORPHIC,
     NOT_ISOMORPHIC,
@@ -194,6 +195,22 @@ def test_classify_rank1_under_real_alpha_at_any_scale(family, log_c, mantissa, n
     c = (-1.0 if negative else 1.0) * mantissa * 10.0**log_c
     d = StructureDescriptor(1, family, alpha=((complex(c),),))
     assert classify_1d(d).kind == family
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["id", "exp", "sin"]), st.floats(-3.0, 3.0), st.booleans())
+def test_classify_below_rank_2_reads_the_family(family, log_c, negative):
+    """Rank 0 and 1 need no conjugation matrix: the family is the form."""
+    c = (-1.0 if negative else 1.0) * 10.0**log_c
+    d = StructureDescriptor(1, family, alpha=((complex(c),),))
+
+    def no_conjugation(*args):
+        raise AssertionError("conjugation read below rank 2")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "conjugation", no_conjugation)
+        form = classify_1d(d)
+    assert (form.kind, form.rank) == (family, {"id": 0}.get(family, 1))
 
 
 def test_classify_wp_under_tolerance_real_alpha():

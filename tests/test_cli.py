@@ -768,3 +768,16 @@ def test_p6_product_verify_aat_certifies_with_no_flags(tmp_path, capsys):
         assert f"variables_{i} = f{i}(u), f{i}(v), f{i}(u+v)" in lines
         assert any(line.startswith(f"coordinate_{i} = degree 2, residual ") for line in lines)
     assert lines.count("variables = X1, X3, X5") == lines.count("variables = X2, X4, X5") == 1
+
+
+def test_report_sweep_command_lines_parse():
+    """Every run of tests/report_sweep.py parses as main would parse it, and
+    its descriptor files parse, so the sweep cannot drift from the CLI."""
+    import report_sweep
+
+    for text in report_sweep.DESCRIPTORS.values():
+        parse_descriptor(text)
+    runs = report_sweep.command_lines()
+    assert len(runs) >= 123
+    for argv in runs:
+        build_parser().parse_args(cli._merge_dash_values(argv))
